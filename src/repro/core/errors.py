@@ -29,7 +29,6 @@ deadline.
 from __future__ import annotations
 
 import math
-from repro.lint.effects.contracts import declared_pure
 from dataclasses import dataclass
 
 
@@ -56,7 +55,6 @@ class RetentionErrorModel:
     # ------------------------------------------------------------------
     # spec retention <-> mean switching time
     # ------------------------------------------------------------------
-    @declared_pure
     def mean_switching_time(self, spec_retention_s: float) -> float:
         """Mean per-cell telegraph switching time implied by a spec
         retention: from ``1/2 (1 - exp(-2 t_spec / t_mean)) = rber_spec``.
@@ -65,7 +63,6 @@ class RetentionErrorModel:
             raise ValueError("spec retention must be positive")
         return 2.0 * spec_retention_s / -math.log1p(-2.0 * self.rber_at_spec)
 
-    @declared_pure
     def spec_retention(self, mean_switching_time_s: float) -> float:
         """Inverse of :meth:`mean_switching_time`."""
         if mean_switching_time_s <= 0:
@@ -75,7 +72,6 @@ class RetentionErrorModel:
     # ------------------------------------------------------------------
     # RBER over age
     # ------------------------------------------------------------------
-    @declared_pure
     def rber(self, age_s: float, spec_retention_s: float) -> float:
         """Raw bit-error rate of data aged ``age_s`` written at
         ``spec_retention_s``.
@@ -88,7 +84,6 @@ class RetentionErrorModel:
         t_mean = self.mean_switching_time(spec_retention_s)
         return 0.5 * -math.expm1(-2.0 * age_s / t_mean)
 
-    @declared_pure
     def age_for_rber(self, target_rber: float, spec_retention_s: float) -> float:
         """Age at which RBER reaches ``target_rber`` — the refresh
         deadline for a block whose ECC corrects up to ``target_rber``."""
@@ -97,7 +92,6 @@ class RetentionErrorModel:
         t_mean = self.mean_switching_time(spec_retention_s)
         return -0.5 * t_mean * math.log1p(-2.0 * target_rber)
 
-    @declared_pure
     def expected_bit_errors(
         self, age_s: float, spec_retention_s: float, size_bytes: int
     ) -> float:

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.errors import RetentionErrorModel
-from repro.lint.effects.contracts import declared_pure
 from repro.core.retention import RetentionModel, RetentionParams
 from repro.core.zones import Block, BlockState, ZonedAddressSpace
 from repro.devices.base import (
@@ -166,7 +165,6 @@ class MRMDevice(MemoryDevice):
                 f"[{cfg.min_retention_s:.3g}, {cfg.max_retention_s:.3g}]s"
             )
 
-    @declared_pure
     def programmed_retention(self, target_retention_s: float) -> float:
         """Retention to program so ``target_retention_s`` holds at the
         operating temperature (Arrhenius derating) with the MLC window
@@ -181,7 +179,6 @@ class MRMDevice(MemoryDevice):
     def _mlc_write_cost(self) -> float:
         return self.config.MLC_WRITE_COST ** (self.config.bits_per_cell - 1)
 
-    @declared_pure
     def write_energy_for(self, size_bytes: int, retention_s: float) -> float:
         """Energy of writing ``size_bytes`` at ``retention_s`` target."""
         programmed = self.programmed_retention(retention_s)
@@ -191,7 +188,6 @@ class MRMDevice(MemoryDevice):
             * self._mlc_write_cost()
         )
 
-    @declared_pure
     def density_multiplier(self) -> float:
         """Areal density gain over the reference: MLC bits times the
         relaxed-retention transistor shrink (evaluated at the envelope
@@ -201,7 +197,6 @@ class MRMDevice(MemoryDevice):
             self.programmed_retention(mid_retention)
         )
 
-    @declared_pure
     def write_latency_for(self, size_bytes: int, retention_s: float) -> float:
         programmed = self.programmed_retention(retention_s)
         return (
@@ -209,7 +204,6 @@ class MRMDevice(MemoryDevice):
             + size_bytes / self.retention_model.write_bandwidth(programmed)
         )
 
-    @declared_pure
     def endurance_at(self, retention_s: float) -> float:
         """Cell endurance when always written at this target retention."""
         programmed = self.programmed_retention(retention_s)

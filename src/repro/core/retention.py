@@ -53,7 +53,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.devices.base import CellKind, TechnologyProfile
-from repro.lint.effects.contracts import declared_pure
 from repro.units import YEAR
 
 #: Boltzmann constant in J/K (only ratios matter here, but keep it real).
@@ -138,7 +137,6 @@ class RetentionModel:
     # ------------------------------------------------------------------
     # Δ <-> retention
     # ------------------------------------------------------------------
-    @declared_pure
     def delta_for_retention(self, retention_s: float) -> float:
         """Thermal stability factor needed for ``retention_s``."""
         if retention_s <= 0:
@@ -149,7 +147,6 @@ class RetentionModel:
             )
         return math.log(retention_s / self.params.tau0_s)
 
-    @declared_pure
     def retention_for_delta(self, delta: float) -> float:
         """Mean retention time at stability factor ``delta``."""
         if delta < 0:
@@ -163,34 +160,29 @@ class RetentionModel:
     # ------------------------------------------------------------------
     # Derived write cost
     # ------------------------------------------------------------------
-    @declared_pure
     def write_energy_j_per_byte(self, retention_s: float) -> float:
         """Write energy when programming for ``retention_s``."""
         delta = self._clamped_delta(retention_s)
         scale = (delta / self._delta_ref) ** self.params.energy_exponent
         return self.reference.write_energy_j_per_byte * scale
 
-    @declared_pure
     def write_latency_s(self, retention_s: float) -> float:
         delta = self._clamped_delta(retention_s)
         scale = (delta / self._delta_ref) ** self.params.latency_exponent
         return self.reference.write_latency_s * scale
 
-    @declared_pure
     def write_bandwidth(self, retention_s: float) -> float:
         """Write bandwidth improves as the program pulse shortens."""
         delta = self._clamped_delta(retention_s)
         scale = (delta / self._delta_ref) ** self.params.latency_exponent
         return self.reference.write_bandwidth / scale
 
-    @declared_pure
     def endurance_cycles(self, retention_s: float) -> float:
         """Cell endurance when written at ``retention_s`` strength."""
         delta = self._clamped_delta(retention_s)
         gain = math.exp(self.params.endurance_slope * (self._delta_ref - delta))
         return min(self.reference.endurance_cycles * gain, self.params.endurance_cap)
 
-    @declared_pure
     def density_multiplier(self, retention_s: float) -> float:
         """Areal density gain from reduced write voltage [58]."""
         delta = self._clamped_delta(retention_s)
@@ -206,7 +198,6 @@ class RetentionModel:
     # ------------------------------------------------------------------
     # Temperature
     # ------------------------------------------------------------------
-    @declared_pure
     def retention_at_temperature(
         self, retention_s: float, temperature_c: float
     ) -> float:
@@ -224,7 +215,6 @@ class RetentionModel:
         delta_at_t = delta_ref_temp * (t_ref_k / t_k)
         return self.retention_for_delta(delta_at_t)
 
-    @declared_pure
     def required_retention_for_temperature(
         self, target_retention_s: float, temperature_c: float
     ) -> float:

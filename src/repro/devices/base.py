@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import math
-from repro.lint.effects.contracts import declared_pure
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
@@ -134,28 +133,23 @@ class TechnologyProfile:
             raise ValueError(f"{self.name}: access granularity must be >= 1 byte")
 
     @property
-    @declared_pure
     def volatile(self) -> bool:
         """True for cells needing periodic refresh to hold data."""
         return self.refresh_interval_s is not None
 
     @property
-    @declared_pure
     def non_volatile(self) -> bool:
         """True for 10+-year retention (the storage-class regime)."""
         return self.retention_s >= 10 * YEAR
 
     @property
-    @declared_pure
     def read_energy_pj_per_bit(self) -> float:
         return self.read_energy_j_per_byte / (PICOJOULE * BITS_PER_BYTE)
 
     @property
-    @declared_pure
     def write_energy_pj_per_bit(self) -> float:
         return self.write_energy_j_per_byte / (PICOJOULE * BITS_PER_BYTE)
 
-    @declared_pure
     def with_overrides(self, **kwargs) -> "TechnologyProfile":
         """A copy of this profile with some fields replaced."""
         return replace(self, **kwargs)

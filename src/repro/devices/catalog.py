@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.devices.base import CellKind, FaultRateSpec, TechnologyProfile
-from repro.lint.effects.contracts import declared_pure
 from repro.units import (
     KiB,
     MiB,
@@ -364,7 +363,6 @@ FAULT_RATES: Dict[str, FaultRateSpec] = {
 }
 
 
-@declared_pure
 def get_fault_rates(name: str) -> FaultRateSpec:
     """Fault rates for a catalog profile.
 
@@ -378,7 +376,6 @@ def get_fault_rates(name: str) -> FaultRateSpec:
     return FAULT_RATES[name]
 
 
-@declared_pure
 def get_profile(name: str) -> TechnologyProfile:
     """Look up a profile by catalog name.
 
@@ -392,7 +389,6 @@ def get_profile(name: str) -> TechnologyProfile:
         ) from None
 
 
-@declared_pure
 def all_profiles() -> List[TechnologyProfile]:
     """All registered profiles, sorted by name."""
     return [_PROFILES[name] for name in sorted(_PROFILES)]

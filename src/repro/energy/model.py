@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.tiering.tiers import MemoryTier
-from repro.lint.effects.contracts import declared_pure
 from repro.units import Bytes, GiB, Joules, Ratio, Seconds, Watts
 
 
@@ -54,7 +53,6 @@ class MemoryEnergyBreakdown:
         return self.total_j / self.duration_s
 
 
-@declared_pure
 def memory_energy(
     tier: MemoryTier,
     duration_s: Seconds,
@@ -116,7 +114,6 @@ class AcceleratorEnergyBreakdown:
         return self.memory_j / total
 
 
-@declared_pure
 def accelerator_energy_split(
     memory_breakdowns: Mapping[str, MemoryEnergyBreakdown],
     compute_power_w: Watts,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.tiering.tiers import MemoryTier
-from repro.lint.effects.contracts import declared_pure
 from repro.units import KWH, YEAR
 
 
@@ -32,7 +31,6 @@ class TCOReport:
     tokens_served: float
 
     @property
-    @declared_pure
     def total_usd(self) -> float:
         return (
             self.capex_accelerators_usd
@@ -41,21 +39,18 @@ class TCOReport:
         )
 
     @property
-    @declared_pure
     def tokens_per_dollar(self) -> float:
         if self.total_usd == 0:
             return 0.0
         return self.tokens_served / self.total_usd
 
     @property
-    @declared_pure
     def cost_per_million_tokens(self) -> float:
         if self.tokens_served == 0:
             return float("inf")
         return self.total_usd / (self.tokens_served / 1e6)
 
     @property
-    @declared_pure
     def memory_capex_fraction(self) -> float:
         """The paper's "HBM accounts for a substantial fraction of an AI
         cluster's cost" — memory share of capex."""

@@ -365,7 +365,7 @@ class InferenceEngine:
             # handling is a per-fault cold path, not a per-event one.
             self.sim.schedule(
                 restart_delay_s,
-                lambda _event: self._restart(),  # repro-lint: disable=RL019
+                lambda _event: self._restart(),
                 name=f"{self.name}-restart",
             )
         return displaced, dropped_pending

@@ -8,17 +8,13 @@ suppression pragmas.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import List, Optional
 
 from repro.lint.baseline import Baseline, BaselineError, DEFAULT_BASELINE_NAME
-from repro.lint.dataflow.rules import DATAFLOW_RULE_IDS
-from repro.lint.effects.rules import EFFECTS_RULE_IDS
 from repro.lint.engine import AUTO_CACHE_DIR, LintEngine
 from repro.lint.output import OUTPUT_FORMATS, render_json, render_sarif
-from repro.lint.races.rules import RACES_RULE_IDS
 from repro.lint.rules import rule_catalog, split_selection
 
 EXIT_CLEAN = 0
@@ -112,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="dataflow",
         action="store_true",
         default=True,
-        help="run the interprocedural dataflow pass, RL012-RL015 (default: on)",
+        help="run the interprocedural dataflow pass, RL012-RL016 (default: on)",
     )
     parser.add_argument(
         "--no-dataflow",
@@ -125,45 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="summary cache directory (default: <repo-root>/.repro-lint-cache); "
         "'none' disables caching",
-    )
-    parser.add_argument(
-        "--effects",
-        dest="effects",
-        action="store_true",
-        default=True,
-        help="run the effect-inference pass, RL016-RL019 (default: on)",
-    )
-    parser.add_argument(
-        "--no-effects",
-        dest="effects",
-        action="store_false",
-        help="skip the effects pass (and the kernel-readiness report)",
-    )
-    parser.add_argument(
-        "--effects-report",
-        metavar="FILE",
-        help="write the kernel-readiness report JSON to FILE "
-        "(requires the effects pass; parent directory must exist)",
-    )
-    parser.add_argument(
-        "--races",
-        dest="races",
-        action="store_true",
-        default=True,
-        help="run the happens-before races pass, RL021-RL024 (default: on)",
-    )
-    parser.add_argument(
-        "--no-races",
-        dest="races",
-        action="store_false",
-        help="skip the races pass (and the cohort-conflict report)",
-    )
-    parser.add_argument(
-        "--races-report",
-        metavar="FILE",
-        help="write the cohort-conflict report JSON to FILE — also the "
-        "REPRO_SANITIZE=1 model (requires the races pass; parent "
-        "directory must exist)",
     )
     return parser
 
@@ -187,63 +144,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_CLEAN
 
     try:
-        rule_classes, inter_ids = split_selection(
+        rule_classes, dataflow_ids = split_selection(
             _split_ids(args.select), _split_ids(args.ignore)
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    dataflow_ids = {i for i in inter_ids if i in DATAFLOW_RULE_IDS}
-    effects_ids = {i for i in inter_ids if i in EFFECTS_RULE_IDS}
-    races_ids = {i for i in inter_ids if i in RACES_RULE_IDS}
-
-    report_path: Optional[Path] = None
-    if args.effects_report:
-        if not args.effects:
-            print(
-                "error: --effects-report requires the effects pass "
-                "(drop --no-effects)",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        report_path = Path(args.effects_report)
-        if report_path.is_dir():
-            print(
-                f"error: --effects-report target {report_path} is a directory",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        if not report_path.parent.is_dir():
-            print(
-                f"error: --effects-report parent directory "
-                f"{report_path.parent} does not exist",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-
-    races_report_path: Optional[Path] = None
-    if args.races_report:
-        if not args.races:
-            print(
-                "error: --races-report requires the races pass "
-                "(drop --no-races)",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        races_report_path = Path(args.races_report)
-        if races_report_path.is_dir():
-            print(
-                f"error: --races-report target {races_report_path} is a directory",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        if not races_report_path.parent.is_dir():
-            print(
-                f"error: --races-report parent directory "
-                f"{races_report_path.parent} does not exist",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+    if not args.dataflow and not rule_classes and dataflow_ids:
+        # Every selected rule is interprocedural: without the dataflow
+        # pass the run would check nothing and still exit 0.
+        print(
+            "error: --no-dataflow turns off the only pass that runs "
+            f"{', '.join(sorted(dataflow_ids))}; nothing to check",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
 
     repo_root = _find_repo_root(Path.cwd())
 
@@ -280,25 +195,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         dataflow=args.dataflow and bool(dataflow_ids),
         dataflow_rule_ids=dataflow_ids,
         dataflow_cache_dir=cache_dir,
-        effects=args.effects and bool(effects_ids),
-        effects_rule_ids=effects_ids,
-        races=args.races and bool(races_ids),
-        races_rule_ids=races_ids,
     )
     result = engine.run([Path(p) for p in args.paths])
-
-    if report_path is not None and result.effects_report is not None:
-        report_path.write_text(
-            json.dumps(result.effects_report, indent=2, sort_keys=False)
-            + "\n",
-            encoding="utf-8",
-        )
-    if races_report_path is not None and result.races_report is not None:
-        races_report_path.write_text(
-            json.dumps(result.races_report, indent=2, sort_keys=False)
-            + "\n",
-            encoding="utf-8",
-        )
 
     for display, error in result.parse_errors:
         print(f"{display}: parse error: {error}", file=sys.stderr)
@@ -352,25 +250,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"cache {stats.cache_hits} hit(s) / "
                 f"{stats.cache_misses} miss(es) "
                 f"({stats.hit_rate():.0%} hit rate)"
-            )
-        if result.effects_stats is not None:
-            estats = result.effects_stats
-            print(
-                f"effects: {estats.files} file(s) summarized, "
-                f"cache {estats.cache_hits} hit(s) / "
-                f"{estats.cache_misses} miss(es) "
-                f"({estats.hit_rate():.0%} hit rate), "
-                f"{estats.hot_functions} hot-path function(s)"
-            )
-        if result.races_stats is not None:
-            rstats = result.races_stats
-            print(
-                f"races: {rstats.files} file(s) summarized, "
-                f"cache {rstats.cache_hits} hit(s) / "
-                f"{rstats.cache_misses} miss(es) "
-                f"({rstats.hit_rate():.0%} hit rate), "
-                f"{rstats.members} cohort member(s), "
-                f"{rstats.pairs} may-co-schedule pair(s)"
             )
 
     if result.parse_errors or result.suppression_errors:

@@ -24,9 +24,16 @@ from repro.lint.dataflow.model import (
     CallInfo,
     ClassSummary,
     FileSummary,
+    FloatAccum,
     FunctionSummary,
+    ITER_DICT,
+    ITER_SET,
+    ITER_SORTED,
+    ITER_STABLE,
+    ITER_UNKNOWN,
     ParamInfo,
     RngEvent,
+    UNSTABLE_ORDERS,
     WallCall,
     PROV_DERIVED,
     PROV_LITERAL,
@@ -58,6 +65,29 @@ _SEED_DERIVING_TAILS: Set[str] = {"SeedSequence", "spawn", "spawn_seeds"}
 
 _MAX_SNIPPET = 48
 
+#: Dimensions that imply float arithmetic (non-associative addition).
+FLOAT_DIMENSIONS: Set[str] = {dims.SECONDS, dims.JOULES, dims.WATTS, dims.RATIO}
+
+#: Iterable wrappers that keep the inner iterable's order class.
+_ORDER_PRESERVING_WRAPPERS: Set[str] = {
+    "enumerate",
+    "list",
+    "tuple",
+    "reversed",
+    "iter",
+}
+
+#: Order class of an iterable built by a call, by the call's tail name.
+_ORDER_OF_CALL: Dict[str, str] = {
+    "sorted": ITER_SORTED,
+    "range": ITER_STABLE,
+    "items": ITER_DICT,
+    "values": ITER_DICT,
+    "keys": ITER_DICT,
+    "set": ITER_SET,
+    "frozenset": ITER_SET,
+}
+
 
 def _snippet(node: ast.AST) -> str:
     try:
@@ -65,6 +95,62 @@ def _snippet(node: ast.AST) -> str:
     except Exception:  # pragma: no cover - unparse is total on parsed trees
         return ""
     return text if len(text) <= _MAX_SNIPPET else text[: _MAX_SNIPPET - 3] + "..."
+
+
+def _call_tail(call: ast.Call) -> str:
+    """Last name component of the callee.  Read straight off the node:
+    ``dotted_name`` is '' when the receiver is itself a call
+    (``snap.get("counters", {}).items()``)."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else ""
+
+
+def classify_iter(node: ast.AST) -> Tuple[str, str]:
+    """(order class, iterable snippet) of a ``for`` loop's iterable."""
+    text = _snippet(node)
+    while (
+        isinstance(node, ast.Call)
+        and _call_tail(node) in _ORDER_PRESERVING_WRAPPERS
+        and node.args
+    ):
+        node = node.args[0]
+    if isinstance(node, ast.Call):
+        return _ORDER_OF_CALL.get(_call_tail(node), ITER_UNKNOWN), text
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return ITER_SET, text
+    if isinstance(
+        node, (ast.List, ast.Tuple, ast.ListComp, ast.GeneratorExp, ast.Dict)
+    ):
+        # A dict literal iterates in source order.
+        return ITER_STABLE, text
+    return ITER_UNKNOWN, text
+
+
+def _target_root(node: ast.AST) -> str:
+    """Root name an attribute/subscript chain hangs off; '' otherwise."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def _float_evidence(target: ast.AST, value: ast.AST) -> str:
+    """Why an accumulation is believed to involve floats; '' when the
+    evidence points at integer (associative) arithmetic instead."""
+    for sub in [target, *ast.walk(value)]:
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, float):
+            return "float-literal"
+        if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Div):
+            return "division"
+        while isinstance(sub, ast.Subscript):
+            sub = sub.value
+        if isinstance(sub, (ast.Name, ast.Attribute)):
+            name = sub.attr if isinstance(sub, ast.Attribute) else sub.id
+            dim = dims.dimension_of_name(name)
+            if dim in FLOAT_DIMENSIONS:
+                return f"dimension:{dim}"
+    return ""
 
 
 def build_aliases(tree: ast.Module, module: str) -> Dict[str, str]:
@@ -104,11 +190,17 @@ class _NameResolver:
     ``self.x``) the enclosing class."""
 
     def __init__(
-        self, module: str, aliases: Dict[str, str], local_defs: Set[str]
+        self,
+        module: str,
+        aliases: Dict[str, str],
+        local_defs: Set[str],
+        module_globals: Set[str],
     ) -> None:
         self.module = module
         self.aliases = aliases
         self.local_defs = local_defs
+        #: Top-level definitions plus module-level assignment targets.
+        self.module_globals = module_globals
 
     def resolve(self, name: str, class_ctx: str = "") -> str:
         if not name:
@@ -323,6 +415,12 @@ class _FunctionExtractor:
         for node in nodes:
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
                 self._track_assignment(node)
+                if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                    self._track_dict_reduction(node, parents)
+                    self._track_attr_bind(node)
+            elif isinstance(node, ast.AugAssign):
+                if isinstance(node.op, (ast.Add, ast.Sub)):
+                    self._track_accum(node, node.target, node.value, parents)
             elif isinstance(node, ast.Return):
                 returns.append(node)
             elif isinstance(node, ast.Yield):
@@ -373,11 +471,111 @@ class _FunctionExtractor:
             if seed_derived:
                 self.env_seed_derived.add(name)
 
+    # -- RL016 facts -------------------------------------------------------
+    @staticmethod
+    def _unstable_loop(
+        node: ast.AST, parents: Dict[ast.AST, ast.AST]
+    ) -> Tuple[str, str]:
+        """(order, iterable text) of the nearest enclosing ``for`` when it
+        iterates in dict or set order, else ("", "")."""
+        current = parents.get(node)
+        while current is not None and not isinstance(current, ast.For):
+            current = parents.get(current)
+        if current is None:
+            return "", ""
+        order, text = classify_iter(current.iter)
+        return (order, text) if order in UNSTABLE_ORDERS else ("", "")
+
+    def _track_accum(
+        self,
+        node: ast.stmt,
+        target: ast.AST,
+        value: ast.AST,
+        parents: Dict[ast.AST, ast.AST],
+    ) -> None:
+        evidence = _float_evidence(target, value)
+        if not evidence:
+            return
+        root = _target_root(target)
+        shared = root in ("self", "cls") or (
+            root in self.resolver.module_globals and root not in self.param_names
+        )
+        order, iter_text = self._unstable_loop(node, parents)
+        if shared or order:
+            self.summary.float_accums.append(
+                FloatAccum(
+                    target=_snippet(target),
+                    shared=shared,
+                    lineno=node.lineno,
+                    col=node.col_offset,
+                    iter_order=order,
+                    iter_text=iter_text,
+                    evidence=evidence,
+                )
+            )
+
+    def _track_dict_reduction(
+        self, node: ast.Assign, parents: Dict[ast.AST, ast.AST]
+    ) -> None:
+        """``B[k] = B.get(k, 0.0) + v`` — a reduction in disguise."""
+        target = node.targets[0]
+        if not isinstance(target, ast.Subscript):
+            return
+        base = _snippet(target.value)
+        subs = list(ast.walk(node.value))
+        adds = any(
+            isinstance(sub, ast.BinOp) and isinstance(sub.op, (ast.Add, ast.Sub))
+            for sub in subs
+        )
+        reads_base = any(
+            (isinstance(sub, ast.Subscript) and _snippet(sub.value) == base)
+            or (
+                isinstance(sub, ast.Call)
+                and isinstance(sub.func, ast.Attribute)
+                and sub.func.attr == "get"
+                and _snippet(sub.func.value) == base
+            )
+            for sub in subs
+        )
+        if base and adds and reads_base:
+            self._track_accum(node, target, node.value, parents)
+
+    def _track_attr_bind(self, node: ast.Assign) -> None:
+        """``self.<attr> = Klass(...)``: what the attribute holds."""
+        target = node.targets[0]
+        if (
+            self.class_ctx
+            and isinstance(node.value, ast.Call)
+            and isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.value.id in ("self", "cls")
+        ):
+            klass = self.resolver.resolve(
+                dotted_name(node.value.func), self.class_ctx
+            )
+            if klass:
+                self.summary.attr_binds.setdefault(
+                    f"{self.class_ctx}.{target.attr}", klass
+                )
+
     def _record_call(
         self, node: ast.Call, parents: Dict[ast.AST, ast.AST]
     ) -> None:
         raw = dotted_name(node.func)
         resolved = self.resolver.resolve(raw, self.class_ctx)
+        # self.<attr>.<method>(): the linker resolves it through the
+        # class's attr_binds (RL016's attribute-typed edges).
+        func = node.func
+        if (
+            self.class_ctx
+            and isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Attribute)
+            and isinstance(func.value.value, ast.Name)
+            and func.value.value.id in ("self", "cls")
+        ):
+            self.summary.attr_calls.append(
+                f"{self.class_ctx}.{func.value.attr}.{func.attr}"
+            )
         # Direct wall-clock / blocking calls (RL015's taint sources).
         if raw in _WALL_CLOCK_CALLS or raw in BLOCKING_CALLS:
             self.summary.wall_calls.append(
@@ -404,6 +602,7 @@ class _FunctionExtractor:
             lineno=node.lineno,
             col=node.col_offset,
         )
+        info.iter_order, info.iter_text = self._unstable_loop(node, parents)
         for position, arg in enumerate(node.args):
             if isinstance(arg, ast.Starred):
                 continue
@@ -560,7 +759,13 @@ def extract_summary(
         for n in tree.body
         if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     }
-    resolver = _NameResolver(module, aliases, local_defs)
+    module_globals = set(local_defs)
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        )
+        module_globals |= {t.id for t in targets if isinstance(t, ast.Name)}
+    resolver = _NameResolver(module, aliases, local_defs, module_globals)
     prefix = module or display_path
     summary = FileSummary(path=display_path, module=module, aliases=dict(aliases))
 

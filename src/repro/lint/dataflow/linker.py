@@ -7,7 +7,8 @@ The linker owns everything extraction could not know file-locally:
   by following each file's import-alias edges to a real definition;
 - **the call graph** — resolved call edges between function summaries,
   with forward/backward reachability used for RL014's scope and
-  RL015's taint;
+  RL015's taint, plus the attribute-typed ``self.<attr>.<method>()``
+  edges RL016 propagates over;
 - **return-quantity and RNG-provenance resolution** — chasing
   ``return helper(x)`` chains with memoization and cycle guards.
 """
@@ -240,6 +241,26 @@ class Program:
             if out:
                 edges[qualname] = out
         self._edges = edges
+        return edges
+
+    def attr_edges(self) -> List[Tuple[str, str]]:
+        """(caller, callee) for ``self.<attr>.<method>()`` calls whose
+        attribute some method binds with ``self.<attr> = Klass(...)``
+        (first bind in qualname order wins)."""
+        bound: Dict[str, str] = {}
+        for qualname in sorted(self.functions):
+            binds = self.functions[qualname].attr_binds
+            for key in sorted(binds):
+                klass = self.resolve(binds[key])
+                if klass in self.classes:
+                    bound.setdefault(key, klass)
+        edges: List[Tuple[str, str]] = []
+        for qualname in sorted(self.functions):
+            for call in self.functions[qualname].attr_calls:
+                owner, _, method = call.rpartition(".")
+                target = f"{bound[owner]}.{method}" if owner in bound else ""
+                if target in self.functions:
+                    edges.append((qualname, target))
         return edges
 
     def reachable_from(self, seeds: Set[str]) -> Set[str]:

@@ -18,7 +18,22 @@ from typing import Any, Dict, List, Optional
 
 #: Bump when the summary shape or the extraction logic changes; part of
 #: every cache key, so stale summaries are never loaded.
-DATAFLOW_SCHEMA = 1
+DATAFLOW_SCHEMA = 2
+
+# Iteration-order classes of a ``for`` loop's iterable (RL016) ---------------
+#: Provably canonical: ``sorted(...)``.
+ITER_SORTED = "sorted"
+#: Fixed by construction: ``range``, list/tuple/dict literals.
+ITER_STABLE = "stable"
+#: Dict insertion order: stable per process, but it depends on arrival
+#: order, which differs between serial and parallel producers.
+ITER_DICT = "dict-order"
+#: Hash order: varies with PYTHONHASHSEED.
+ITER_SET = "set-order"
+#: Cannot classify (a bare name, an opaque call): never flagged.
+ITER_UNKNOWN = "unknown"
+#: Orders that make a float reduction depend on history.
+UNSTABLE_ORDERS = (ITER_DICT, ITER_SET)
 
 # RNG provenance tags -------------------------------------------------------
 #: Seed derives from a function parameter or a SeedSequence value.
@@ -89,6 +104,32 @@ class CallInfo:
     target_dimension: Optional[str] = None
     #: Name of the assignment target, for messages.
     target_text: str = ""
+    #: ITER_DICT/ITER_SET when the nearest enclosing loop iterates in
+    #: that order, else "" — plus that loop's iterable as written.
+    iter_order: str = ""
+    iter_text: str = ""
+
+
+@dataclass
+class FloatAccum:
+    """A float accumulation: ``x += e`` or ``d[k] = d.get(k, 0.0) + e``.
+
+    Recorded only when it can matter to RL016: inside a dict-/set-order
+    loop, or into state that outlives the call.
+    """
+
+    #: Accumulation target as written.
+    target: str = ""
+    #: The target hangs off ``self``/``cls`` or a module global.
+    shared: bool = False
+    lineno: int = 0
+    col: int = 0
+    #: Same meaning as :attr:`CallInfo.iter_order` / ``iter_text``.
+    iter_order: str = ""
+    iter_text: str = ""
+    #: Why the value is believed to be a float ("dimension:joules",
+    #: "float-literal", "division").
+    evidence: str = ""
 
 
 @dataclass
@@ -140,6 +181,13 @@ class FunctionSummary:
     calls: List[CallInfo] = field(default_factory=list)
     rng_events: List[RngEvent] = field(default_factory=list)
     wall_calls: List[WallCall] = field(default_factory=list)
+    float_accums: List[FloatAccum] = field(default_factory=list)
+    #: ``self.<attr>.<method>()`` call sites, as ``<class>.<attr>.<method>``
+    #: (the linker resolves them through :attr:`attr_binds`).
+    attr_calls: List[str] = field(default_factory=list)
+    #: ``self.<attr> = Klass(...)`` binds: ``<class>.<attr>`` -> the
+    #: best-effort qualified name of ``Klass``.
+    attr_binds: Dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -184,32 +232,21 @@ class FileSummary:
         for fn in payload.get("functions", []):
             summary.functions.append(
                 FunctionSummary(
-                    qualname=fn["qualname"],
-                    lineno=fn["lineno"],
-                    col=fn["col"],
-                    is_method=fn["is_method"],
-                    is_sim_process=fn["is_sim_process"],
-                    params=[ParamInfo(**p) for p in fn["params"]],
-                    return_dimension=fn["return_dimension"],
-                    return_base=fn["return_base"],
-                    returns_call=fn["returns_call"],
-                    returns_rng=fn["returns_rng"],
-                    rng_seed_param=fn["rng_seed_param"],
-                    calls=[
-                        CallInfo(
-                            callee=c["callee"],
-                            callee_text=c["callee_text"],
-                            lineno=c["lineno"],
-                            col=c["col"],
-                            args=[ArgInfo(**a) for a in c["args"]],
-                            expr_bases=list(c["expr_bases"]),
-                            target_dimension=c["target_dimension"],
-                            target_text=c["target_text"],
-                        )
-                        for c in fn["calls"]
-                    ],
-                    rng_events=[RngEvent(**e) for e in fn["rng_events"]],
-                    wall_calls=[WallCall(**w) for w in fn["wall_calls"]],
+                    **{
+                        **fn,
+                        "params": [ParamInfo(**p) for p in fn["params"]],
+                        "calls": [
+                            CallInfo(
+                                **{**c, "args": [ArgInfo(**a) for a in c["args"]]}
+                            )
+                            for c in fn["calls"]
+                        ],
+                        "rng_events": [RngEvent(**e) for e in fn["rng_events"]],
+                        "wall_calls": [WallCall(**w) for w in fn["wall_calls"]],
+                        "float_accums": [
+                            FloatAccum(**a) for a in fn["float_accums"]
+                        ],
+                    }
                 )
             )
         for klass in payload.get("classes", []):

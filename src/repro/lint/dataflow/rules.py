@@ -1,4 +1,4 @@
-"""The interprocedural rules: RL012-RL015.
+"""The interprocedural rules: RL012-RL016.
 
 Each checker walks the linked :class:`~repro.lint.dataflow.linker.
 Program` and yields :class:`~repro.lint.findings.Finding` objects
@@ -9,22 +9,18 @@ so reports are deterministic.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.dataflow import dimensions as dims
 from repro.lint.dataflow.linker import Program
-from repro.lint.dataflow.model import (
-    CallInfo,
-    FunctionSummary,
-    PROV_LITERAL,
-    PROV_UNSEEDED,
-)
+from repro.lint.dataflow.model import PROV_LITERAL, PROV_UNSEEDED
 from repro.lint.findings import Finding, Severity
 
 #: Packages whose code a sweep's per-point SeedSequence must govern.
 RNG_SCOPE_PACKAGES: Tuple[str, ...] = ("repro.sim", "repro.workload", "repro.faults")
 
-DATAFLOW_RULE_IDS: Tuple[str, ...] = ("RL012", "RL013", "RL014", "RL015")
+DATAFLOW_RULE_IDS: Tuple[str, ...] = ("RL012", "RL013", "RL014", "RL015", "RL016")
 
 _SUMMARIES: Dict[str, str] = {
     "RL012": (
@@ -44,6 +40,12 @@ _SUMMARIES: Dict[str, str] = {
     "RL015": (
         "sim process transitively reaches a wall-clock or blocking call "
         "through helpers — the interprocedural RL004/RL007"
+    ),
+    "RL016": (
+        "order-sensitive float reduction: floats accumulated over dict/set-"
+        "ordered iteration (directly or through callees) — non-associative "
+        "addition makes the result depend on iteration order, breaking "
+        "serial/parallel bit-identity"
     ),
 }
 
@@ -272,40 +274,51 @@ def check_seed_provenance(program: Program) -> Iterator[Finding]:
 # ---------------------------------------------------------------------------
 # RL015 — sim processes reaching wall clocks / blocking calls via helpers
 # ---------------------------------------------------------------------------
-def _taint_map(program: Program) -> Dict[str, Tuple[str, str]]:
-    """qualname -> (next hop qualname or '', terminal wall-call name)
-    for every function that directly or transitively reaches a
-    wall-clock/blocking call."""
-    taint: Dict[str, Tuple[str, str]] = {}
-    for qualname in sorted(program.functions):
-        fn = program.functions[qualname]
-        if fn.wall_calls:
-            taint[qualname] = ("", fn.wall_calls[0].name)
-    edges = program.call_edges()
+def _propagate(
+    direct: Dict[str, str], edges: Dict[str, List[str]]
+) -> Dict[str, Tuple[str, str]]:
+    """qualname -> (next hop qualname or '', terminal cause) for every
+    function in ``direct`` and every caller reaching one over ``edges``."""
+    reach = {qualname: ("", cause) for qualname, cause in direct.items()}
     changed = True
     while changed:
         changed = False
         for caller in sorted(edges):
-            if caller in taint:
+            if caller in reach:
                 continue
-            for call, callee in edges[caller]:
-                if callee in taint:
-                    taint[caller] = (callee, taint[callee][1])
+            for callee in edges[caller]:
+                if callee in reach:
+                    reach[caller] = (callee, reach[callee][1])
                     changed = True
                     break
-    return taint
+    return reach
 
 
-def _chain(start: str, taint: Dict[str, Tuple[str, str]]) -> str:
+def _taint_map(program: Program) -> Dict[str, Tuple[str, str]]:
+    """Functions that directly or transitively reach a wall-clock or
+    blocking call (see :func:`_propagate`)."""
+    direct = {
+        qualname: f"{fn.wall_calls[0].name}()"
+        for qualname, fn in sorted(program.functions.items())
+        if fn.wall_calls
+    }
+    edges = {
+        caller: [callee for _, callee in sites]
+        for caller, sites in program.call_edges().items()
+    }
+    return _propagate(direct, edges)
+
+
+def _chain(start: str, reach: Dict[str, Tuple[str, str]]) -> str:
     hops: List[str] = []
     current: Optional[str] = start
     for _ in range(16):
-        if current is None or current not in taint:
+        if current is None or current not in reach:
             break
         hops.append(_short(current))
-        nxt, terminal = taint[current]
+        nxt, terminal = reach[current]
         if not nxt:
-            hops.append(f"{terminal}()")
+            hops.append(terminal)
             break
         current = nxt
     return " -> ".join(hops)
@@ -336,25 +349,104 @@ def check_process_purity(program: Program) -> Iterator[Finding]:
             )
 
 
-_CHECKERS = {
-    "RL012": check_dimension_conflicts,
-    "RL013": check_base_conflicts,
-    "RL014": check_seed_provenance,
-    "RL015": check_process_purity,
-}
+# ---------------------------------------------------------------------------
+# RL016 — order-sensitive float reductions
+# ---------------------------------------------------------------------------
+def float_accum_shared(program: Program) -> Dict[str, Tuple[str, str]]:
+    """Functions that accumulate floats into ``self``/module state,
+    directly or through plain, ``self.`` and ``self.<attr>.`` calls (see
+    :func:`_propagate`).  Constructor edges do not carry the flag:
+    ``__init__`` filling a fresh object is not the caller's state."""
+    direct: Dict[str, str] = {}
+    for qualname, fn in sorted(program.functions.items()):
+        shared = [a for a in fn.float_accums if a.shared]
+        if shared:
+            direct[qualname] = f"{shared[0].target} += ... at line {shared[0].lineno}"
+    edges = {
+        caller: [
+            callee
+            for call, callee in sites
+            if program.resolve(call.callee) not in program.classes
+        ]
+        for caller, sites in program.call_edges().items()
+    }
+    for caller, callee in program.attr_edges():
+        edges.setdefault(caller, []).append(callee)
+    return _propagate(direct, edges)
+
+
+def check_order_sensitive_reductions(
+    program: Program, critical_modules: Optional[Set[str]] = None
+) -> Iterator[Finding]:
+    """Scoped to ``critical_modules`` when given (modules outside any
+    ``repro`` package always stay in scope)."""
+    accumulators = float_accum_shared(program)
+    module_of = {path: module for module, path in program.path_of_module.items()}
+    edges = program.call_edges()
+    for qualname, fn in sorted(program.functions.items()):
+        path = program.path_of_function.get(qualname, "")
+        module = module_of.get(path, "")
+        if critical_modules is not None and module and module not in critical_modules:
+            continue
+        flagged: Set[int] = set()
+        for accum in fn.float_accums:
+            if not accum.iter_order:
+                continue
+            flagged.add(accum.lineno)
+            yield _finding(
+                "RL016",
+                path,
+                accum.lineno,
+                accum.col,
+                f"order-sensitive float reduction: {accum.target} "
+                f"accumulates ({accum.evidence}) over {accum.iter_text} "
+                f"({accum.iter_order}) — float addition is not associative, "
+                "so the result depends on iteration order",
+                "iterate in canonical order (sorted(...)) or accumulate "
+                "order-insensitively (integers, exact merges)",
+            )
+        for call, callee in edges.get(qualname, []):
+            if not call.iter_order or call.lineno in flagged:
+                continue
+            if callee not in accumulators:
+                continue
+            yield _finding(
+                "RL016",
+                path,
+                call.lineno,
+                call.col,
+                f"order-sensitive float reduction: loop over "
+                f"{call.iter_text} ({call.iter_order}) calls "
+                f"{call.callee_text}(), which accumulates floats into "
+                f"shared state [{_chain(callee, accumulators)}]",
+                "iterate in canonical order (sorted(...)) so the shared "
+                "accumulation happens in a reproducible order",
+            )
 
 
 def check_program(
-    program: Program, rule_ids: Optional[Set[str]] = None
+    program: Program,
+    rule_ids: Optional[Set[str]] = None,
+    critical_modules: Optional[Set[str]] = None,
 ) -> List[Finding]:
-    """Run the selected dataflow rules; deterministic order, deduped."""
+    """Run the selected dataflow rules; deterministic order, deduped.
+    ``critical_modules`` scopes RL016 (None: no gate)."""
     wanted = set(rule_ids) if rule_ids is not None else set(DATAFLOW_RULE_IDS)
+    checkers = {
+        "RL012": check_dimension_conflicts,
+        "RL013": check_base_conflicts,
+        "RL014": check_seed_provenance,
+        "RL015": check_process_purity,
+        "RL016": partial(
+            check_order_sensitive_reductions, critical_modules=critical_modules
+        ),
+    }
     findings: List[Finding] = []
     seen: Set[Tuple[str, str, int, int, str]] = set()
     for rule_id in DATAFLOW_RULE_IDS:
         if rule_id not in wanted:
             continue
-        for finding in _CHECKERS[rule_id](program):
+        for finding in checkers[rule_id](program):
             key = (
                 finding.rule_id,
                 finding.path,

@@ -64,17 +64,19 @@ def run_dataflow(
     entries: Sequence[FileEntry],
     cache_dir: Optional[Path] = None,
     rule_ids: Optional[Set[str]] = None,
+    critical_modules: Optional[Set[str]] = None,
 ) -> Tuple[List[Finding], DataflowStats]:
-    """Summarize ``entries`` (cache-aware), link, and run RL012-RL015.
+    """Summarize ``entries`` (cache-aware), link, and run RL012-RL016.
 
-    Findings come back sorted and with ``source_line`` filled from the
-    entry sources, so suppression and baseline fingerprinting work
-    exactly as they do for per-file rules.
+    ``critical_modules`` scopes RL016 to the determinism-critical set
+    (None: every module).  Findings come back sorted and with
+    ``source_line`` filled from the entry sources, so suppression and
+    baseline fingerprinting work exactly as they do for per-file rules.
     """
     cache = SummaryCache(cache_dir)
     summaries = summarize_files(entries, cache)
     program = Program(summaries)
-    findings = check_program(program, rule_ids)
+    findings = check_program(program, rule_ids, critical_modules)
 
     lines_by_path = {
         display_path: source.splitlines()

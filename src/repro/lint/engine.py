@@ -6,20 +6,12 @@ Pipeline per run:
 2. parse each file once and build the repo-wide import graph, from
    which the determinism-critical module set is derived;
 3. run every selected per-file rule over every file;
-4. run the interprocedural dataflow pass (RL012-RL015) over the same
+4. run the interprocedural dataflow pass (RL012-RL016) over the same
    parsed trees, with per-file summaries served from a content-hash
    cache;
-5. run the effects pass (RL016-RL019) over the same trees: per-file
-   effect facts (cached under their own key namespace in the same
-   cache directory) are linked into whole-program effect signatures,
-   and the kernel-readiness report is attached to the result;
-6. run the races pass (RL021-RL024) over the same trees: per-file
-   access summaries (their own key namespace again) are joined with
-   the dataflow program and effect signatures into a may-co-schedule
-   relation, and the cohort-conflict report is attached to the result;
-7. drop inline-suppressed findings, then split the rest against the
+5. drop inline-suppressed findings, then split the rest against the
    baseline;
-8. report — new ERROR findings (or, under ``--strict``, warnings too)
+6. report — new ERROR findings (or, under ``--strict``, warnings too)
    fail the run.
 """
 
@@ -28,16 +20,12 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Type
+from typing import List, Optional, Sequence, Set, Tuple, Type
 
 from repro.lint.baseline import Baseline
 from repro.lint.dataflow import DataflowStats, run_dataflow
 from repro.lint.dataflow.cache import DEFAULT_CACHE_DIR_NAME
-from repro.lint.effects import EffectsStats
-from repro.lint.effects.run import run_effects
 from repro.lint.findings import Finding, Severity, sort_findings
-from repro.lint.races import RacesStats
-from repro.lint.races.run import run_races
 from repro.lint.imports import ImportGraph, module_name_for
 from repro.lint.rules import Rule, RuleContext, all_rule_ids, get_rule_classes
 from repro.lint.suppressions import SuppressionIndex
@@ -108,14 +96,6 @@ class LintResult:
     suppression_errors: List[Tuple[str, int, str]] = field(default_factory=list)
     #: Cache accounting for the dataflow pass (None when disabled).
     dataflow_stats: Optional[DataflowStats] = None
-    #: Cache accounting for the effects pass (None when disabled).
-    effects_stats: Optional[EffectsStats] = None
-    #: The kernel-readiness report dict (None when effects disabled).
-    effects_report: Optional[Dict[str, Any]] = None
-    #: Cache accounting for the races pass (None when disabled).
-    races_stats: Optional[RacesStats] = None
-    #: The cohort-conflict report dict (None when races disabled).
-    races_report: Optional[Dict[str, Any]] = None
 
     @property
     def all_findings(self) -> List[Finding]:
@@ -141,10 +121,6 @@ class LintEngine:
         dataflow: bool = True,
         dataflow_rule_ids: Optional[Set[str]] = None,
         dataflow_cache_dir: object = AUTO_CACHE_DIR,
-        effects: bool = True,
-        effects_rule_ids: Optional[Set[str]] = None,
-        races: bool = True,
-        races_rule_ids: Optional[Set[str]] = None,
     ) -> None:
         # An explicit empty list is a dataflow-only selection, not
         # "default to everything" — only None means the full registry.
@@ -155,10 +131,6 @@ class LintEngine:
         self.repo_root = repo_root
         self.dataflow = dataflow
         self.dataflow_rule_ids = dataflow_rule_ids
-        self.effects = effects
-        self.effects_rule_ids = effects_rule_ids
-        self.races = races
-        self.races_rule_ids = races_rule_ids
         if dataflow_cache_dir is AUTO_CACHE_DIR:
             dataflow_cache_dir = (
                 repo_root / DEFAULT_CACHE_DIR_NAME if repo_root else None
@@ -230,49 +202,18 @@ class LintEngine:
             raw.extend(kept)
             result.suppressed.extend(suppressed)
 
-        entries = [
-            (pf.display_path, pf.module or "", pf.source, pf.tree)
-            for pf in parsed
-        ]
         if self.dataflow:
+            entries = [
+                (pf.display_path, pf.module or "", pf.source, pf.tree)
+                for pf in parsed
+            ]
             df_findings, result.dataflow_stats = run_dataflow(
                 entries,
                 cache_dir=self.dataflow_cache_dir,
                 rule_ids=self.dataflow_rule_ids,
+                critical_modules=critical,
             )
             for finding in df_findings:
-                suppressions = suppression_index.get(finding.path)
-                if suppressions is not None and suppressions.is_suppressed(finding):
-                    result.suppressed.append(finding)
-                else:
-                    raw.append(finding)
-
-        if self.effects:
-            ef_findings, result.effects_stats, result.effects_report = (
-                run_effects(
-                    entries,
-                    cache_dir=self.dataflow_cache_dir,
-                    rule_ids=self.effects_rule_ids,
-                    critical_modules=critical,
-                )
-            )
-            for finding in ef_findings:
-                suppressions = suppression_index.get(finding.path)
-                if suppressions is not None and suppressions.is_suppressed(finding):
-                    result.suppressed.append(finding)
-                else:
-                    raw.append(finding)
-
-        if self.races:
-            rc_findings, result.races_stats, result.races_report = (
-                run_races(
-                    entries,
-                    cache_dir=self.dataflow_cache_dir,
-                    rule_ids=self.races_rule_ids,
-                    critical_modules=critical,
-                )
-            )
-            for finding in rc_findings:
                 suppressions = suppression_index.get(finding.path)
                 if suppressions is not None and suppressions.is_suppressed(finding):
                     result.suppressed.append(finding)
@@ -294,10 +235,6 @@ def lint_paths(
     dataflow: bool = True,
     dataflow_rule_ids: Optional[Set[str]] = None,
     dataflow_cache_dir: object = AUTO_CACHE_DIR,
-    effects: bool = True,
-    effects_rule_ids: Optional[Set[str]] = None,
-    races: bool = True,
-    races_rule_ids: Optional[Set[str]] = None,
 ) -> LintResult:
     """One-call convenience wrapper used by tests and the CLI."""
     engine = LintEngine(
@@ -307,9 +244,5 @@ def lint_paths(
         dataflow=dataflow,
         dataflow_rule_ids=dataflow_rule_ids,
         dataflow_cache_dir=dataflow_cache_dir,
-        effects=effects,
-        effects_rule_ids=effects_rule_ids,
-        races=races,
-        races_rule_ids=races_rule_ids,
     )
     return engine.run(paths)

@@ -71,29 +71,6 @@ def render_json(result: LintResult) -> str:
             if result.dataflow_stats is not None
             else None
         ),
-        "effects": (
-            {
-                "files": result.effects_stats.files,
-                "cache_hits": result.effects_stats.cache_hits,
-                "cache_misses": result.effects_stats.cache_misses,
-                "cache_hit_rate": round(result.effects_stats.hit_rate(), 4),
-                "hot_functions": result.effects_stats.hot_functions,
-            }
-            if result.effects_stats is not None
-            else None
-        ),
-        "races": (
-            {
-                "files": result.races_stats.files,
-                "cache_hits": result.races_stats.cache_hits,
-                "cache_misses": result.races_stats.cache_misses,
-                "cache_hit_rate": round(result.races_stats.hit_rate(), 4),
-                "members": result.races_stats.members,
-                "pairs": result.races_stats.pairs,
-            }
-            if result.races_stats is not None
-            else None
-        ),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

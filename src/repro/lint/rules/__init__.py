@@ -6,8 +6,9 @@ Adding a rule is three steps (see ``docs/STATIC_ANALYSIS.md``):
 2. give it the next free ``RL0xx`` id, a severity and a summary,
 3. append the class to :data:`RULE_CLASSES`.
 
-Ids are never reused: a retired rule's id stays retired so baselines
-and suppressions keep meaning what they meant.
+Ids are never reused: a retired rule's id stays retired, so a pragma or
+baseline entry naming one is an unknown id rather than a silent
+reinterpretation.
 """
 
 from __future__ import annotations
@@ -42,48 +43,36 @@ RULE_CLASSES: List[Type[Rule]] = [
     AdHocParallelismRule,  # RL009
     SwallowedExceptionRule,  # RL010
     ObsDeterminismRule,  # RL011
-    UnboundedResilienceRule,  # RL020 (RL012-RL019 are interprocedural)
+    UnboundedResilienceRule,  # RL020 (RL012-RL016 are interprocedural)
 ]
 
 
 def all_rule_ids() -> Set[str]:
-    """Every registered id: per-file (RL001-RL011, RL020), dataflow
-    (RL012-RL015), effects (RL016-RL019), races (RL021-RL025)."""
-    # Imported lazily: dataflow/effects/races modules use rules.base
-    # helpers, so a top-level import here would be circular.
+    """Every registered id: per-file (RL001-RL011, RL020) and dataflow
+    (RL012-RL016)."""
+    # Imported lazily: the dataflow modules use rules.base helpers, so a
+    # top-level import here would be circular.
     from repro.lint.dataflow.rules import DATAFLOW_RULE_IDS
-    from repro.lint.effects.rules import EFFECTS_RULE_IDS
-    from repro.lint.races.rules import RACES_RULE_IDS
 
-    return (
-        {c.rule_id for c in RULE_CLASSES}
-        | set(DATAFLOW_RULE_IDS)
-        | set(EFFECTS_RULE_IDS)
-        | set(RACES_RULE_IDS)
-    )
+    return {c.rule_id for c in RULE_CLASSES} | set(DATAFLOW_RULE_IDS)
 
 
 def split_selection(
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
 ) -> Tuple[List[Type[Rule]], Set[str]]:
-    """Resolve ``--select`` / ``--ignore`` across all rule families.
+    """Resolve ``--select`` / ``--ignore`` across both rule families.
 
-    Returns ``(per_file_rule_classes, interprocedural_rule_ids)``; the
-    second element mixes dataflow (RL012-RL015), effects (RL016-RL019)
-    and races (RL021-RL025) ids — the CLI partitions it by family.
-    Unknown ids in either list raise ``ValueError`` — a typo'd
-    ``--select RL013`` silently matching nothing would defeat the
-    point of selecting.
+    Returns ``(per_file_rule_classes, dataflow_rule_ids)``.  Unknown ids
+    in either list raise ``ValueError`` — a typo'd ``--select RL013``
+    silently matching nothing would defeat the point of selecting.
     """
     from repro.lint.dataflow.rules import DATAFLOW_RULE_IDS
-    from repro.lint.effects.rules import EFFECTS_RULE_IDS
-    from repro.lint.races.rules import RACES_RULE_IDS
 
     known = all_rule_ids()
     wanted = {s.upper() for s in select} if select else None
     dropped = {s.upper() for s in ignore} if ignore else set()
-    for ids, flag in ((wanted or set(), "--select"), (dropped, "--ignore")):
+    for ids in (wanted or set(), dropped):
         unknown = ids - known
         if unknown:
             raise ValueError(f"unknown rule id(s): {sorted(unknown)}")
@@ -92,12 +81,12 @@ def split_selection(
         for c in RULE_CLASSES
         if (wanted is None or c.rule_id in wanted) and c.rule_id not in dropped
     ]
-    inter_ids = {
+    dataflow_ids = {
         rid
-        for rid in (*DATAFLOW_RULE_IDS, *EFFECTS_RULE_IDS, *RACES_RULE_IDS)
+        for rid in DATAFLOW_RULE_IDS
         if (wanted is None or rid in wanted) and rid not in dropped
     }
-    return classes, inter_ids
+    return classes, dataflow_ids
 
 
 def get_rule_classes(
@@ -111,15 +100,11 @@ def get_rule_classes(
 
 def rule_catalog() -> Dict[str, str]:
     """``{rule_id: summary}`` for ``--list-rules`` and the docs test,
-    covering per-file, dataflow, effects, and races rules."""
+    covering per-file and dataflow rules."""
     from repro.lint.dataflow.rules import dataflow_catalog
-    from repro.lint.effects.rules import effects_catalog
-    from repro.lint.races.rules import races_catalog
 
     catalog = {cls.rule_id: cls.summary for cls in RULE_CLASSES}
     catalog.update(dataflow_catalog())
-    catalog.update(effects_catalog())
-    catalog.update(races_catalog())
     return dict(sorted(catalog.items()))
 
 

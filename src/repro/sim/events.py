@@ -19,13 +19,12 @@ events" pattern into an O(1) tail extend instead of an O(log n) sift.
 from __future__ import annotations
 
 import numpy as np
-from repro.lint.effects.contracts import declared_pure
 from typing import Any, Callable, List, Optional, Tuple
 
 # Opcode tags for closure-free kernel wakeups.  A queue payload is either
 # an :class:`Event` (fired on pop) or a plain tuple whose first element is
 # one of these opcodes (dispatched by ``Simulator._dispatch`` without
-# allocating a per-event closure — see ROADMAP item 2 / rule RL019).
+# allocating a per-event closure).
 OP_STEP = 0  # (OP_STEP, process, generation, value) -> process._step_if
 OP_BOOT = 1  # (OP_BOOT, process)                    -> process._step(None)
 OP_THROW = 2  # (OP_THROW, process, generation, exc) -> process._step_if(throw=exc)
@@ -208,9 +207,10 @@ class EventQueue:
         TestCohortPermutation``): payloads come back in exactly push
         order for *every* permutation of same-timestamp pushes,
         regardless of interleaved times or merge boundaries.  Cohort
-        order is therefore a pure function of registration order —
-        which is precisely why the races layer (RL021/RL023) flags
-        registrations whose order is itself nondeterministic.
+        order is therefore a pure function of registration order.
+        Results must not depend even on that:
+        ``tests/integration/test_cohort_permutation.py`` shuffles every
+        multi-member cohort and asserts a chaos run stays bit-identical.
         """
         # _ensure_front, inlined (this is the hottest call in a run).
         lt = self._lt
@@ -242,7 +242,6 @@ class EventQueue:
         del lp[j:]
         return time, payloads
 
-    @declared_pure
     def peek_time(self) -> Optional[float]:
         """Return the time of the earliest entry, or None if empty."""
         lt = self._lt

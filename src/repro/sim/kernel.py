@@ -9,13 +9,12 @@ The loop is batched: the queue hands back whole same-timestamp *cohorts*
 dispatches each payload through a closure-free opcode switch — a plain
 tuple ``(opcode, ...)`` for process wakeups, resource grants and throws,
 or an :class:`~repro.sim.events.Event` to fire.  Nothing on the per-event
-path allocates a lambda (rule RL019) and the clock/observability updates
+path allocates a lambda, and the clock/observability updates
 are paid once per cohort instead of once per event.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Generator, Optional
 
 from repro.sim.events import (
@@ -64,7 +63,6 @@ class Simulator:
         "_obs_spawns",
         "_obs_eps",
         "_tracer",
-        "_sanitizer",
     )
 
     def __init__(
@@ -87,15 +85,6 @@ class Simulator:
         self._tracer = tracer if tracer is not None and tracer.enabled else None
         if self._tracer is not None:
             self._tracer.set_clock(self._clock)
-        # Runtime cohort sanitizer (REPRO_SANITIZE=1): same null-binding
-        # pattern as obs — disabled costs one `is not None` per cohort.
-        # Imported lazily so the sim package never pays for the lint
-        # stack unless the sanitizer is actually requested.
-        self._sanitizer = None
-        if os.environ.get("REPRO_SANITIZE", "") == "1":
-            from repro.lint.races.sanitizer import get_sanitizer
-
-            self._sanitizer = get_sanitizer()
 
     def _clock(self) -> float:
         return self._now
@@ -221,7 +210,6 @@ class Simulator:
         processed = 0
         queue = self._queue
         obs_events = self._obs_events
-        sanitizer = self._sanitizer
         try:
             if max_events is None:
                 # Hot path: opcode dispatch inlined into the loop body so
@@ -248,8 +236,6 @@ class Simulator:
                         # to count repeated add(1) calls (integers are
                         # exact in float64 far beyond any event count).
                         obs_events.add(count)
-                    if sanitizer is not None and count > 1:
-                        sanitizer.observe_cohort(time, payloads)
                     for payload in payloads:
                         if payload.__class__ is tuple:
                             op = payload[0]
@@ -292,8 +278,6 @@ class Simulator:
                 self._events_done += count
                 if obs_events is not None:
                     obs_events.add(count)
-                if sanitizer is not None and count > 1:
-                    sanitizer.observe_cohort(time, payloads)
                 for payload in payloads:
                     self._dispatch(payload)
             if until is not None and until > self._now:

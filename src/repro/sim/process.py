@@ -17,7 +17,7 @@ This mirrors SimPy's programming model while staying ~200 lines and fully
 deterministic.  Wakeups are scheduled as plain opcode tuples
 (:data:`repro.sim.events.OP_STEP` and friends) rather than per-event
 closures, so the kernel's hot loop never allocates a lambda per step —
-see rule RL019 and the batched dispatch in :mod:`repro.sim.kernel`.
+see the batched dispatch in :mod:`repro.sim.kernel`.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ import math
 from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
-from repro.lint.effects.contracts import declared_pure
 
 
 class Counter:
@@ -88,7 +87,6 @@ class TimeWeightedValue:
         """Add ``delta`` to the current level at time ``now``."""
         self.set(now, self._level + delta)
 
-    @declared_pure
     def mean(self, now: Optional[float] = None) -> float:
         """Time-weighted mean from creation until ``now`` (default: last update)."""
         end = self._last_time if now is None else now
@@ -179,13 +177,11 @@ class Histogram:
     def total(self) -> float:
         return self._sum
 
-    @declared_pure
     def mean(self) -> float:
         if not self._n:
             return float("nan")
         return self._sum / self._n
 
-    @declared_pure
     def stdev(self) -> float:
         n = self._n
         if n < 2:
@@ -258,7 +254,6 @@ class RateMeter:
     def tick(self, amount: float = 1.0) -> None:
         self._count += amount
 
-    @declared_pure
     def rate(self, now: float) -> float:
         span = now - self._start
         if span <= 0:

@@ -18,7 +18,6 @@ from typing import Optional
 
 from repro.core.retention import RetentionModel, RetentionParams
 from repro.devices.base import TechnologyProfile
-from repro.lint.effects.contracts import declared_pure
 from repro.devices.catalog import HBM3E, LPDDR5X, NAND_SLC, RRAM_POTENTIAL
 from repro.units import Bytes, GiB, HOUR, Joules, Ratio, TiB, Watts
 
@@ -60,15 +59,12 @@ class MemoryTier:
     def cost_per_gib(self) -> float:
         return self.cost_usd / (self.capacity_bytes / GiB)
 
-    @declared_pure
     def read_energy_j(self, size_bytes: Bytes) -> Joules:
         return size_bytes * self.profile.read_energy_j_per_byte
 
-    @declared_pure
     def write_energy_j(self, size_bytes: Bytes) -> Joules:
         return size_bytes * self.profile.write_energy_j_per_byte
 
-    @declared_pure
     def refresh_power_w(self, occupancy: Ratio = 1.0) -> Watts:
         """Steady-state refresh power (0 for non-volatile tiers)."""
         if not self.profile.volatile:
@@ -79,7 +75,6 @@ class MemoryTier:
         return per_interval / self.profile.refresh_interval_s
 
 
-@declared_pure
 def hbm_tier(capacity_bytes: int, stacks: Optional[int] = None) -> MemoryTier:
     """An HBM3e pool; bandwidth scales with stack count (default: sized
     from capacity at 24 GiB/stack)."""
@@ -96,7 +91,6 @@ def hbm_tier(capacity_bytes: int, stacks: Optional[int] = None) -> MemoryTier:
     )
 
 
-@declared_pure
 def mrm_tier(
     capacity_bytes: int,
     retention_s: float = 6 * HOUR,
@@ -132,7 +126,6 @@ def mrm_tier(
     )
 
 
-@declared_pure
 def lpddr_tier(capacity_bytes: int, packages: Optional[int] = None) -> MemoryTier:
     """An LPDDR5X pool (GB200-style capacity tier [35])."""
     if packages is None:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -27,42 +25,6 @@ def pytest_addoption(parser):
 @pytest.fixture
 def update_golden(request) -> bool:
     return request.config.getoption("--update-golden")
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Fail the run on dynamic cohort escapes (RL025).
-
-    When the suite runs under ``REPRO_SANITIZE=1`` the kernel feeds
-    every multi-member timestamp cohort to the runtime sanitizer,
-    which matches the live generators against the static inventory in
-    ``results/races_report.json``.  A generator the static model never
-    predicted could co-schedule is an escape; surfacing it here keeps
-    CI honest about the happens-before model's coverage.
-    """
-    if os.environ.get("REPRO_SANITIZE", "") != "1":
-        return
-    from repro.lint.races.sanitizer import get_sanitizer
-
-    sanitizer = get_sanitizer()
-    if sanitizer is None or not sanitizer.model_loaded:
-        return
-    escapes = sanitizer.findings()
-    summary = sanitizer.summary()
-    reporter = session.config.pluginmanager.get_plugin("terminalreporter")
-    write = reporter.write_line if reporter else print
-    write(
-        "repro-sanitize: "
-        f"{summary['multi_cohorts']} multi-member cohort(s), "
-        f"{summary['generators_seen']} generator(s) checked, "
-        f"{summary['escapes']} escape(s)"
-    )
-    if escapes:
-        for finding in escapes:
-            write(
-                f"  RL025 {finding['path']}:{finding['line']} "
-                f"{finding['message']}"
-            )
-        session.exitstatus = 1
 
 
 @pytest.fixture

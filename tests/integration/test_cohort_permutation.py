@@ -1,11 +1,13 @@
-"""Cohort-insertion-order bit-identity: the empirical counterpart of
-the races layer's RL021/RL023 verdicts.
+"""Cohort-order bit-identity: results must not depend on the order in
+which same-timestamp events run.
 
-The static analysis (``python -m repro.lint --races``) reports zero
-write-write (RL021) and zero registration-order (RL023) conflicts in
-the fault injectors, the resilience dispatcher and the fleet arrival
-merge.  Each clean verdict rests on a concrete order-independence
-claim in the code:
+The kernel pops every same-timestamp cohort in push (FIFO) order — the
+tie-break contract ``tests/sim`` pins.  That order is an accident of
+registration history, so no result may depend on it.
+:class:`TestShuffledCohorts` tests the property directly: it shuffles
+every multi-member cohort the kernel pops and asserts a chaos sweep
+stays bit-identical.  The other classes permute the insertion orders
+the code makes explicit order-independence claims about:
 
 - :func:`repro.faults.injector.spawn_kv_faults` addresses engines in
   *sorted-name* order, so the timeline-to-victim mapping never depends
@@ -16,17 +18,14 @@ claim in the code:
   state, so same-instant crash registrations commute;
 - :func:`repro.fleet.arrivals.merge_arrivals` totally orders ties by
   tenant *declaration* order, never by dict insertion history.
-
-This suite permutes exactly those insertion orders and asserts the
-end-to-end results are bit-identical.  If a refactor introduces a real
-cohort race, the corresponding test here fails alongside the new
-RL021/RL023 finding — before/after evidence, not just a lint verdict.
 """
 
 import itertools
 import json
+import random
 
 import numpy as np
+import pytest
 
 from repro.faults import (
     FaultKind,
@@ -36,6 +35,7 @@ from repro.faults import (
     spawn_domain_faults,
     spawn_kv_faults,
 )
+from repro.faults.experiment import run_chaos_experiment
 from repro.fleet.arrivals import generate_fleet_traces, merge_arrivals
 from repro.fleet.tenant import DEFAULT_TENANTS
 from repro.inference.accelerator import H100_80G
@@ -43,6 +43,7 @@ from repro.inference.cluster import Cluster, tensor_parallel_group
 from repro.inference.engine import KVRecoveryConfig
 from repro.inference.resilience import ResiliencePolicy
 from repro.sim import Simulator
+from repro.sim.events import EventQueue
 from repro.workload.model import LLAMA2_13B
 from repro.workload.requests import InferenceRequest
 
@@ -91,8 +92,38 @@ def report_canon(report, extra=()):
     return canon({key: getattr(report, key) for key in keys})
 
 
+def chaos_run():
+    return canon(run_chaos_experiment(tiny=True, root_seed=0, workers=1))
+
+
+class TestShuffledCohorts:
+    """Every multi-member cohort popped in a random order, three ways."""
+
+    @pytest.fixture(scope="class")
+    def fifo_run(self):
+        return chaos_run()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_chaos_sweep_ignores_cohort_order(self, seed, fifo_run, monkeypatch):
+        rng = random.Random(seed)
+        fifo_pop = EventQueue.pop_cohort
+        shuffled = []
+
+        def shuffled_pop(self, until=None, limit=None):
+            cohort = fifo_pop(self, until, limit)
+            if cohort is not None and len(cohort[1]) > 1:
+                rng.shuffle(cohort[1])
+                shuffled.append(len(cohort[1]))
+            return cohort
+
+        monkeypatch.setattr(EventQueue, "pop_cohort", shuffled_pop)
+        assert chaos_run() == fifo_run
+        # Non-vacuous: the sweep really dispatches co-timed events.
+        assert len(shuffled) >= 100
+
+
 class TestKVFaultEnginePermutation:
-    """RL021 justification: sorted-name victim addressing."""
+    """Sorted-name victim addressing."""
 
     def _run(self, perm):
         sim = Simulator()
@@ -125,7 +156,7 @@ class TestKVFaultEnginePermutation:
 
 
 class TestSpawnerRegistrationOrder:
-    """RL021 justification: per-spawner FaultLogs are disjoint state.
+    """Per-spawner FaultLogs are disjoint state.
 
     The kv-fault process, the domain-fault process and the arrival
     stream are logically independent registrations; any relative order
@@ -187,8 +218,8 @@ class TestSpawnerRegistrationOrder:
 
 
 class TestResilienceCrashCohort:
-    """RL021 justification: ``handle_engine_crash`` state is per-engine
-    disjoint, so same-instant crashes commute."""
+    """``handle_engine_crash`` state is per-engine disjoint, so
+    same-instant crashes commute."""
 
     def _run(self, crash_order):
         sim = Simulator()
@@ -217,8 +248,8 @@ class TestResilienceCrashCohort:
 
 
 class TestFleetArrivalMergeInsertionOrder:
-    """RL023 justification: ``merge_arrivals`` ties break by tenant
-    *declaration* order — dict insertion history must be invisible."""
+    """``merge_arrivals`` ties break by tenant *declaration* order —
+    dict insertion history must be invisible."""
 
     def test_every_traces_insertion_order_merges_identically(self):
         tenants = DEFAULT_TENANTS

@@ -1,17 +1,19 @@
-"""Interprocedural dataflow rules RL012-RL015: true positives, true
+"""Interprocedural dataflow rules RL012-RL016: true positives, true
 negatives, and the regression cases the per-file rules cannot see."""
 
 from __future__ import annotations
 
+import ast
 import textwrap
 from pathlib import Path
 
 from repro.lint import lint_paths
-from repro.lint.dataflow import analyze_tree
-from repro.lint.dataflow.extract import extract_summary
+from repro.lint.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
+from repro.lint.dataflow import DATAFLOW_RULE_IDS, analyze_tree
+from repro.lint.dataflow.extract import classify_iter, extract_summary
 from repro.lint.dataflow.linker import Program
-from repro.lint.dataflow.model import FileSummary
-from repro.lint.dataflow.rules import check_program
+from repro.lint.dataflow.model import FileSummary, ITER_DICT, ITER_SET, ITER_SORTED
+from repro.lint.dataflow.rules import check_program, float_accum_shared
 
 
 def write(tmp_path: Path, relpath: str, source: str) -> Path:
@@ -24,7 +26,7 @@ def write(tmp_path: Path, relpath: str, source: str) -> Path:
 def df_findings(tmp_path, rule_id=None):
     """New findings from a full engine run, filtered to dataflow ids."""
     result = lint_paths([tmp_path], repo_root=tmp_path)
-    wanted = {rule_id} if rule_id else {"RL012", "RL013", "RL014", "RL015"}
+    wanted = {rule_id} if rule_id else set(DATAFLOW_RULE_IDS)
     return [f for f in result.new if f.rule_id in wanted]
 
 
@@ -412,6 +414,182 @@ class TestRL015ProcessPurity:
             """,
         )
         assert df_findings(tmp_path, "RL015") == []
+
+
+# ---------------------------------------------------------------------------
+# RL016 — order-sensitive float reductions
+# ---------------------------------------------------------------------------
+class TestClassifyIter:
+    def cases(self, expr):
+        return classify_iter(ast.parse(expr, mode="eval").body)[0]
+
+    def test_items_on_name(self):
+        assert self.cases("d.items()") == ITER_DICT
+
+    def test_items_on_call_receiver(self):
+        # The receiver is itself a call — the merge_snapshots shape.
+        assert self.cases("snap.get('c', {}).items()") == ITER_DICT
+
+    def test_sorted_wrapping_items(self):
+        assert self.cases("sorted(d.items())") == ITER_SORTED
+
+    def test_set_literal(self):
+        assert self.cases("{a, b}") == ITER_SET
+
+
+RL016_TP = """\
+    def merge(snaps):
+        totals = {}
+        for snap in snaps:
+            for key, value in snap.items():
+                totals[key] = totals.get(key, 0.0) + value
+        return totals
+"""
+
+
+class TestRL016:
+    def test_dict_order_float_reduction_fires(self, tmp_path):
+        write(tmp_path, "repro/sim/agg.py", RL016_TP)
+        findings = df_findings(tmp_path, "RL016")
+        assert len(findings) == 1
+        assert "dict-order" in findings[0].message
+
+    def test_sorted_iteration_is_clean(self, tmp_path):
+        write(
+            tmp_path,
+            "repro/sim/agg.py",
+            RL016_TP.replace("snap.items()", "sorted(snap.items())"),
+        )
+        assert df_findings(tmp_path, "RL016") == []
+
+    def test_integer_tally_is_clean(self, tmp_path):
+        write(
+            tmp_path,
+            "repro/sim/agg.py",
+            """\
+            def tally(snaps):
+                counts = {}
+                for snap in snaps:
+                    for key in snap.items():
+                        counts[key] = counts.get(key, 0) + 1
+                return counts
+            """,
+        )
+        assert df_findings(tmp_path, "RL016") == []
+
+    def test_interprocedural_accumulation_fires(self, tmp_path):
+        write(
+            tmp_path,
+            "repro/sim/sched.py",
+            """\
+            class Manager:
+                def __init__(self):
+                    self.energy_j = 0.0
+                    self.residents = {}
+
+                def _charge(self, resident):
+                    self.energy_j += resident.cost_j
+
+                def tick(self):
+                    for resident in self.residents.values():
+                        self._charge(resident)
+            """,
+        )
+        findings = df_findings(tmp_path, "RL016")
+        assert len(findings) == 1
+        assert "self._charge" in findings[0].message
+        assert "energy_j" in findings[0].message
+
+    def test_attribute_chain_accumulation_fires(self, tmp_path):
+        # The accumulation sits behind ``self.stats.charge()``: only the
+        # ``self.stats = Stats()`` bind tells the linker which class's
+        # method that is.
+        write(
+            tmp_path,
+            "repro/sim/stats_owner.py",
+            """\
+            class Stats:
+                def __init__(self):
+                    self.energy_j = 0.0
+
+                def charge(self, cost_j):
+                    self.energy_j += cost_j
+
+
+            class Manager:
+                def __init__(self):
+                    self.stats = Stats()
+                    self.residents = {}
+
+                def _settle(self, resident):
+                    self.stats.charge(resident.cost_j)
+
+                def tick(self):
+                    for resident in self.residents.values():
+                        self._settle(resident)
+            """,
+        )
+        findings = df_findings(tmp_path, "RL016")
+        assert len(findings) == 1
+        assert "self._settle" in findings[0].message
+        assert "Stats.charge" in findings[0].message
+
+    def test_float_accum_shared_propagates(self):
+        source = textwrap.dedent(
+            """\
+            class Stats:
+                def charge(self, j):
+                    self.energy_j += j
+
+                def settle(self, j):
+                    self.charge(j)
+            """
+        )
+        shared = float_accum_shared(
+            Program([extract_summary("repro/m.py", "repro.m", source)])
+        )
+        assert "repro.m.Stats.charge" in shared
+        assert shared["repro.m.Stats.settle"][0] == "repro.m.Stats.charge"
+
+    def test_scoped_to_determinism_critical_modules(self, tmp_path):
+        # Same pattern outside the sim import closure: the engine stays
+        # silent, but an ungated standalone run still sees it.
+        write(tmp_path, "repro/reportutil.py", RL016_TP)
+        assert df_findings(tmp_path, "RL016") == []
+        findings, _ = analyze_tree([tmp_path], cache_dir=None, repo_root=tmp_path)
+        assert [f for f in findings if f.rule_id == "RL016"]
+
+    def test_suppression_pragma_applies(self, tmp_path):
+        write(
+            tmp_path,
+            "repro/sim/agg.py",
+            RL016_TP.replace(
+                "totals[key] = totals.get(key, 0.0) + value",
+                "totals[key] = totals.get(key, 0.0) + value"
+                "  # repro-lint: disable=RL016",
+            ),
+        )
+        result = lint_paths([tmp_path], repo_root=tmp_path)
+        assert [f for f in result.new if f.rule_id == "RL016"] == []
+        assert [f for f in result.suppressed if f.rule_id == "RL016"]
+
+    def test_select_rl016_only(self, tmp_path, monkeypatch):
+        write(tmp_path, "repro/sim/agg.py", RL016_TP)
+        monkeypatch.chdir(tmp_path)
+        assert main(["--select", "RL016", str(tmp_path)]) == EXIT_FINDINGS
+
+    def test_list_rules_includes_rl016(self, capsys):
+        assert main(["--list-rules"]) == EXIT_CLEAN
+        listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
+        assert "RL016" in listed
+        # The retired effects ids are never listed (nor reused).
+        assert listed.isdisjoint({"RL017", "RL018", "RL019"})
+
+    def test_retired_effects_rule_id_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for rule_id in ("RL099", "RL017", "RL019"):
+            assert main(["--select", rule_id, str(tmp_path)]) == EXIT_USAGE
+            assert "error:" in capsys.readouterr().err
 
 
 class TestEngineIntegration:

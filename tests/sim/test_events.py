@@ -338,9 +338,10 @@ class TestTimerCancellation:
 class TestCohortPermutation:
     """FIFO tie-break under permuted same-timestamp pushes.
 
-    The races layer (RL021/RL023) treats cohort order as an accident of
-    push order; these tests pin down the other half of the contract:
-    the accident is *deterministic*.  ``pop_cohort`` returns payloads
+    Cohort order is an accident of push order, and results must not
+    depend on it (``tests/integration/test_cohort_permutation.py``
+    shuffles every cohort); these tests pin down the other half of the
+    contract: the accident is *deterministic*.  ``pop_cohort`` returns payloads
     in exactly push order for every permutation of logically
     independent same-instant pushes, regardless of what earlier/later
     times are interleaved and where the two-level merge boundaries

@@ -1,12 +1,12 @@
 #!/usr/bin/env python
 """Summarize repro-lint findings by rule and by disposition.
 
-Runs the full linter (per-file rules + interprocedural dataflow +
-effect inference + happens-before races) over ``src/repro`` and prints
-a small report: findings per rule id split into new / baselined /
-suppressed, a per-layer breakdown (per-file / dataflow / effects /
-races), and the summary statistics each layer reports.  The committed copy of the output
-lives at ``results/lint_stats.txt``; regenerate it with::
+Runs the full linter (per-file rules + the interprocedural dataflow
+pass) over ``src/repro`` and prints a small report: findings per rule
+id split into new / baselined / suppressed, a per-layer breakdown
+(per-file / dataflow), and the dataflow pass's summary count.  The
+committed copy of the output lives at ``results/lint_stats.txt``;
+regenerate it with::
 
     python tools/lint_stats.py > results/lint_stats.txt
 
@@ -27,19 +27,11 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.lint import lint_paths  # noqa: E402
 from repro.lint.baseline import Baseline  # noqa: E402
 from repro.lint.dataflow import DATAFLOW_RULE_IDS  # noqa: E402
-from repro.lint.effects import EFFECTS_RULE_IDS  # noqa: E402
-from repro.lint.races import RACES_RULE_IDS  # noqa: E402
 from repro.lint.rules import rule_catalog  # noqa: E402
 
 
 def _layer_of(rule_id: str) -> str:
-    if rule_id in DATAFLOW_RULE_IDS:
-        return "dataflow"
-    if rule_id in EFFECTS_RULE_IDS:
-        return "effects"
-    if rule_id in RACES_RULE_IDS:
-        return "races"
-    return "per-file"
+    return "dataflow" if rule_id in DATAFLOW_RULE_IDS else "per-file"
 
 
 def build_report() -> str:
@@ -83,7 +75,7 @@ def build_report() -> str:
     for group in groups.values():
         for rule_id, count in group.items():
             layer_findings[_layer_of(rule_id)] += count
-    for layer in ("per-file", "dataflow", "effects", "races"):
+    for layer in ("per-file", "dataflow"):
         lines.append(
             f"  {layer:<9} {layer_findings[layer]:>4} finding(s) across "
             f"{layer_rules[layer]} rule(s)"
@@ -93,34 +85,6 @@ def build_report() -> str:
     if result.dataflow_stats is not None:
         lines.append(
             f"dataflow: {result.dataflow_stats.files} file(s) summarized"
-        )
-    if result.effects_stats is not None:
-        lines.append(
-            f"effects: {result.effects_stats.files} file(s) summarized, "
-            f"{result.effects_stats.hot_functions} hot-path function(s)"
-        )
-    if result.effects_report is not None:
-        summary = result.effects_report.get("summary", {})
-        lines.append(
-            "kernel readiness: "
-            f"{summary.get('pure', 0)} pure / "
-            f"{summary.get('with_blockers', 0)} with blockers "
-            f"(see results/effects_report.json)"
-        )
-    if result.races_stats is not None:
-        lines.append(
-            f"races: {result.races_stats.files} file(s) summarized, "
-            f"{result.races_stats.members} cohort member(s), "
-            f"{result.races_stats.pairs} may-co-schedule pair(s)"
-        )
-    if result.races_report is not None:
-        summary = result.races_report.get("summary", {})
-        lines.append(
-            "cohort conflicts: "
-            f"{summary.get('strong_pairs', 0)} strong of "
-            f"{summary.get('pairs', 0)} pair(s), "
-            f"{summary.get('conflict_keys', 0)} conflicting state key(s) "
-            f"(see results/races_report.json)"
         )
     quiet = sorted(set(catalog) - {r for g in groups.values() for r in g})
     lines.append(f"rules with zero findings: {', '.join(quiet)}")
