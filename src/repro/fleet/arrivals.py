@@ -25,6 +25,7 @@ per-tenant streams are independent by construction.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Dict, List, Sequence, Tuple
 
@@ -88,34 +89,44 @@ def generate_tenant_trace(
     if tenant.rate_per_s == 0 or duration_s == 0:
         return []
     rng = np.random.default_rng(seed)
-    burst = _BurstState(rng, tenant.mean_quiet_s, tenant.mean_burst_s)
+    exponential = rng.exponential
+    uniform = rng.random
+    advance_burst = _BurstState(
+        rng, tenant.mean_quiet_s, tenant.mean_burst_s
+    ).advance_to
+    sample_tokens = tenant.token_profile.sample
     peak = tenant.peak_rate_per_s
-    profile = tenant.token_profile
+    mean_gap = 1.0 / peak
+    base_rate = tenant.rate_per_s
+    amplitude = tenant.diurnal_amplitude
+    peak_time = tenant.peak_time_s
+    burst_multiplier = tenant.burst_multiplier
+    two_pi = 2.0 * math.pi
     sla_values = [sla for sla, _weight in tenant.sla_mix]
-    sla_cdf = np.cumsum([weight for _sla, weight in tenant.sla_mix])
+    sla_cdf = np.cumsum([weight for _sla, weight in tenant.sla_mix]).tolist()
+    last_sla = len(sla_values) - 1
 
     records: List[TraceRecord] = []
     t = 0.0
     while True:
-        t += float(rng.exponential(1.0 / peak))
+        t += exponential(mean_gap)
         if t >= duration_s:
             return records
-        in_burst = burst.advance_to(t)
-        rate = tenant.rate_per_s * diurnal_multiplier(
-            t, tenant.diurnal_amplitude, tenant.peak_time_s
+        in_burst = advance_burst(t)
+        # diurnal_multiplier(t, amplitude, peak_time), inlined in the
+        # same operation order so the rate keeps every bit.
+        rate = base_rate * (
+            1.0 + amplitude * math.cos(two_pi * (t - peak_time) / DAY)
         )
         if in_burst:
-            rate *= tenant.burst_multiplier
+            rate *= burst_multiplier
         # Thinning: accept this candidate with probability rate/peak.
         # The uniform draw happens unconditionally so the stream shape
         # never depends on float round-off in the acceptance test.
-        u = float(rng.random())
-        if u >= rate / peak:
+        if uniform() >= rate / peak:
             continue
-        prompt, output = profile.sample(rng, context_limit_tokens)
-        sla_index = int(np.searchsorted(sla_cdf, float(rng.random()),
-                                        side="right"))
-        sla_index = min(sla_index, len(sla_values) - 1)
+        prompt, output = sample_tokens(rng, context_limit_tokens)
+        sla_index = min(bisect.bisect_right(sla_cdf, uniform()), last_sla)
         records.append(
             TraceRecord(
                 arrival_time=t,

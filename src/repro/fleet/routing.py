@@ -127,52 +127,65 @@ class FleetRouter:
         self._rng = np.random.default_rng(
             seed if seed is not None else np.random.SeedSequence(0)
         )
-        # Work estimator state per (tenant, cluster): outstanding
-        # request estimate and the time it was last drained to.
-        self._outstanding: Dict[Tuple[str, int], float] = {}
-        self._drained_at: Dict[Tuple[str, int], float] = {}
+        # Work estimator state, flat per (tenant rank, cluster): the
+        # outstanding-request estimate and the time it was last drained
+        # to.  It lives on the router so consecutive ``route`` calls
+        # continue one timeline.
+        self._outstanding: List[List[float]] = [
+            [0.0] * num_clusters for _ in tenants
+        ]
+        self._drained_at: List[List[float]] = [
+            [0.0] * num_clusters for _ in tenants
+        ]
 
     # ------------------------------------------------------------------
     # Work estimator
     # ------------------------------------------------------------------
-    def _drain(self, tenant: TenantConfig, cluster: int, now: float,
-               replicas: int) -> float:
-        """Outstanding estimate for a group, drained to ``now``."""
-        key = (tenant.name, cluster)
-        outstanding = self._outstanding.get(key, 0.0)
-        last = self._drained_at.get(key, 0.0)
-        if now > last:
-            rate = replicas * tenant.target_rps_per_replica
-            outstanding = max(0.0, outstanding - rate * (now - last))
-        self._outstanding[key] = outstanding
-        self._drained_at[key] = max(last, now)
-        return outstanding
+    def _group(
+        self, name: str, allocation: Optional[TenantAllocation]
+    ) -> Tuple[List[int], List[int], List[float]]:
+        """One tenant-epoch's ``(candidates, replicas, drain rates)``.
+
+        Candidates are the clusters with replicas, in cluster-id order;
+        a group drains at ``replicas × target_rps_per_replica``.
+        """
+        per_cluster = (
+            dict(allocation.per_cluster) if allocation is not None else {}
+        )
+        candidates = sorted(
+            cluster for cluster, replicas in per_cluster.items() if replicas > 0
+        )
+        for cluster in candidates:
+            if not 0 <= cluster < self.num_clusters:
+                raise ValueError(
+                    f"plan places tenant {name!r} on cluster {cluster}, "
+                    f"outside 0..{self.num_clusters - 1}"
+                )
+        replicas = [per_cluster[cluster] for cluster in candidates]
+        target = self.tenants[name].target_rps_per_replica
+        return candidates, replicas, [count * target for count in replicas]
 
     # ------------------------------------------------------------------
     # Policy choice
     # ------------------------------------------------------------------
-    def _choose(
-        self,
-        tenant: TenantConfig,
-        candidates: List[int],
-        loads: Dict[int, float],
-    ) -> int:
-        """Pick a cluster among ``candidates`` (all with replicas)."""
+    def _choose(self, rank: int, loads: List[float]) -> int:
+        """Index of the chosen candidate; ``loads`` is in cluster-id
+        order, so the lowest index wins a load tie."""
         if self.policy == "least-loaded":
-            return min(candidates, key=lambda c: (loads[c], c))
+            return loads.index(min(loads))
         if self.policy == "tenant-affinity":
-            rotation = self._rank[tenant.name] % len(candidates)
-            home = candidates[rotation]
+            home = rank % len(loads)
             if loads[home] < self.spill_outstanding_per_replica:
                 return home
-            return min(candidates, key=lambda c: (loads[c], c))
+            return loads.index(min(loads))
         # power-of-two: two seeded draws over the candidate list.  Both
         # draws always happen so the stream stays aligned across
         # requests regardless of candidate-set size.
-        first = int(self._rng.integers(len(candidates)))
-        second = int(self._rng.integers(len(candidates)))
-        a, b = candidates[first], candidates[second]
-        return min((a, b), key=lambda c: (loads[c], c))
+        first = int(self._rng.integers(len(loads)))
+        second = int(self._rng.integers(len(loads)))
+        if (loads[second], second) < (loads[first], first):
+            return second
+        return first
 
     # ------------------------------------------------------------------
     # Routing
@@ -192,19 +205,19 @@ class FleetRouter:
         """
         if epoch_s <= 0:
             raise ValueError("epoch length must be positive")
+        last_epoch = len(epoch_plan) - 1
+        threshold = self.shed_outstanding_per_replica
+        groups: Dict[Tuple[str, int], tuple] = {}
         decisions: List[RoutingDecision] = []
         for arrival_time, name, index, _record in merged_arrivals:
-            tenant = self.tenants[name]
-            epoch = min(int(arrival_time // epoch_s), len(epoch_plan) - 1)
-            allocation = epoch_plan[epoch].get(name)
-            per_cluster = (
-                dict(allocation.per_cluster) if allocation is not None else {}
-            )
-            candidates = sorted(
-                cluster
-                for cluster, replicas in per_cluster.items()
-                if replicas > 0
-            )
+            rank = self._rank[name]
+            epoch = min(int(arrival_time // epoch_s), last_epoch)
+            group = groups.get((name, epoch))
+            if group is None:
+                group = groups[(name, epoch)] = self._group(
+                    name, epoch_plan[epoch].get(name)
+                )
+            candidates, replicas, rates = group
             if not candidates:
                 decisions.append(
                     RoutingDecision(
@@ -214,16 +227,21 @@ class FleetRouter:
                     )
                 )
                 continue
-            loads = {
-                cluster: self._drain(
-                    tenant, cluster, arrival_time, per_cluster[cluster]
-                )
-                / per_cluster[cluster]
-                for cluster in candidates
-            }
-            chosen = self._choose(tenant, candidates, loads)
-            threshold = self.shed_outstanding_per_replica
-            if threshold > 0 and loads[chosen] >= threshold:
+            # Drain every candidate group to now; groups without
+            # replicas this epoch keep their state until they return.
+            outstanding = self._outstanding[rank]
+            drained_at = self._drained_at[rank]
+            loads = []
+            for cluster, count, rate in zip(candidates, replicas, rates):
+                pending = outstanding[cluster]
+                last = drained_at[cluster]
+                if arrival_time > last:
+                    pending = max(0.0, pending - rate * (arrival_time - last))
+                    outstanding[cluster] = pending
+                    drained_at[cluster] = arrival_time
+                loads.append(pending / count)
+            pick = self._choose(rank, loads)
+            if threshold > 0 and loads[pick] >= threshold:
                 decisions.append(
                     RoutingDecision(
                         tenant=name, index=index, epoch=epoch,
@@ -232,7 +250,8 @@ class FleetRouter:
                     )
                 )
                 continue
-            self._outstanding[(name, chosen)] += 1.0
+            chosen = candidates[pick]
+            outstanding[chosen] += 1.0
             decisions.append(
                 RoutingDecision(
                     tenant=name, index=index, epoch=epoch,

@@ -49,6 +49,7 @@ the validity envelope and the measured DES-vs-analytic error table.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -231,8 +232,11 @@ def analytic_cluster_report(
     # ------------------------------------------------------------------
     # JSQ replay: assign requests to engines exactly as the cluster's
     # join-shortest-queue dispatcher would, using estimated residences.
-    # (Engine names sort as "engine-0" < "engine-1" ... so index order is
-    # the DES tie-break for the engine counts this model accepts.)
+    # Load ties go to the lowest engine index.  The DES breaks them by
+    # engine *name*, which from 11 engines on is not index order
+    # ("engine-10" < "engine-2"); but a cell's engines are identical and
+    # all start idle, so any fixed tie order only relabels engines and
+    # leaves the cell aggregates unchanged.
     # ------------------------------------------------------------------
     engine_of = _jsq_replay(
         arrival, arrival + pre_time + decode_solo, num_engines
@@ -391,23 +395,31 @@ def _jsq_replay(
     """Replay the cluster's join-shortest-queue dispatch.
 
     The DES dispatcher counts each engine's unfinished requests at every
-    arrival (ties break toward the lowest engine index).  Here a
-    request is "unfinished" while its estimated residence interval
-    covers the arrival instant.
+    arrival.  Here a request is "unfinished" while its estimated
+    residence interval covers the arrival instant (``finish > now``),
+    and ties break toward the lowest engine index.  Arrivals are taken
+    in stable time order, so a request that has finished by one arrival
+    has finished by every later one: a single min-heap of
+    ``(finish, engine)`` retires them, and each arrival costs
+    ``O(log n + num_engines)``.
     """
     engine_of = np.zeros(arrival.size, dtype=np.int64)
     if num_engines == 1:
         return engine_of
-    resident: List[List[float]] = [[] for _ in range(num_engines)]
-    for i in np.argsort(arrival, kind="stable"):
-        now = arrival[i]
-        best, best_load = 0, None
-        for e in range(num_engines):
-            load = sum(1 for fin in resident[e] if fin > now)
-            if best_load is None or load < best_load:
-                best, best_load = e, load
-        engine_of[i] = best
-        resident[best].append(float(departure_est[i]))
+    order = np.argsort(arrival, kind="stable")
+    loads = [0] * num_engines
+    resident: List[Tuple[float, int]] = []  # min-heap of (finish, engine)
+    picks: List[int] = []
+    for now, finish in zip(
+        arrival[order].tolist(), departure_est[order].tolist()
+    ):
+        while resident and resident[0][0] <= now:
+            loads[heapq.heappop(resident)[1]] -= 1
+        best = loads.index(min(loads))
+        loads[best] += 1
+        heapq.heappush(resident, (finish, best))
+        picks.append(best)
+    engine_of[order] = picks
     return engine_of
 
 

@@ -12,11 +12,50 @@ from repro.fleet import (
     merge_arrivals,
     offered_rate_per_s,
 )
+from repro.fleet.arrivals import _BurstState
 from repro.units import DAY
+from repro.workload.traces import TraceRecord
 
 
 def _seed(value=0):
     return np.random.SeedSequence(value)
+
+
+def _reference_trace(tenant, duration_s, seed, context_limit_tokens=4096):
+    """The thinning loop written plainly, through the public
+    :func:`diurnal_multiplier` and ``np.searchsorted``: the reference
+    that :func:`generate_tenant_trace` must reproduce bit for bit."""
+    rng = np.random.default_rng(seed)
+    burst = _BurstState(rng, tenant.mean_quiet_s, tenant.mean_burst_s)
+    peak = tenant.peak_rate_per_s
+    sla_values = [sla for sla, _weight in tenant.sla_mix]
+    sla_cdf = np.cumsum([weight for _sla, weight in tenant.sla_mix])
+    records = []
+    t = 0.0
+    while True:
+        t += float(rng.exponential(1.0 / peak))
+        if t >= duration_s:
+            return records
+        in_burst = burst.advance_to(t)
+        rate = tenant.rate_per_s * diurnal_multiplier(
+            t, tenant.diurnal_amplitude, tenant.peak_time_s
+        )
+        if in_burst:
+            rate *= tenant.burst_multiplier
+        if float(rng.random()) >= rate / peak:
+            continue
+        prompt, output = tenant.token_profile.sample(rng, context_limit_tokens)
+        sla_index = int(
+            np.searchsorted(sla_cdf, float(rng.random()), side="right")
+        )
+        records.append(
+            TraceRecord(
+                arrival_time=t,
+                prompt_tokens=prompt,
+                output_tokens=output,
+                sla=sla_values[min(sla_index, len(sla_values) - 1)],
+            )
+        )
 
 
 class TestDiurnalMultiplier:
@@ -36,6 +75,31 @@ class TestDiurnalMultiplier:
 
 
 class TestTenantTrace:
+    def test_matches_reference_loop(self):
+        tenants = list(DEFAULT_TENANTS) + [
+            TenantConfig(
+                name="skewed",
+                rate_per_s=6.0,
+                profile="code",
+                diurnal_amplitude=0.7,
+                peak_time_s=DAY / 3,
+                burst_multiplier=2.5,
+                mean_quiet_s=5.0,
+                mean_burst_s=3.0,
+                sla_mix=(
+                    ("interactive", 0.3),
+                    ("throughput", 0.0),
+                    ("best-effort", 0.7),
+                ),
+            ),
+        ]
+        for value, tenant in enumerate(tenants):
+            expected = _reference_trace(tenant, 400.0, _seed(value))
+            assert expected
+            assert generate_tenant_trace(tenant, 400.0, _seed(value)) == (
+                expected
+            ), tenant.name
+
     def test_seed_purity(self):
         tenant = DEFAULT_TENANTS[0]
         a = generate_tenant_trace(tenant, 120.0, _seed(3))

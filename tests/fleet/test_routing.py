@@ -180,3 +180,52 @@ class TestRoutingOutcomes:
         decisions = router.route(_arrivals("t", [500.0]), plan, 60.0)
         assert decisions[0].epoch == 0
         assert decisions[0].cluster == 1
+
+    def test_plan_cluster_out_of_range_rejected(self):
+        plan = [{"t": _allocation("t", ((2, 1),))}]
+        router = FleetRouter((_tenant(),), 2)
+        with pytest.raises(ValueError, match="cluster 2"):
+            router.route(_arrivals("t", [1.0]), plan, 60.0)
+
+
+class TestRouterState:
+    def test_split_calls_match_one_call(self):
+        # Tenant "a" loses its cluster-1 replicas in epoch 1, so that
+        # group's estimate waits out the gap and drains again in epoch
+        # 2.  The estimator and the power-of-two stream live on the
+        # router: routing the timeline in two calls, split inside the
+        # gap, must decide exactly as one call on a fresh router.
+        tenants = (_tenant("a"), _tenant("b", target_rps_per_replica=0.5))
+        full = {
+            "a": _allocation("a", ((0, 1), (1, 2))),
+            "b": _allocation("b", ((0, 1), (1, 1))),
+        }
+        gap = {
+            "a": _allocation("a", ((0, 2), (1, 0))),
+            "b": _allocation("b", ((1, 1),)),
+        }
+        plan = [full, gap, full]
+        merged = sorted(
+            _arrivals("a", [0.1 * i for i in range(300)])
+            + _arrivals("b", [0.25 * i + 0.05 for i in range(120)]),
+            key=lambda item: item[0],
+        )
+        split = next(
+            i for i, item in enumerate(merged) if item[0] >= 15.0
+        )
+
+        def router(policy):
+            return FleetRouter(
+                tenants, 2, policy=policy,
+                seed=np.random.SeedSequence(4),
+                spill_outstanding_per_replica=2.0,
+                shed_outstanding_per_replica=6.0,
+            )
+
+        for policy in ROUTING_POLICIES:
+            whole = router(policy).route(merged, plan, 10.0)
+            assert any(d.shed for d in whole), policy
+            resumed = router(policy)
+            halves = resumed.route(merged[:split], plan, 10.0)
+            halves += resumed.route(merged[split:], plan, 10.0)
+            assert halves == whole, policy

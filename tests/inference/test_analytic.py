@@ -11,6 +11,9 @@ Covers three layers of the analytic-mode contract:
   :data:`CROSS_VAL_METRICS` agrees with the DES within
   :data:`CROSS_VAL_TOLERANCE`, and sweeps are worker-count invariant in
   both modes.
+
+The heap-based JSQ replay is also checked against the quadratic scan it
+replaced, which stays here as the reference.
 """
 
 import numpy as np
@@ -27,6 +30,7 @@ from repro.inference import (
     run_serve_sweep,
 )
 from repro.inference.accelerator import A100_80G, H100_80G
+from repro.inference.analytic import _jsq_replay
 from repro.inference.cluster import tensor_parallel_group
 from repro.sim import Simulator
 from repro.workload.model import LLAMA2_13B, LLAMA2_70B
@@ -142,6 +146,50 @@ class TestExactness:
     def test_sla_classes_covered(self, pair):
         des, analytic = pair
         assert set(analytic.sla_attainment) == set(des.sla_attainment)
+
+
+def _jsq_scan(arrival, departure_est, num_engines):
+    """Reference JSQ replay: at each arrival (stable time order) count
+    every engine's residents with ``finish > now``; the lowest index
+    wins a tie.  O(n²) — the oracle for :func:`_jsq_replay`."""
+    engine_of = np.zeros(arrival.size, dtype=np.int64)
+    resident = [[] for _ in range(num_engines)]
+    for i in np.argsort(arrival, kind="stable"):
+        now = arrival[i]
+        best, best_load = 0, None
+        for e in range(num_engines):
+            load = sum(1 for fin in resident[e] if fin > now)
+            if best_load is None or load < best_load:
+                best, best_load = e, load
+        engine_of[i] = best
+        resident[best].append(float(departure_est[i]))
+    return engine_of
+
+
+class TestJSQReplay:
+    def test_matches_quadratic_scan(self):
+        # Arrivals and residences on a coarse half-second grid, so times
+        # repeat, departures land exactly on later arrivals (resident
+        # only while finish > now) and loads tie (lowest index wins).
+        exact_departures = 0
+        for seed in range(120):
+            rng = np.random.default_rng(seed)
+            num_engines = int(rng.integers(1, 19))
+            count = int(rng.integers(1, 200))
+            arrival = 0.5 * rng.integers(0, 80, size=count)
+            departure = arrival + 0.5 * rng.integers(0, 24, size=count)
+            exact_departures += int(np.isin(departure, arrival).sum())
+            expected = _jsq_scan(arrival, departure, num_engines)
+            actual = _jsq_replay(arrival, departure, num_engines)
+            assert actual.tolist() == expected.tolist(), seed
+        assert exact_departures > 1000
+
+    def test_departure_at_arrival_frees_the_engine(self):
+        # Engine 0's request finishes exactly when the third arrives, so
+        # engine 0 is empty again and wins the tie with engine 2.
+        arrival = np.array([0.0, 0.0, 1.0])
+        departure = np.array([1.0, 5.0, 5.0])
+        assert _jsq_replay(arrival, departure, 3).tolist() == [0, 1, 0]
 
 
 class TestCrossValidation:
