@@ -1,6 +1,6 @@
 """Perf microbenchmarks for the simulator and the parallel sweep engine.
 
-Five measurements, appended to ``BENCH_sim.json`` (repo root) as one
+Four measurements, appended to ``BENCH_sim.json`` (repo root) as one
 run entry per invocation:
 
 - ``events_per_sec`` — raw discrete-event kernel throughput on a
@@ -14,10 +14,6 @@ run entry per invocation:
   *engine's* fan-out and overlap rather than the host's core count
   (CI runners can be single-core; process workers still overlap the
   blocking portion of every point);
-- ``cache`` — cold and warm hit rates of the content-addressed result
-  cache on an unchanged sweep, with a cached-equals-recomputed
-  correctness cross-check (this check runs even on the tiny grid and
-  its failure fails CI);
 - ``analytic`` — evaluator-only speedup of
   :func:`repro.inference.analytic.analytic_cluster_report` over the DES
   ``Cluster.run`` on the same pre-built request list (trace generation,
@@ -38,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.parallel import ResultCache, SweepEngine, run_sweep
+from repro.parallel import run_sweep
 from repro.sim import Histogram, Simulator, Timeout
 
 TINY = os.environ.get("REPRO_PERF_TINY") == "1"
@@ -180,41 +176,6 @@ def test_sweep_parallel_speedup(bench_record, report):
     assert parallel == serial  # repro-lint: disable=RL006
     if not TINY:
         assert speedup >= 2.0
-
-
-def test_cache_hit_rate(bench_record, report, tmp_path):
-    grid = _sweep_grid()[:4] if TINY else _sweep_grid()
-    # Strip the blocking wait: cache perf, not fan-out, is under test.
-    grid = [dict(point, wait_s=0.0) for point in grid]
-    cache = ResultCache(tmp_path / "perf-cache")
-    engine = SweepEngine(workers=1, cache=cache, root_seed=3)
-
-    cold = engine.run(perf_point, grid)
-    cold_hit_rate = cold.stats.cache_hit_rate()
-    cache.reset_stats()
-
-    warm = engine.run(perf_point, grid)
-    warm_hit_rate = warm.stats.cache_hit_rate()
-
-    bench_record["cache"] = {
-        "points": len(grid),
-        "cold_hit_rate": cold_hit_rate,
-        "warm_hit_rate": warm_hit_rate,
-        "entries": cache.entry_count(),
-    }
-    report(
-        "PERF — result-cache hit rates (unchanged sweep, two runs)",
-        f"{len(grid)} points: cold {cold_hit_rate:.0%},"
-        f" warm {warm_hit_rate:.0%},"
-        f" {cache.entry_count()} entries on disk",
-    )
-    assert cold_hit_rate == 0.0
-    assert warm_hit_rate >= 0.9
-    # Cache-correctness cross-check (always on, including tiny/CI runs):
-    # served-from-cache values must equal a fresh uncached recompute.
-    fresh = run_sweep(perf_point, grid, root_seed=3, workers=1)
-    assert list(warm) == fresh  # repro-lint: disable=RL006
-    assert list(cold) == fresh  # repro-lint: disable=RL006
 
 
 #: Evaluator-only analytic-vs-DES speedup floor for full runs.

@@ -13,7 +13,8 @@ module is the composition root:
    pluggable fleet policy (:mod:`repro.fleet.routing`);
 4. **evaluation** — the routed work decomposes into independent
    ``(tenant, cluster, epoch)`` *cells*, each evaluated exactly like a
-   ``python -m repro serve`` scenario (DES, analytic, or auto) through
+   ``python -m repro serve`` scenario (DES, analytic, or auto) by
+   :func:`repro.inference.sweep.evaluate`, called from
    :func:`fleet_cell_point` — a pure top-level point function that
    :func:`repro.parallel.run_sweep` fans out across workers;
 5. **aggregation** — cell rows fold into per-tenant / per-cluster /
@@ -83,7 +84,7 @@ class FleetConfig:
     rate_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        from repro.inference.sweep import SERVE_MODES
+        from repro.inference.sweep import validate_mode
 
         validate_tenants(self.tenants)
         if self.num_clusters < 1:
@@ -102,11 +103,7 @@ class FleetConfig:
                 f"unknown scaling policy {self.scaling!r}; known: "
                 f"{', '.join(SCALING_POLICIES)}"
             )
-        if self.mode not in SERVE_MODES:
-            raise ValueError(
-                f"unknown serve mode {self.mode!r}; known: "
-                f"{', '.join(SERVE_MODES)}"
-            )
+        validate_mode(self.mode)
         if self.rate_scale <= 0:
             raise ValueError("rate scale must be positive")
 
@@ -135,25 +132,15 @@ def fleet_cell_point(
     unused — cells replay fixed traces — but kept for the
     :func:`repro.parallel.run_sweep` point-function contract.
     """
-    from repro.inference.analytic import (
-        UnsupportedScenario,
-        analytic_cluster_report,
-    )
-    from repro.inference.cluster import Cluster, tensor_parallel_group
+    from repro.inference.cluster import tensor_parallel_group
     from repro.inference.sweep import (
-        SERVE_MODES,
+        evaluate,
         report_to_dict,
         resolve_accelerator,
         resolve_model,
     )
-    from repro.sim import Simulator
 
     del seed  # cells are trace replays; nothing stochastic remains
-    mode = point["mode"]
-    if mode not in SERVE_MODES:
-        raise ValueError(
-            f"unknown serve mode {mode!r}; known: {', '.join(SERVE_MODES)}"
-        )
     model = resolve_model(point["model"])
     accelerator = tensor_parallel_group(
         resolve_accelerator(point["accelerator"]), int(point["tp"])
@@ -174,42 +161,22 @@ def fleet_cell_point(
         for arrival, prompt, output, sla in point["records"]
     ]
 
-    report = None
-    fallback = False
-    if mode in ("analytic", "auto"):
-        try:
-            report = analytic_cluster_report(
-                accelerator,
-                model,
-                (record.to_request() for record in records),
-                num_engines=replicas,
-                placement=placement or None,
-                max_batch_size=int(point["batch"]),
-            )
-            evaluated = "analytic"
-        except UnsupportedScenario:
-            if mode == "analytic":
-                raise  # explicit analytic stays strict (sweep idiom)
-            fallback = True
-    if report is None:
-        sim = Simulator()
-        cluster = Cluster(
-            sim,
-            accelerator,
-            model,
-            num_engines=replicas,
-            placement=placement or None,
-            max_batch_size=int(point["batch"]),
-        )
-        report = cluster.run(record.to_request() for record in records)
-        evaluated = "des"
+    report, evaluated, declined = evaluate(
+        accelerator,
+        model,
+        (record.to_request() for record in records),
+        engines=replicas,
+        batch=int(point["batch"]),
+        mode=point["mode"],
+        placement=placement or None,
+    )
 
     sla_admitted: Dict[str, int] = {}
     for record in records:
         sla_admitted[record.sla] = sla_admitted.get(record.sla, 0) + 1
     result = report_to_dict(report)
     result["mode"] = evaluated
-    result["analytic_fallback"] = fallback
+    result["analytic_fallback"] = declined is not None
     result["tenant"] = point["tenant"]
     result["cluster"] = int(point["cluster"])
     result["epoch"] = int(point["epoch"])

@@ -63,6 +63,7 @@ from repro.inference.sweep import (
     SERVE_MODES,
     cross_validate,
     cross_validation_grid,
+    evaluate,
     run_serve_sweep,
     serve_point,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "analytic_cluster_report",
     "cross_validate",
     "cross_validation_grid",
+    "evaluate",
     "run_serve_sweep",
     "serve_point",
 ]

@@ -1,9 +1,9 @@
 """Serving sweeps with a DES and an analytic evaluation mode.
 
-:func:`serve_point` is the pure point function (picklable, top level)
-that :func:`repro.parallel.run_sweep` fans out: one serving scenario in,
-one JSON-able result dict out.  Each point carries a
-``mode: "des" | "analytic"`` field selecting the evaluator —
+:func:`evaluate` is the one place a serving scenario is dispatched to
+an evaluator; :func:`serve_point`, the fleet's cells
+(:func:`repro.fleet.fleet.fleet_cell_point`) and ``python -m repro
+serve`` all go through it.  Its ``mode`` selects —
 
 - ``"des"`` builds a :class:`~repro.inference.cluster.Cluster` on the
   discrete-event kernel and runs the trace to completion (exact);
@@ -12,9 +12,14 @@ one JSON-able result dict out.  Each point carries a
   (closed-form, ~100-1000x faster);
 - ``"auto"`` tries analytic first and falls back to the DES when the
   scenario is outside the analytic envelope
-  (:class:`~repro.inference.analytic.UnsupportedScenario`), recording
-  the fallback in the result row.  Explicit ``"analytic"`` stays
+  (:class:`~repro.inference.analytic.UnsupportedScenario`), reporting
+  why the analytic evaluator declined.  Explicit ``"analytic"`` stays
   strict so validity-envelope violations still fail loudly.
+
+:func:`serve_point` is the pure point function (picklable, top level)
+that :func:`repro.parallel.run_sweep` fans out: one serving scenario in,
+one JSON-able result dict out, with the evaluator taken from the
+point's ``mode`` field.
 
 Both modes derive the trace from the point's sweep seed, so a DES sweep
 and an analytic sweep at the same ``root_seed`` see identical request
@@ -30,7 +35,7 @@ agrees within :data:`CROSS_VAL_TOLERANCE` relative error.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,25 +113,9 @@ def resolve_accelerator(name: str):
         ) from None
 
 
-def _resolve(point: Mapping[str, Any]):
-    from repro.inference.cluster import tensor_parallel_group
-
-    merged = dict(DEFAULT_POINT, **point)
-    mode = merged["mode"]
-    if mode not in SERVE_MODES:
-        raise ValueError(
-            f"unknown serve mode {mode!r}; known: {', '.join(SERVE_MODES)}"
-        )
-    model = resolve_model(merged["model"])
-    accelerator = tensor_parallel_group(
-        resolve_accelerator(merged["accelerator"]), int(merged["tp"])
-    )
-    return merged, model, accelerator
-
-
 def report_to_dict(report) -> Dict[str, Any]:
     """Flatten a :class:`ClusterReport` into a JSON-able dict (the
-    cacheable/picklable sweep value; SLA keys become strings)."""
+    picklable sweep value; SLA keys become strings)."""
     return {
         "engines": report.engines,
         "duration_s": report.duration_s,
@@ -154,6 +143,80 @@ def report_to_dict(report) -> Dict[str, Any]:
     }
 
 
+def validate_mode(mode: str) -> None:
+    """Reject an evaluator mode outside :data:`SERVE_MODES`."""
+    if mode not in SERVE_MODES:
+        raise ValueError(
+            f"unknown serve mode {mode!r}; known: {', '.join(SERVE_MODES)}"
+        )
+
+
+def evaluate(
+    accelerator,
+    model,
+    requests: Iterable,
+    *,
+    engines: int,
+    batch: int,
+    mode: str,
+    placement: Optional[Mapping[str, str]] = None,
+    obs=None,
+    tracer=None,
+) -> Tuple[Any, str, Optional[str]]:
+    """Serve ``requests`` with the evaluator ``mode`` selects.
+
+    ``engines`` replicas with admission cap ``batch`` serve the
+    requests; the modes are described in the module docstring.
+    Returns ``(report, evaluated, declined)``: the
+    :class:`~repro.inference.cluster.ClusterReport`, the evaluator that
+    produced it (``"des"`` or ``"analytic"``), and, when ``auto`` fell
+    back to the DES, the analytic evaluator's reason (else ``None``).
+    ``obs`` and ``tracer`` instrument the DES run; the analytic
+    evaluator has no events to observe.
+    """
+    # Looked up at call time, not import time, so rebinding these names
+    # (perfbench's traced run wraps them in spans) reaches every call.
+    from repro.inference.analytic import (
+        UnsupportedScenario,
+        analytic_cluster_report,
+    )
+    from repro.inference.cluster import Cluster
+    from repro.sim import Simulator
+
+    validate_mode(mode)
+    declined = None
+    if mode != "des":
+        if mode == "auto":
+            # One list for both attempts: a declined analytic run must
+            # not leave the DES an exhausted iterator.
+            requests = list(requests)
+        try:
+            report = analytic_cluster_report(
+                accelerator,
+                model,
+                requests,
+                num_engines=engines,
+                placement=placement,
+                max_batch_size=batch,
+            )
+        except UnsupportedScenario as exc:
+            if mode == "analytic":
+                raise  # explicit analytic stays strict
+            declined = str(exc)
+        else:
+            return report, "analytic", None
+    cluster = Cluster(
+        Simulator(obs=obs, tracer=tracer),
+        accelerator,
+        model,
+        num_engines=engines,
+        placement=placement,
+        max_batch_size=batch,
+        obs=obs,
+    )
+    return cluster.run(requests), "des", declined
+
+
 def serve_point(point: Mapping[str, Any], seed: np.random.SeedSequence) -> dict:
     """Evaluate one serving scenario; pure in ``(point, seed)``.
 
@@ -161,16 +224,15 @@ def serve_point(point: Mapping[str, Any], seed: np.random.SeedSequence) -> dict:
     ``(grid index, root_seed)`` sees the same request stream in both
     modes.
     """
-    from repro.inference.analytic import (
-        UnsupportedScenario,
-        analytic_cluster_report,
-    )
-    from repro.inference.cluster import Cluster
-    from repro.sim import Simulator
+    from repro.inference.cluster import tensor_parallel_group
     from repro.workload.requests import PoissonArrivals
     from repro.workload.traces import generate_trace, replay_trace
 
-    merged, model, accelerator = _resolve(point)
+    merged = dict(DEFAULT_POINT, **point)
+    model = resolve_model(merged["model"])
+    accelerator = tensor_parallel_group(
+        resolve_accelerator(merged["accelerator"]), int(merged["tp"])
+    )
     trace_seed = int(seed.generate_state(1, dtype=np.uint32)[0])
     trace = generate_trace(
         model,
@@ -178,41 +240,21 @@ def serve_point(point: Mapping[str, Any], seed: np.random.SeedSequence) -> dict:
         duration_s=float(merged["duration"]),
         seed=trace_seed,
     )
-    mode = merged["mode"]
-    report = None
-    fallback = False
-    if mode in ("analytic", "auto"):
-        try:
-            report = analytic_cluster_report(
-                accelerator,
-                model,
-                replay_trace(trace),
-                num_engines=int(merged["engines"]),
-                max_batch_size=int(merged["batch"]),
-            )
-            evaluated = "analytic"
-        except UnsupportedScenario:
-            if mode == "analytic":
-                raise  # explicit analytic stays strict
-            fallback = True
-    if report is None:
-        sim = Simulator()
-        cluster = Cluster(
-            sim,
-            accelerator,
-            model,
-            num_engines=int(merged["engines"]),
-            max_batch_size=int(merged["batch"]),
-        )
-        report = cluster.run(replay_trace(trace))
-        evaluated = "des"
+    report, evaluated, declined = evaluate(
+        accelerator,
+        model,
+        replay_trace(trace),
+        engines=int(merged["engines"]),
+        batch=int(merged["batch"]),
+        mode=merged["mode"],
+    )
     result = report_to_dict(report)
     # ``mode`` reports the evaluator that actually ran; auto points also
     # carry the request and whether the analytic evaluator declined.
     result["mode"] = evaluated
-    if mode == "auto":
+    if merged["mode"] == "auto":
         result["requested_mode"] = "auto"
-        result["analytic_fallback"] = fallback
+        result["analytic_fallback"] = declined is not None
     return result
 
 
@@ -221,7 +263,6 @@ def run_serve_sweep(
     root_seed: int = 0,
     workers: Optional[int] = None,
     mode: Optional[str] = None,
-    cache=None,
 ) -> List[dict]:
     """Sweep :func:`serve_point` over ``points`` (grid order).
 
@@ -229,14 +270,8 @@ def run_serve_sweep(
     "re-run this grid analytically".
     """
     if mode is not None:
-        if mode not in SERVE_MODES:
-            raise ValueError(
-                f"unknown serve mode {mode!r}; known: {', '.join(SERVE_MODES)}"
-            )
         points = [dict(p, mode=mode) for p in points]
-    return run_sweep(
-        serve_point, points, root_seed=root_seed, workers=workers, cache=cache
-    )
+    return run_sweep(serve_point, points, root_seed=root_seed, workers=workers)
 
 
 def cross_validation_grid(tiny: bool = False) -> List[dict]:
@@ -281,7 +316,6 @@ def cross_validate(
     points: Optional[Sequence[Mapping[str, Any]]] = None,
     root_seed: int = 0,
     workers: Optional[int] = None,
-    metrics: Sequence[str] = CROSS_VAL_METRICS,
 ) -> List[dict]:
     """Run each point through both modes and compare.
 
@@ -301,7 +335,7 @@ def cross_validate(
                 "analytic": a[name],
                 "rel_err": _relative_error(d[name], a[name]),
             }
-            for name in metrics
+            for name in CROSS_VAL_METRICS
         }
         rows.append(
             {

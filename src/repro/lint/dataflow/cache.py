@@ -5,9 +5,9 @@ schema), so the cache key is a hash of exactly those three things.
 Change a file — or bump :data:`~repro.lint.dataflow.model.
 DATAFLOW_SCHEMA` — and the key changes; stale summaries are never
 loaded.  Writes are atomic (temp file + ``os.replace``, the same
-pattern as :mod:`repro.parallel.cache`) so an interrupted lint never
-leaves a truncated entry; unreadable entries count as misses and are
-overwritten.
+pattern as :func:`repro.obs.snapshot.write_snapshot`) so an interrupted
+lint never leaves a truncated entry; unreadable entries count as misses
+and are overwritten.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from repro.lint.rules.base import Rule, RuleContext, dotted_name
 _ALLOWED_PACKAGE = "repro.parallel"
 
 _FIX_HINT = (
-    "route the fan-out through repro.parallel.run_sweep / SweepEngine "
+    "route the fan-out through repro.parallel.run_sweep "
     "(deterministic per-point seeds, order-preserving collection)"
 )
 

@@ -42,12 +42,3 @@ def spawn_seeds(root_seed: SeedLike, count: int) -> List[np.random.SeedSequence]
     )
     return list(root.spawn(count))
 
-
-def seed_fingerprint(seq: np.random.SeedSequence) -> str:
-    """A stable, human-readable identity for a seed sequence.
-
-    Used in cache keys: two runs whose point would draw different
-    randomness must never share a cache entry.  The entropy and the
-    spawn key fully determine the stream ``default_rng(seq)`` produces.
-    """
-    return f"entropy={seq.entropy};spawn_key={tuple(seq.spawn_key)}"

@@ -24,11 +24,6 @@ Worker count resolution (first match wins): explicit ``workers``
 argument, the ``REPRO_WORKERS`` environment variable, serial.  Platforms
 without the ``fork`` start method fall back to serial execution rather
 than risk re-import divergence under ``spawn``.
-
-With a :class:`~repro.parallel.cache.ResultCache` attached, cached
-points are served from disk and only misses are dispatched to workers.
-Cached values are JSON round-tripped on first computation too, so hit
-and miss paths yield identical types and bits.
 """
 
 from __future__ import annotations
@@ -36,13 +31,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.parallel.cache import ResultCache
-from repro.parallel.seeds import SeedLike, seed_fingerprint, spawn_seeds
+from repro.parallel.seeds import SeedLike, spawn_seeds
 
 #: Environment variable that sets the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -85,134 +78,30 @@ def _call_point(payload: Tuple[PointFn, Any, np.random.SeedSequence]) -> Any:
     return fn(point, seed)
 
 
-@dataclass
-class SweepStats:
-    """What one sweep run did (attached to :class:`SweepOutcome`)."""
-
-    points: int = 0
-    executed: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    workers: int = 1
-    parallel: bool = False
-
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        if total == 0:
-            return 0.0
-        return self.cache_hits / total
-
-
-@dataclass
-class SweepOutcome:
-    """Results (in grid order) plus run accounting."""
-
-    values: List[Any] = field(default_factory=list)
-    stats: SweepStats = field(default_factory=SweepStats)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, index):
-        return self.values[index]
-
-
-class SweepEngine:
-    """Reusable sweep runner bound to a worker count and optional cache.
-
-    Parameters
-    ----------
-    workers:
-        Process count; ``None`` defers to ``REPRO_WORKERS`` (default 1).
-    cache:
-        A :class:`ResultCache`; ``None`` disables caching.
-    root_seed:
-        Root of the per-point seed tree (see :mod:`repro.parallel.seeds`).
-    """
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        cache: Optional[ResultCache] = None,
-        root_seed: SeedLike = 0,
-    ) -> None:
-        self.workers = resolve_workers(workers)
-        self.cache = cache
-        self.root_seed = root_seed
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def run(self, fn: PointFn, points: Sequence[Any]) -> SweepOutcome:
-        """Evaluate ``fn`` over ``points``; results in grid order."""
-        points = list(points)
-        seeds = spawn_seeds(self.root_seed, len(points))
-        stats = SweepStats(points=len(points), workers=self.workers)
-        values: List[Any] = [None] * len(points)
-
-        # 1. Serve what the cache already holds; collect the misses.
-        pending: List[int] = []
-        keys: List[Optional[str]] = [None] * len(points)
-        if self.cache is not None:
-            fn_id = f"{getattr(fn, '__module__', '?')}:{getattr(fn, '__qualname__', repr(fn))}"
-            for index, point in enumerate(points):
-                key = self.cache.key(
-                    fn_id, point, seed_fingerprint(seeds[index])
-                )
-                keys[index] = key
-                hit, value = self.cache.get(key)
-                if hit:
-                    values[index] = value
-                    stats.cache_hits += 1
-                else:
-                    pending.append(index)
-                    stats.cache_misses += 1
-        else:
-            pending = list(range(len(points)))
-
-        # 2. Compute the misses, fanning out when it can pay off.
-        payloads = [(fn, points[i], seeds[i]) for i in pending]
-        context = _fork_context()
-        use_processes = (
-            self.workers > 1 and len(pending) > 1 and context is not None
-        )
-        if use_processes:
-            max_workers = min(self.workers, len(pending))
-            chunksize = max(1, len(pending) // (max_workers * 4))
-            with ProcessPoolExecutor(
-                max_workers=max_workers, mp_context=context
-            ) as executor:
-                computed = list(
-                    executor.map(_call_point, payloads, chunksize=chunksize)
-                )
-            stats.parallel = True
-        else:
-            computed = [_call_point(payload) for payload in payloads]
-        stats.executed = len(pending)
-
-        # 3. Store fresh results; adopt the canonicalised form so hit
-        #    and miss paths return identical values.
-        for index, value in zip(pending, computed):
-            if self.cache is not None:
-                value = self.cache.put(keys[index], value)
-            values[index] = value
-        return SweepOutcome(values=values, stats=stats)
-
-
 def run_sweep(
     fn: PointFn,
     points: Sequence[Any],
     root_seed: SeedLike = 0,
     workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
 ) -> List[Any]:
-    """One-shot sweep: :class:`SweepEngine` construction plus ``run``.
+    """Evaluate ``fn`` over ``points``; results in grid order.
 
-    Returns just the values (grid order).  Use the engine directly when
-    cache statistics or run accounting matter.
+    Point ``i`` gets the ``i``-th seed spawned from ``root_seed``.  The
+    points fan out over forked worker processes when more than one
+    worker and more than one point make it worthwhile.
     """
-    engine = SweepEngine(workers=workers, cache=cache, root_seed=root_seed)
-    return engine.run(fn, points).values
+    workers = resolve_workers(workers)
+    points = list(points)
+    seeds = spawn_seeds(root_seed, len(points))
+    payloads = [(fn, point, seed) for point, seed in zip(points, seeds)]
+    context = _fork_context()
+    if workers > 1 and len(payloads) > 1 and context is not None:
+        max_workers = min(workers, len(payloads))
+        chunksize = max(1, len(payloads) // (max_workers * 4))
+        with ProcessPoolExecutor(
+            max_workers=max_workers, mp_context=context
+        ) as executor:
+            return list(
+                executor.map(_call_point, payloads, chunksize=chunksize)
+            )
+    return [_call_point(payload) for payload in payloads]

@@ -12,6 +12,7 @@ from repro.fleet import (
     fleet_cell_point,
     run_fleet,
 )
+from repro.inference import UnsupportedScenario
 from repro.obs import merge_snapshots, relabel_snapshot
 
 TINY = dict(horizon_s=120.0, epoch_s=60.0, num_clusters=4)
@@ -120,6 +121,30 @@ class TestFleetCellPoint:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="serve mode"):
             fleet_cell_point(self._point(mode="exact"), seed=None)
+
+    def test_auto_falls_back_to_the_des_on_overload(self):
+        # 40 req/s on one replica is past the analytic stability guard.
+        # The fallback DES must see all 200 requests, not the generator
+        # the declined analytic attempt already drained.
+        overloaded = dict(
+            replicas=1,
+            records=tuple(
+                (0.025 * i, 512, 128, "interactive") for i in range(200)
+            ),
+        )
+        auto = fleet_cell_point(
+            self._point(mode="auto", **overloaded), seed=None
+        )
+        des = fleet_cell_point(
+            self._point(mode="des", **overloaded), seed=None
+        )
+        assert auto["mode"] == "des"
+        assert auto["analytic_fallback"] is True
+        assert dict(auto, analytic_fallback=False) == des
+        with pytest.raises(UnsupportedScenario):
+            fleet_cell_point(
+                self._point(mode="analytic", **overloaded), seed=None
+            )
 
 
 class TestRunFleet:

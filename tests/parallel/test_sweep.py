@@ -1,16 +1,11 @@
 """Unit tests for the deterministic fan-out engine."""
 
+import os
+
 import numpy as np
 import pytest
 
-from repro.parallel import (
-    ResultCache,
-    SweepEngine,
-    resolve_workers,
-    run_sweep,
-    seed_fingerprint,
-    spawn_seeds,
-)
+from repro.parallel import resolve_workers, run_sweep, spawn_seeds
 from repro.parallel.sweep import WORKERS_ENV
 
 
@@ -18,9 +13,12 @@ def square_point(point, seed):
     return {"point": point, "square": point * point}
 
 
-def seeded_point(point, seed):
-    rng = np.random.default_rng(seed)
-    return {"point": point, "draw": float(rng.random())}
+def pid_point(point, seed):
+    return os.getpid()
+
+
+def _identity(seed):
+    return (seed.entropy, tuple(seed.spawn_key))
 
 
 def failing_point(point, seed):
@@ -37,12 +35,12 @@ class TestSeeds:
         assert [s.spawn_key for s in first] == [s.spawn_key for s in second]
 
     def test_children_are_distinct(self):
-        prints = [seed_fingerprint(s) for s in spawn_seeds(0, 64)]
-        assert len(set(prints)) == 64
+        identities = [_identity(s) for s in spawn_seeds(0, 64)]
+        assert len(set(identities)) == 64
 
     def test_root_seed_changes_children(self):
-        a = [seed_fingerprint(s) for s in spawn_seeds(1, 4)]
-        b = [seed_fingerprint(s) for s in spawn_seeds(2, 4)]
+        a = [_identity(s) for s in spawn_seeds(1, 4)]
+        b = [_identity(s) for s in spawn_seeds(2, 4)]
         assert not set(a) & set(b)
 
     def test_streams_differ_per_point(self):
@@ -89,67 +87,15 @@ class TestRunSweep:
         assert run_sweep(square_point, [], workers=4) == []
 
     def test_single_point_stays_serial(self):
-        engine = SweepEngine(workers=4)
-        outcome = engine.run(square_point, [9])
-        assert outcome.values == [{"point": 9, "square": 81}]
-        assert not outcome.stats.parallel
+        assert run_sweep(pid_point, [9], workers=4) == [os.getpid()]
 
     def test_parallel_actually_fans_out(self):
-        engine = SweepEngine(workers=2)
-        outcome = engine.run(square_point, list(range(6)))
-        assert outcome.stats.parallel
-        assert outcome.stats.executed == 6
+        pids = run_sweep(pid_point, list(range(6)), workers=2)
+        assert len(pids) == 6
+        assert os.getpid() not in pids
 
     def test_exceptions_propagate(self):
         with pytest.raises(RuntimeError, match="boom at point 3"):
             run_sweep(failing_point, [1, 2, 3, 4], workers=2)
         with pytest.raises(RuntimeError, match="boom at point 3"):
             run_sweep(failing_point, [1, 2, 3, 4], workers=1)
-
-    def test_outcome_sequence_protocol(self):
-        outcome = SweepEngine(workers=1).run(square_point, [1, 2])
-        assert len(outcome) == 2
-        assert outcome[0]["square"] == 1
-        assert [v["point"] for v in outcome] == [1, 2]
-
-
-class TestSweepWithCache:
-    def test_second_run_is_all_hits(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        engine = SweepEngine(workers=1, cache=cache, root_seed=3)
-        first = engine.run(seeded_point, list(range(10)))
-        assert first.stats.cache_misses == 10
-        second = engine.run(seeded_point, list(range(10)))
-        assert second.stats.cache_hits == 10
-        assert second.stats.executed == 0
-        assert second.stats.cache_hit_rate() == 1.0
-        assert second.values == first.values  # repro-lint: disable=RL006
-
-    def test_grown_grid_only_computes_new_points(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        engine = SweepEngine(workers=1, cache=cache, root_seed=3)
-        engine.run(seeded_point, list(range(6)))
-        outcome = engine.run(seeded_point, list(range(8)))
-        # Same spawn positions 0..5 -> same seeds -> served from disk.
-        assert outcome.stats.cache_hits == 6
-        assert outcome.stats.executed == 2
-
-    def test_root_seed_partitions_the_cache(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        SweepEngine(workers=1, cache=cache, root_seed=1).run(
-            seeded_point, [0]
-        )
-        outcome = SweepEngine(workers=1, cache=cache, root_seed=2).run(
-            seeded_point, [0]
-        )
-        assert outcome.stats.cache_hits == 0
-
-    def test_cached_equals_recomputed(self, tmp_path):
-        """Cache-correctness invariant: a hit must be bit-identical to
-        recomputing the point without any cache."""
-        cache = ResultCache(tmp_path)
-        engine = SweepEngine(workers=1, cache=cache, root_seed=11)
-        engine.run(seeded_point, list(range(5)))
-        cached = engine.run(seeded_point, list(range(5))).values
-        fresh = run_sweep(seeded_point, list(range(5)), root_seed=11)
-        assert cached == fresh  # repro-lint: disable=RL006

@@ -100,13 +100,6 @@ class TestAnalyticMode:
         assert "--mode des" in err
         assert err.count("\n") == 1
 
-    def test_faults_analytic_is_one_line_error(self, capsys):
-        assert main(["faults", "--mode", "analytic", "--tiny"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "use --mode des" in err
-        assert err.count("\n") == 1
-
     def test_sweep_cross_validate_tiny(self, capsys):
         assert main(
             ["sweep", "--mode", "cross-validate", "--tiny"]
