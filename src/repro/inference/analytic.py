@@ -56,7 +56,7 @@ import numpy as np
 
 from repro.inference.accelerator import AcceleratorConfig
 from repro.inference.cluster import DEFAULT_SLA_THRESHOLDS, ClusterReport
-from repro.inference.engine import DEFAULT_PLACEMENT, KVRecoveryConfig
+from repro.inference.engine import KVRecoveryConfig, resolve_placement
 from repro.workload.model import ModelConfig
 from repro.workload.requests import InferenceRequest, SLAClass
 
@@ -76,8 +76,8 @@ class UnsupportedScenario(ValueError):
 
 
 def _quantile(values: np.ndarray, q: float) -> float:
-    """Rank-interpolated quantile, matching ``Cluster.report``'s
-    ``merged_quantile`` (linear interpolation at ``q * (n - 1)``)."""
+    """Rank-interpolated quantile, matching ``Histogram.quantile`` as
+    ``Cluster.report`` uses it (linear interpolation at ``q * (n - 1)``)."""
     if values.size == 0:
         return float("nan")
     return float(np.quantile(values, q))
@@ -109,9 +109,7 @@ def analytic_cluster_report(
         raise UnsupportedScenario(
             "analytic mode does not support prefix sharing; use mode=des"
         )
-    placement = dict(DEFAULT_PLACEMENT, **(placement or {}))
-    for tier_name in placement.values():
-        accelerator.tier(tier_name)  # raises KeyError on bad placement
+    placement = resolve_placement(accelerator, placement)
 
     requests = list(requests)
     if not requests:

@@ -24,9 +24,13 @@ from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.inference.accelerator import AcceleratorConfig, MemoryTierSpec
 from repro.inference.batching import RunningContext
-from repro.inference.engine import InferenceEngine, KVRecoveryConfig
+from repro.inference.engine import (
+    InferenceEngine,
+    KVRecoveryConfig,
+    _quantile_or_nan,
+)
 from repro.inference.resilience import ResiliencePolicy, ResilientDispatcher
-from repro.sim import Simulator
+from repro.sim import Histogram, Simulator
 from repro.workload.model import ModelConfig
 from repro.workload.requests import InferenceRequest, SLAClass
 
@@ -282,9 +286,7 @@ class Cluster:
             incomplete = submitted - self.dispatcher.settled
         else:
             finished = sum(
-                int(e.metrics.counter("requests_completed").value)
-                + int(e.metrics.counter("requests_failed").value)
-                for e in self.engines
+                len(e.completed) + len(e.failed) for e in self.engines
             )
             incomplete = submitted - finished
         if incomplete:
@@ -332,20 +334,11 @@ class Cluster:
         compute_steps = sum(s.compute_bound_steps for s in summaries)
         total_steps = memory_steps + compute_steps
 
-        def merged_quantile(metric: str, q: float) -> float:
-            values: List[float] = []
-            for engine in self.engines:
-                hist = engine.metrics.histogram(metric)
-                values.extend(hist._ensure_sorted())
-            if not values:
-                return float("nan")
-            values.sort()
-            pos = q * (len(values) - 1)
-            lo = int(pos)
-            hi = min(lo + 1, len(values) - 1)
-            frac = pos - lo
-            return values[lo] * (1 - frac) + values[hi] * frac
-
+        ttft = Histogram("ttft_s")
+        tbt = Histogram("tbt_s")
+        for engine in self.engines:
+            ttft.observe_many(engine.ttft.samples())
+            tbt.observe_many(engine.tbt.samples())
         board_energy = sum(
             self.accelerator.board_power_w * s.busy_time_s for s in summaries
         )
@@ -378,10 +371,10 @@ class Cluster:
             requests_completed=requests,
             tokens_generated=tokens,
             throughput_tokens_per_s=(tokens / duration if duration > 0 else 0.0),
-            ttft_p50_s=merged_quantile("ttft_s", 0.5),
-            ttft_p99_s=merged_quantile("ttft_s", 0.99),
-            tbt_p50_s=merged_quantile("tbt_s", 0.5),
-            tbt_p99_s=merged_quantile("tbt_s", 0.99),
+            ttft_p50_s=_quantile_or_nan(ttft, 0.5),
+            ttft_p99_s=_quantile_or_nan(ttft, 0.99),
+            tbt_p50_s=_quantile_or_nan(tbt, 0.5),
+            tbt_p99_s=_quantile_or_nan(tbt, 0.99),
             memory_bound_fraction=(
                 memory_steps / total_steps if total_steps else 0.0
             ),
@@ -400,16 +393,13 @@ class Cluster:
             **resilience_fields,
         )
 
-    def _sla_attainment(
-        self, thresholds: Optional[Dict[SLAClass, tuple]] = None
-    ) -> Dict[SLAClass, float]:
+    def _sla_attainment(self) -> Dict[SLAClass, float]:
         """Fraction of completed requests meeting their class SLO.
 
         TTFT is measured from arrival to first token; the time-between-
         tokens figure is the request's mean (finish - first token) /
         (output tokens - 1).
         """
-        thresholds = thresholds or DEFAULT_SLA_THRESHOLDS
         met: Dict[SLAClass, int] = {}
         total: Dict[SLAClass, int] = {}
         for engine in self.engines:
@@ -417,7 +407,7 @@ class Cluster:
                 request = context.request
                 sla = request.sla
                 total[sla] = total.get(sla, 0) + 1
-                ttft_limit, tbt_limit = thresholds[sla]
+                ttft_limit, tbt_limit = DEFAULT_SLA_THRESHOLDS[sla]
                 ttft = context.first_token_at - request.arrival_time
                 if request.output_tokens > 1:
                     mean_tbt = (context.finished_at - context.first_token_at) / (

@@ -10,9 +10,9 @@ experiments turn:
     placement = {"weights": "hbm", "kv": "hbm", "activations": "hbm"}
     placement = {"weights": "mrm", "kv": "mrm", "activations": "hbm"}
 
-Recorded per engine: TTFT and time-between-tokens histograms, token
-throughput, per-tier/per-structure byte traffic, access energy, and the
-memory-vs-compute-bound step tally (experiment E4's numerator).
+Recorded per engine, as plain attributes: TTFT and time-between-tokens
+histograms, token throughput, per-tier byte traffic, access energy, and
+the memory-vs-compute-bound step tally (experiment E4's numerator).
 """
 
 from __future__ import annotations
@@ -25,13 +25,7 @@ from repro.inference.batching import BatchScheduler, RunningContext
 from repro.inference.kvcache import KVCacheManager
 from repro.inference.roofline import Boundedness, RooflineModel
 from repro.obs import NULL_REGISTRY
-from repro.sim import (
-    Histogram,
-    Interrupted,
-    MetricRegistry,
-    Simulator,
-    Timeout,
-)
+from repro.sim import Histogram, Interrupted, Simulator, Timeout
 from repro.workload.model import ModelConfig
 from repro.workload.phases import (
     decode_step_traffic_batch,
@@ -40,6 +34,27 @@ from repro.workload.phases import (
 from repro.workload.requests import InferenceRequest
 
 DEFAULT_PLACEMENT = {"weights": "hbm", "kv": "hbm", "activations": "hbm"}
+
+
+def resolve_placement(
+    accelerator: AcceleratorConfig, placement: Optional[Mapping[str, str]]
+) -> Dict[str, str]:
+    """``placement`` merged over :data:`DEFAULT_PLACEMENT` and checked.
+
+    Raises ``ValueError`` for a structure other than the three default
+    ones (a misspelt key would otherwise be kept and ignored) and
+    ``KeyError`` for a tier ``accelerator`` does not have.
+    """
+    resolved = dict(DEFAULT_PLACEMENT, **(placement or {}))
+    unknown = sorted(set(resolved) - set(DEFAULT_PLACEMENT))
+    if unknown:
+        raise ValueError(
+            f"unknown placement structure(s) {unknown}; expected "
+            f"{', '.join(DEFAULT_PLACEMENT)}"
+        )
+    for tier in resolved.values():
+        accelerator.tier(tier)
+    return resolved
 
 
 class EngineCrashed(Interrupted):
@@ -99,7 +114,7 @@ def _accumulate(*pairs) -> Dict[str, float]:
 
 @dataclass
 class EngineMetrics:
-    """Summary view of one engine's run (extracted from the registry)."""
+    """Summary view of one engine's run (copied from its tallies)."""
 
     requests_completed: int
     tokens_generated: int
@@ -165,12 +180,13 @@ class InferenceEngine:
         self.sim = sim
         self.accelerator = accelerator
         self.model = model
-        self.placement = dict(DEFAULT_PLACEMENT, **(placement or {}))
-        for structure, tier in self.placement.items():
-            accelerator.tier(tier)  # raises KeyError on bad placement
+        self.placement = resolve_placement(accelerator, placement)
         self.name = name or f"engine-{accelerator.name}"
         self.roofline = RooflineModel(accelerator)
-        kv_tier = accelerator.tier(self.placement["kv"])
+        # Placement is fixed for the engine's life: resolve the routed
+        # tiers once so per-step accounting does no lookup.
+        self._weights_tier = accelerator.tier(self.placement["weights"])
+        kv_tier = self._kv_tier = accelerator.tier(self.placement["kv"])
         if kv_capacity_bytes is None:
             reserved = 0
             if self.placement["weights"] == self.placement["kv"]:
@@ -183,9 +199,9 @@ class InferenceEngine:
                 f"{self.name}: no KV capacity left on tier {kv_tier.name!r} "
                 f"after weights/activations reservation"
             )
-        # Engine-local MetricRegistry stays the summaries' source of
-        # truth; the shared obs registry mirrors the serving counters
-        # under an engine label for snapshots and exports.
+        # The plain tallies below are the summaries' source of truth;
+        # the shared obs registry mirrors the serving counters under an
+        # engine label for snapshots and exports.
         self.obs = obs if obs is not None else NULL_REGISTRY
         self.kv = KVCacheManager(
             model,
@@ -196,7 +212,23 @@ class InferenceEngine:
             name=self.name,
         )
         self.scheduler = BatchScheduler(self.kv, max_batch_size=max_batch_size)
-        self.metrics = MetricRegistry()
+        self.ttft = Histogram("ttft_s")
+        self.tbt = Histogram("tbt_s")
+        self.tokens_generated = 0
+        self.memory_bound_steps = 0
+        self.compute_bound_steps = 0
+        #: Per-tier byte traffic, keyed in the accelerator's tier order.
+        self.tier_bytes_read = {tier.name: 0.0 for tier in accelerator.tiers}
+        self.tier_bytes_written = {tier.name: 0.0 for tier in accelerator.tiers}
+        self.access_energy_j = 0.0
+        self.prefix_tokens_shared = 0
+        self.kv_losses = 0
+        self.kv_recoveries = 0
+        self.kv_recompute_tokens = 0
+        self.requests_cancelled = 0
+        self.wasted_tokens = 0
+        self.engine_crashes = 0
+        self.engine_restarts = 0
         o = self.obs
         engine = self.name
         self._obs_tokens = o.counter("engine.tokens_generated_total", engine=engine)
@@ -216,7 +248,7 @@ class InferenceEngine:
         #: requests dropped after exhausting their recovery budget (or
         #: any KV loss when recovery is disabled).
         self.failed: List[RunningContext] = []
-        self._kv_recoveries: Dict[int, int] = {}
+        self._recoveries_used: Dict[int, int] = {}
         self._wakeup = sim.event(name=f"{self.name}-wakeup")
         self._process = sim.spawn(self._serve_loop(), name=self.name)
         self._busy_time = 0.0
@@ -278,36 +310,44 @@ class InferenceEngine:
             return "no-target"
         context_id = victims[int(magnitude * len(victims))]
         context = self.scheduler.running[context_id]
-        # Tear down: pages are untrustworthy, the context cannot decode.
+        if not self._lose_kv(context):
+            return "failed"
+        self.scheduler.enqueue(context.request)
+        self._wake()
+        return "recovered"
+
+    def _lose_kv(self, context: RunningContext) -> bool:
+        """Tear down a running context whose KV pages are gone.
+
+        Returns True when the request has recovery budget left: it is
+        then owed a recompute from its prefix (prompt prefill plus every
+        generated token is redone), which the caller arranges.
+        Otherwise the request has failed here.
+        """
+        context_id = context.context_id
+        # Pages are untrustworthy, the context cannot decode.
         self.kv.release(context_id)
         self.scheduler.finish(context_id)
-        self.metrics.counter("kv_losses").add(1)
+        self.kv_losses += 1
         self._obs_kv_losses.add()
-        used = self._kv_recoveries.get(context_id, 0)
+        used = self._recoveries_used.get(context_id, 0)
         cfg = self.kv_recovery
         if cfg.enabled and used < cfg.max_recoveries_per_request:
-            self._kv_recoveries[context_id] = used + 1
-            # Recompute from prefix: everything computed so far for this
-            # request (prompt prefill + generated tokens) is redone.
-            self.metrics.counter("kv_recoveries").add(1)
-            self.metrics.counter("kv_recompute_tokens").add(
-                context.context_tokens
-            )
+            self._recoveries_used[context_id] = used + 1
+            self.kv_recoveries += 1
+            self.kv_recompute_tokens += context.context_tokens
             self._obs_kv_recoveries.add()
             self._obs_recompute.add(context.context_tokens)
-            self.scheduler.enqueue(context.request)
-            self._wake()
-            return "recovered"
+            return True
         self._fail(context)
-        return "failed"
+        return False
 
     def _fail(self, context: RunningContext) -> None:
         """Terminal failure: account it and tell the dispatcher."""
         context.finished_at = self.sim.now
         self.failed.append(context)
-        self.metrics.counter("requests_failed").add(1)
         # Tokens already decoded for a failed request were wasted work.
-        self.metrics.counter("wasted_tokens").add(context.generated)
+        self.wasted_tokens += context.generated
         self._obs_failed.add()
         listener = self.request_listener
         if listener is not None:
@@ -334,28 +374,13 @@ class InferenceEngine:
             return [], []
         self.up = False
         self.down_until = self.sim.now + restart_delay_s
-        self.metrics.counter("engine_crashes").add(1)
+        self.engine_crashes += 1
         self._obs_crashes.add()
         displaced: List[InferenceRequest] = []
-        cfg = self.kv_recovery
         for context_id in sorted(self.scheduler.running):
             context = self.scheduler.running[context_id]
-            self.kv.release(context_id)
-            self.scheduler.finish(context_id)
-            self.metrics.counter("kv_losses").add(1)
-            self._obs_kv_losses.add()
-            used = self._kv_recoveries.get(context_id, 0)
-            if cfg.enabled and used < cfg.max_recoveries_per_request:
-                self._kv_recoveries[context_id] = used + 1
-                self.metrics.counter("kv_recoveries").add(1)
-                self.metrics.counter("kv_recompute_tokens").add(
-                    context.context_tokens
-                )
-                self._obs_kv_recoveries.add()
-                self._obs_recompute.add(context.context_tokens)
+            if self._lose_kv(context):
                 displaced.append(context.request)
-            else:
-                self._fail(context)
         dropped_pending = self.scheduler.pop_pending()
         if self._process.alive:
             self._process.interrupt(EngineCrashed(restart_delay_s))
@@ -373,7 +398,7 @@ class InferenceEngine:
     def _restart(self) -> None:
         self.up = True
         self._wakeup = self.sim.event(name=f"{self.name}-wakeup")
-        self.metrics.counter("engine_restarts").add(1)
+        self.engine_restarts += 1
 
     def cancel(self, request_id: int) -> bool:
         """Withdraw a request: neither completed nor failed.
@@ -385,15 +410,15 @@ class InferenceEngine:
         resident here (already finished, or never dispatched here).
         """
         if self.scheduler.remove_pending(request_id):
-            self.metrics.counter("requests_cancelled").add(1)
+            self.requests_cancelled += 1
             return True
         context = self.scheduler.running.get(request_id)
         if context is None:
             return False
         self.kv.release(request_id)
         self.scheduler.finish(request_id)
-        self.metrics.counter("requests_cancelled").add(1)
-        self.metrics.counter("wasted_tokens").add(context.generated)
+        self.requests_cancelled += 1
+        self.wasted_tokens += context.generated
         return True
 
     # ------------------------------------------------------------------
@@ -459,14 +484,11 @@ class InferenceEngine:
             prefix_key=request.prefix_key,
         )
         if shared_tokens:
-            self.metrics.counter("prefix_tokens_shared").add(shared_tokens)
+            self.prefix_tokens_shared += shared_tokens
             self._obs_prefix_shared.add(shared_tokens)
         # Multi-turn follow-up: history KV already resident, prefill only
         # the new turn's tokens.
         new_tokens = request.prompt_tokens - request.cached_prompt_tokens
-        self.metrics.counter("cached_prompt_tokens").add(
-            request.cached_prompt_tokens
-        )
         traffic = prefill_traffic(self.model, new_tokens)
         timing = self.roofline.time_step(
             traffic.flops,
@@ -475,11 +497,7 @@ class InferenceEngine:
         )
         self._account_step(traffic, timing)
         yield Timeout(timing.duration_s)
-        now = self.sim.now
-        context.prefill_done_at = now
-        self.metrics.histogram("queue_delay_s").observe(
-            now - timing.duration_s - request.arrival_time
-        )
+        context.prefill_done_at = self.sim.now
 
     def _run_decode_iteration(self, batch: List[RunningContext]) -> Generator:
         lengths = [c.context_tokens for c in batch]
@@ -503,39 +521,34 @@ class InferenceEngine:
             c for c in batch if c.context_id in self.scheduler.running
         ]
         self.kv.append_batch([c.context_id for c in batch])
-        # Batched bookkeeping: counters accumulate whole-batch integer
-        # deltas (exact in float64, bit-identical to per-context add(1)
-        # loops); histograms keep scalar observes in batch order so the
-        # running sums round exactly as the per-context path did.
+        # Batched bookkeeping: counters take whole-batch integer deltas;
+        # histograms keep scalar observes in batch order so the running
+        # sums round exactly as the per-context path did.
         duration = timing.duration_s
-        hist_ttft = self.metrics.histogram("ttft_s")
-        hist_tbt = self.metrics.histogram("tbt_s")
+        ttft = self.ttft
+        tbt = self.tbt
         finished: List[RunningContext] = []
         for context in batch:
             context.generated += 1
             if context.first_token_at is None:
                 context.first_token_at = now
                 wait = now - context.request.arrival_time
-                hist_ttft.observe(wait)
+                ttft.observe(wait)
                 self._obs_ttft.observe(wait)
-            hist_tbt.observe(duration)
+            tbt.observe(duration)
             self._obs_tbt.observe(duration)
             if context.done:
                 context.finished_at = now
                 finished.append(context)
         if batch:
-            self.metrics.counter("tokens_generated").add(len(batch))
+            self.tokens_generated += len(batch)
             self._obs_tokens.add(len(batch))
         if finished:
             self.kv.release_batch([c.context_id for c in finished])
-            completed_counter = self.metrics.counter("requests_completed")
-            hist_latency = self.metrics.histogram("request_latency_s")
             listener = self.request_listener
             for context in finished:
                 self.scheduler.finish(context.context_id)
-                self.completed.append(context)
-                hist_latency.observe(now - context.request.arrival_time)
-            completed_counter.add(len(finished))
+            self.completed.extend(finished)
             self._obs_completed.add(len(finished))
             if listener is not None:
                 # After the batch bookkeeping: a listener reaction (e.g.
@@ -548,58 +561,48 @@ class InferenceEngine:
     # Accounting
     # ------------------------------------------------------------------
     def _account_step(self, traffic, timing) -> None:
-        m = self.metrics
         self._busy_time += timing.duration_s
         if timing.boundedness is Boundedness.MEMORY:
-            m.counter("memory_bound_steps").add(1)
+            self.memory_bound_steps += 1
             self._obs_mem_steps.add()
         else:
-            m.counter("compute_bound_steps").add(1)
+            self.compute_bound_steps += 1
             self._obs_compute_steps.add()
-        routes = [
-            ("weights", traffic.bytes_read_weights, 0.0),
-            ("kv", traffic.bytes_read_kv, traffic.bytes_written_kv),
-        ]
-        for structure, read, written in routes:
-            tier_name = self.placement[structure]
-            tier = self.accelerator.tier(tier_name)
-            m.counter(f"bytes_read:{tier_name}").add(read)
-            m.counter(f"bytes_written:{tier_name}").add(written)
-            m.counter(f"bytes_read:{structure}").add(read)
-            m.counter(f"bytes_written:{structure}").add(written)
-            m.counter("access_energy_j").add(
-                tier.read_energy_j(read) + tier.write_energy_j(written)
-            )
+        # Weights route first, then KV: when both share a tier, the sums
+        # and the energy total round in this order.
+        weights, kv = self._weights_tier, self._kv_tier
+        weights_read = traffic.bytes_read_weights
+        kv_read = traffic.bytes_read_kv
+        kv_written = traffic.bytes_written_kv
+        self.tier_bytes_read[weights.name] += weights_read
+        self.access_energy_j += weights.read_energy_j(weights_read)
+        self.tier_bytes_read[kv.name] += kv_read
+        self.tier_bytes_written[kv.name] += kv_written
+        self.access_energy_j += (
+            kv.read_energy_j(kv_read) + kv.write_energy_j(kv_written)
+        )
 
     def summarize(self) -> EngineMetrics:
         """Snapshot the run into an :class:`EngineMetrics`."""
-        m = self.metrics
-        ttft = m.histogram("ttft_s")
-        tbt = m.histogram("tbt_s")
-        tier_reads: Dict[str, float] = {}
-        tier_writes: Dict[str, float] = {}
-        for tier in self.accelerator.tiers:
-            tier_reads[tier.name] = m.counter(f"bytes_read:{tier.name}").value
-            tier_writes[tier.name] = m.counter(f"bytes_written:{tier.name}").value
         return EngineMetrics(
-            requests_completed=int(m.counter("requests_completed").value),
-            tokens_generated=int(m.counter("tokens_generated").value),
-            ttft_p50_s=_quantile_or_nan(ttft, 0.5),
-            ttft_p99_s=_quantile_or_nan(ttft, 0.99),
-            tbt_p50_s=_quantile_or_nan(tbt, 0.5),
-            tbt_p99_s=_quantile_or_nan(tbt, 0.99),
-            memory_bound_steps=int(m.counter("memory_bound_steps").value),
-            compute_bound_steps=int(m.counter("compute_bound_steps").value),
-            tier_bytes_read=tier_reads,
-            tier_bytes_written=tier_writes,
-            access_energy_j=m.counter("access_energy_j").value,
+            requests_completed=len(self.completed),
+            tokens_generated=self.tokens_generated,
+            ttft_p50_s=_quantile_or_nan(self.ttft, 0.5),
+            ttft_p99_s=_quantile_or_nan(self.ttft, 0.99),
+            tbt_p50_s=_quantile_or_nan(self.tbt, 0.5),
+            tbt_p99_s=_quantile_or_nan(self.tbt, 0.99),
+            memory_bound_steps=self.memory_bound_steps,
+            compute_bound_steps=self.compute_bound_steps,
+            tier_bytes_read=dict(self.tier_bytes_read),
+            tier_bytes_written=dict(self.tier_bytes_written),
+            access_energy_j=self.access_energy_j,
             busy_time_s=self._busy_time,
-            requests_failed=int(m.counter("requests_failed").value),
-            kv_losses=int(m.counter("kv_losses").value),
-            kv_recoveries=int(m.counter("kv_recoveries").value),
-            kv_recompute_tokens=int(m.counter("kv_recompute_tokens").value),
-            requests_cancelled=int(m.counter("requests_cancelled").value),
-            wasted_tokens=int(m.counter("wasted_tokens").value),
-            engine_crashes=int(m.counter("engine_crashes").value),
-            engine_restarts=int(m.counter("engine_restarts").value),
+            requests_failed=len(self.failed),
+            kv_losses=self.kv_losses,
+            kv_recoveries=self.kv_recoveries,
+            kv_recompute_tokens=self.kv_recompute_tokens,
+            requests_cancelled=self.requests_cancelled,
+            wasted_tokens=self.wasted_tokens,
+            engine_crashes=self.engine_crashes,
+            engine_restarts=self.engine_restarts,
         )

@@ -27,9 +27,10 @@ from dataclasses import dataclass
 from typing import Generator, Iterable, List, Optional
 
 from repro.inference.accelerator import AcceleratorConfig
+from repro.inference.engine import _quantile_or_nan
 from repro.inference.kvcache import KVCacheManager
 from repro.inference.roofline import RooflineModel
-from repro.sim import MetricRegistry, Simulator, Timeout
+from repro.sim import Histogram, Simulator, Timeout
 from repro.workload.model import ModelConfig
 from repro.workload.phases import decode_step_traffic_batch, prefill_traffic
 from repro.workload.requests import InferenceRequest
@@ -112,7 +113,7 @@ class PrefillMachine:
             # Ship the KV cache to the least-loaded decode machine.
             kv_bytes = self.model.kv_cache_bytes(request.prompt_tokens)
             transfer_s = kv_bytes / self.cluster.interconnect_bandwidth
-            self.cluster.metrics.counter("kv_transfer_bytes").add(kv_bytes)
+            self.cluster.kv_transfer_bytes += kv_bytes
             yield Timeout(transfer_s)
             self.cluster.deliver_to_decode(request, self.sim.now)
 
@@ -176,7 +177,7 @@ class DecodeMachine:
             self.running.append(context)
 
     def _loop(self) -> Generator:
-        metrics = self.cluster.metrics
+        cluster = self.cluster
         while True:
             self._admit()
             if not self.running:
@@ -204,22 +205,17 @@ class DecodeMachine:
             self.kv.append_batch([c.request.request_id for c in self.running])
             for context in self.running:
                 context.generated += 1
-                metrics.counter("tokens_generated").add(1)
-                metrics.histogram("tbt_s").observe(timing.duration_s)
+                cluster.tokens_generated += 1
+                cluster.tbt.observe(timing.duration_s)
                 if context.first_token_at is None:
                     context.first_token_at = now
-                    metrics.histogram("ttft_s").observe(
-                        now - context.request.arrival_time
-                    )
+                    cluster.ttft.observe(now - context.request.arrival_time)
                 if context.done:
                     finished.append(context)
             for context in finished:
                 self.running.remove(context)
                 self.kv.release(context.request.request_id)
-                metrics.counter("requests_completed").add(1)
-                metrics.histogram("request_latency_s").observe(
-                    now - context.request.arrival_time
-                )
+                cluster.requests_completed += 1
 
 
 @dataclass
@@ -263,7 +259,11 @@ class SplitwiseCluster:
         self.sim = sim
         self.model = model
         self.interconnect_bandwidth = interconnect_bandwidth
-        self.metrics = MetricRegistry()
+        self.requests_completed = 0
+        self.tokens_generated = 0
+        self.kv_transfer_bytes = 0.0
+        self.ttft = Histogram("ttft_s")
+        self.tbt = Histogram("tbt_s")
         self.prefill_pool = [
             PrefillMachine(sim, accelerator, model, self, f"prefill-{i}")
             for i in range(num_prefill)
@@ -307,33 +307,23 @@ class SplitwiseCluster:
         for machine in self.decode_pool:
             machine.drain()
         self.sim.run()
-        completed = int(self.metrics.counter("requests_completed").value)
-        if completed != submitted:
-            raise RuntimeError(
-                f"{submitted - completed} requests never completed"
-            )
+        missing = submitted - self.requests_completed
+        if missing:
+            raise RuntimeError(f"{missing} requests never completed")
         return self.report()
 
     def report(self) -> SplitReport:
-        metrics = self.metrics
         duration = self.sim.now
-
-        def q(name: str, quantile: float) -> float:
-            value = metrics.histogram(name).quantile(quantile)
-            return float("nan") if value is None else value
-
         prefill_busy = sum(m.busy_time for m in self.prefill_pool)
         decode_busy = sum(m.busy_time for m in self.decode_pool)
         return SplitReport(
-            requests_completed=int(
-                metrics.counter("requests_completed").value
-            ),
-            tokens_generated=int(metrics.counter("tokens_generated").value),
+            requests_completed=self.requests_completed,
+            tokens_generated=self.tokens_generated,
             duration_s=duration,
-            ttft_p50_s=q("ttft_s", 0.5),
-            ttft_p99_s=q("ttft_s", 0.99),
-            tbt_p50_s=q("tbt_s", 0.5),
-            kv_transfer_bytes=metrics.counter("kv_transfer_bytes").value,
+            ttft_p50_s=_quantile_or_nan(self.ttft, 0.5),
+            ttft_p99_s=_quantile_or_nan(self.ttft, 0.99),
+            tbt_p50_s=_quantile_or_nan(self.tbt, 0.5),
+            kv_transfer_bytes=self.kv_transfer_bytes,
             prefill_utilization=(
                 prefill_busy / (duration * len(self.prefill_pool))
                 if duration

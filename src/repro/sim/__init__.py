@@ -18,8 +18,8 @@ dependency:
   or :class:`~repro.sim.process.Acquire` commands.
 - :class:`~repro.sim.resources.Resource` — a counted resource with a FIFO
   wait queue.
-- :mod:`repro.sim.stats` — metric recorders (counters, time-weighted
-  values, histograms, rate meters).
+- :class:`~repro.sim.stats.Histogram` — an exact-quantile sample
+  histogram (TTFT, time between tokens).
 
 Example
 -------
@@ -47,29 +47,19 @@ from repro.sim.process import (
     Wait,
 )
 from repro.sim.resources import Resource
-from repro.sim.stats import (
-    Counter,
-    Histogram,
-    MetricRegistry,
-    RateMeter,
-    TimeWeightedValue,
-)
+from repro.sim.stats import Histogram
 
 __all__ = [
     "Acquire",
-    "Counter",
     "Event",
     "EventQueue",
     "Histogram",
     "Interrupted",
-    "MetricRegistry",
     "Process",
-    "RateMeter",
     "Release",
     "Resource",
     "SimProcessError",
     "Simulator",
-    "TimeWeightedValue",
     "Timeout",
     "Wait",
 ]

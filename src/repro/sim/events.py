@@ -29,7 +29,6 @@ OP_STEP = 0  # (OP_STEP, process, generation, value) -> process._step_if
 OP_BOOT = 1  # (OP_BOOT, process)                    -> process._step(None)
 OP_THROW = 2  # (OP_THROW, process, generation, exc) -> process._step_if(throw=exc)
 OP_GRANT = 3  # (OP_GRANT, resource, process, generation) -> resource._grant
-OP_THROW_RAW = 4  # (OP_THROW_RAW, process, exc)     -> process._step(throw=exc)
 
 _INF = float("inf")
 

@@ -21,8 +21,6 @@ from repro.sim.events import (
     OP_BOOT,
     OP_GRANT,
     OP_STEP,
-    OP_THROW,
-    OP_THROW_RAW,
     Event,
     EventQueue,
 )
@@ -160,9 +158,6 @@ class Simulator:
         self._queue.push_wakeup(self._now, (OP_BOOT, process))
         return process
 
-    def _throw_into(self, process: Process, exc: BaseException) -> None:
-        self._queue.push_wakeup(self._now, (OP_THROW_RAW, process, exc))
-
     # ------------------------------------------------------------------
     # The loop
     # ------------------------------------------------------------------
@@ -176,10 +171,8 @@ class Simulator:
                 payload[1]._step(None)
             elif op == OP_GRANT:
                 payload[1]._grant(payload[2], payload[3])
-            elif op == OP_THROW:
+            else:  # OP_THROW
                 payload[1]._step_if(payload[2], throw=payload[3])
-            else:  # OP_THROW_RAW
-                payload[1]._step(throw=payload[2])
         else:
             payload._fire()
 
@@ -247,12 +240,10 @@ class Simulator:
                                 payload[1]._step(None)
                             elif op == OP_GRANT:
                                 payload[1]._grant(payload[2], payload[3])
-                            elif op == OP_THROW:
+                            else:  # OP_THROW
                                 process = payload[1]
                                 if payload[2] == process._wait_generation:
                                     process._step(None, payload[3])
-                            else:  # OP_THROW_RAW
-                                payload[1]._step(throw=payload[2])
                         else:
                             payload._fire()
                 if until is not None and until > self._now:

@@ -1,100 +1,18 @@
-"""Metric recorders for simulations.
+"""Sample recorder for simulations.
 
-These are deliberately simple and allocation-light so simulations can
-record millions of samples:
-
-- :class:`Counter` — monotonically increasing tally (events, bytes).
-- :class:`TimeWeightedValue` — integrates a piecewise-constant signal over
-  simulated time (queue depth, occupancy, power draw) and reports its
-  time-weighted mean.
-- :class:`Histogram` — fixed-bin histogram with exact count/sum and
-  approximate quantiles.
-- :class:`RateMeter` — counts per unit of simulated time.
-- :class:`MetricRegistry` — a named bag of all of the above, with a
-  ``snapshot()`` for report generation.
+:class:`Histogram` keeps every sample of a distribution (TTFT, time
+between tokens) with exact moments and exact, rank-interpolated
+quantiles.  Simulations keep their counters as plain attributes on the
+objects that own them; :mod:`repro.obs` reuses this class as the storage
+of its labelled histograms.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
-
-
-class Counter:
-    """Monotonic event/byte counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.value = 0.0
-
-    def add(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease")
-        self.value += amount
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Counter {self.name}={self.value}>"
-
-
-class TimeWeightedValue:
-    """Time-weighted integral of a piecewise-constant signal.
-
-    Call :meth:`set` whenever the signal changes; the recorder integrates
-    the previous level over the elapsed simulated time.
-    """
-
-    __slots__ = ("name", "_level", "_last_time", "_area", "_max", "_min", "_started")
-
-    def __init__(self, name: str = "", initial: float = 0.0, start_time: float = 0.0) -> None:
-        self.name = name
-        self._level = initial
-        self._last_time = start_time
-        self._area = 0.0
-        self._max = initial
-        self._min = initial
-        self._started = start_time
-
-    @property
-    def level(self) -> float:
-        """Current signal level."""
-        return self._level
-
-    @property
-    def peak(self) -> float:
-        return self._max
-
-    @property
-    def trough(self) -> float:
-        return self._min
-
-    def set(self, now: float, level: float) -> None:
-        """Record that the signal becomes ``level`` at time ``now``."""
-        if now < self._last_time:
-            raise ValueError(
-                f"time went backwards in {self.name!r}: {now} < {self._last_time}"
-            )
-        self._area += self._level * (now - self._last_time)
-        self._last_time = now
-        self._level = level
-        self._max = max(self._max, level)
-        self._min = min(self._min, level)
-
-    def adjust(self, now: float, delta: float) -> None:
-        """Add ``delta`` to the current level at time ``now``."""
-        self.set(now, self._level + delta)
-
-    def mean(self, now: Optional[float] = None) -> float:
-        """Time-weighted mean from creation until ``now`` (default: last update)."""
-        end = self._last_time if now is None else now
-        span = end - self._started
-        if span <= 0:
-            return self._level
-        area = self._area + self._level * (end - self._last_time)
-        return area / span
 
 
 class Histogram:
@@ -239,97 +157,3 @@ class Histogram:
             return float("nan")
         rank = int(np.searchsorted(samples, value, side="right"))
         return rank / samples.size
-
-
-class RateMeter:
-    """Counts per unit of simulated time over an observation window."""
-
-    __slots__ = ("name", "_count", "_start")
-
-    def __init__(self, name: str = "", start_time: float = 0.0) -> None:
-        self.name = name
-        self._count = 0.0
-        self._start = start_time
-
-    def tick(self, amount: float = 1.0) -> None:
-        self._count += amount
-
-    def rate(self, now: float) -> float:
-        span = now - self._start
-        if span <= 0:
-            return 0.0
-        return self._count / span
-
-    @property
-    def count(self) -> float:
-        return self._count
-
-
-MetricLike = Union[Counter, TimeWeightedValue, Histogram, RateMeter]
-
-
-class MetricRegistry:
-    """A named collection of metrics with lazy creation.
-
-    >>> reg = MetricRegistry()
-    >>> reg.counter("reads").add(3)
-    >>> reg.snapshot()["reads"]
-    3.0
-    """
-
-    def __init__(self) -> None:
-        self._metrics: Dict[str, MetricLike] = {}
-
-    def counter(self, name: str) -> Counter:
-        return self._get(name, Counter)
-
-    def time_weighted(self, name: str, start_time: float = 0.0) -> TimeWeightedValue:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = TimeWeightedValue(name, start_time=start_time)
-            self._metrics[name] = metric
-        elif not isinstance(metric, TimeWeightedValue):
-            raise TypeError(f"metric {name!r} is {type(metric).__name__}")
-        return metric
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get(name, Histogram)
-
-    def rate(self, name: str, start_time: float = 0.0) -> RateMeter:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = RateMeter(name, start_time=start_time)
-            self._metrics[name] = metric
-        elif not isinstance(metric, RateMeter):
-            raise TypeError(f"metric {name!r} is {type(metric).__name__}")
-        return metric
-
-    def _get(self, name: str, cls: type) -> MetricLike:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = cls(name)
-            self._metrics[name] = metric
-        elif not isinstance(metric, cls):
-            raise TypeError(f"metric {name!r} is {type(metric).__name__}, not {cls.__name__}")
-        return metric
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def names(self) -> Sequence[str]:
-        return sorted(self._metrics)
-
-    def snapshot(self, now: Optional[float] = None) -> Dict[str, float]:
-        """One representative scalar per metric (counter value, TW mean,
-        histogram mean, rate count)."""
-        out: Dict[str, float] = {}
-        for name, metric in self._metrics.items():
-            if isinstance(metric, Counter):
-                out[name] = metric.value
-            elif isinstance(metric, TimeWeightedValue):
-                out[name] = metric.mean(now)
-            elif isinstance(metric, Histogram):
-                out[name] = metric.mean()
-            elif isinstance(metric, RateMeter):
-                out[name] = metric.count
-        return out

@@ -19,6 +19,7 @@ replaced, which stays here as the reference.
 import numpy as np
 import pytest
 
+from repro.fleet.autoscaler import apply_memory_config
 from repro.inference import (
     CROSS_VAL_METRICS,
     CROSS_VAL_TOLERANCE,
@@ -82,6 +83,18 @@ class TestGuards:
         with pytest.raises(UnsupportedScenario):
             analytic_cluster_report(
                 tensor_parallel_group(H100_80G, 4), LLAMA2_70B, huge
+            )
+
+    def test_misspelt_placement_structure_rejected(self):
+        # The accelerator has an "mrm" tier, so only the structure name
+        # is wrong; it must not be kept and silently ignored.
+        acc, _placement = apply_memory_config(
+            tensor_parallel_group(H100_80G, 4), "mrm"
+        )
+        with pytest.raises(ValueError, match="weights, kv, activations"):
+            analytic_cluster_report(
+                acc, LLAMA2_70B, _tiny_requests(),
+                placement={"weigths": "mrm"},
             )
 
     def test_unsupported_is_a_value_error(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.fleet.autoscaler import apply_memory_config
 from repro.inference.accelerator import H100_80G
 from repro.inference.batching import BatchScheduler
 from repro.inference.cluster import Cluster, tensor_parallel_group
@@ -133,6 +134,17 @@ class TestEngine:
                 sim, H100_80G, LLAMA2_13B, placement={"weights": "mrm"}
             )
 
+    def test_misspelt_placement_structure_rejected(self):
+        # The accelerator has an "mrm" tier, so only the structure name
+        # is wrong; it must not be kept and silently ignored.
+        acc, _placement = apply_memory_config(
+            tensor_parallel_group(H100_80G, 2), "mrm"
+        )
+        with pytest.raises(ValueError, match="weights, kv, activations"):
+            InferenceEngine(
+                Simulator(), acc, LLAMA2_13B, placement={"weigths": "mrm"}
+            )
+
     def test_no_kv_room_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError, match="no KV capacity"):
@@ -160,10 +172,7 @@ class TestCluster:
         cluster = Cluster(sim, acc, LLAMA2_70B, num_engines=2, max_batch_size=4)
         trace = generate_trace(LLAMA2_70B, duration_s=20.0, seed=3)
         cluster.run(replay_trace(trace))
-        per_engine = [
-            int(e.metrics.counter("requests_completed").value)
-            for e in cluster.engines
-        ]
+        per_engine = [len(e.completed) for e in cluster.engines]
         assert all(count > 0 for count in per_engine)
 
     def test_tensor_parallel_group_scales(self):
@@ -183,3 +192,43 @@ class TestCluster:
             return (report.tokens_generated, report.ttft_p50_s, report.duration_s)
 
         assert run() == run()
+
+
+class TestSplitPlacementAccounting:
+    """Weights on an MRM tier, KV on HBM: every step's bytes land on
+    their structure's tier, exactly."""
+
+    def test_tier_bytes_and_energy_follow_placement(self):
+        acc, placement = apply_memory_config(
+            tensor_parallel_group(H100_80G, 2), "mrm"
+        )
+        cluster = Cluster(
+            Simulator(), acc, LLAMA2_13B, num_engines=2,
+            placement=placement, max_batch_size=4,
+        )
+        requests = [
+            InferenceRequest(0.2 * (i // 2), 96 + 40 * i, 8 + 3 * i)
+            for i in range(10)
+        ]
+        cluster.run(requests)
+        for engine in cluster.engines:
+            summary = engine.summarize()
+            assert summary.requests_completed == len(engine.completed) > 0
+            steps = summary.memory_bound_steps + summary.compute_bound_steps
+            assert summary.tier_bytes_read["mrm"] == (
+                LLAMA2_13B.weights_bytes * steps
+            )
+            assert summary.tier_bytes_written["mrm"] == 0.0
+            tokens = sum(
+                c.request.prompt_tokens + c.request.output_tokens
+                for c in engine.completed
+            )
+            assert summary.tier_bytes_written["hbm"] == (
+                LLAMA2_13B.kv_bytes_per_token * tokens
+            )
+            energy = sum(
+                tier.read_energy_j(summary.tier_bytes_read[tier.name])
+                + tier.write_energy_j(summary.tier_bytes_written[tier.name])
+                for tier in acc.tiers
+            )
+            assert summary.access_energy_j == pytest.approx(energy, rel=1e-12)

@@ -83,12 +83,12 @@ class TestEnginePrefixSharing:
 
     def test_sharing_records_shared_tokens(self):
         _report, engine = self.run_cluster(sharing=True)
-        assert engine.metrics.counter("prefix_tokens_shared").value > 0
+        assert engine.prefix_tokens_shared > 0
         assert engine.kv.prefix_hits > 0
 
     def test_no_sharing_no_shared_tokens(self):
         _report, engine = self.run_cluster(sharing=False)
-        assert engine.metrics.counter("prefix_tokens_shared").value == 0
+        assert engine.prefix_tokens_shared == 0
 
     def test_sharing_preserves_results(self):
         with_sharing, _e1 = self.run_cluster(sharing=True)

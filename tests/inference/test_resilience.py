@@ -193,10 +193,7 @@ class TestHedging:
         assert report.requests_completed == 1
         assert report.requests_failed == 0
         # One arm completed, the sibling was withdrawn (not failed).
-        cancelled = sum(
-            int(e.metrics.counter("requests_cancelled").value)
-            for e in cluster.engines
-        )
+        cancelled = sum(e.requests_cancelled for e in cluster.engines)
         assert cancelled == 1
 
     def test_hedge_lands_on_other_engine(self):

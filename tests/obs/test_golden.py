@@ -14,9 +14,10 @@ Two snapshot sources are covered:
   (Figure 1 endurance) write their numeric outputs into a registry as
   gauges, so any drift in the headline tables shows up as a snapshot
   diff;
-- *live instrumentation* — the faults paired-arm run snapshots the
-  registries the controller/injector actually incremented during the
-  run, arms labeled and merged.
+- *live instrumentation* — the faults paired-arm runs (R1 controller,
+  R2 chaos) snapshot the registries the controller, injector and
+  serving engines actually incremented during the run, arms labeled
+  and merged.
 """
 
 import os
@@ -124,6 +125,33 @@ def _faults_snapshot():
     )
 
 
+#: Struck chaos point: the mitigated arm crashes engines and recomputes
+#: displaced KV, the baseline arm fails residents — together they pin
+#: the crash teardown end to end.
+CHAOS_POINT = {
+    "strike_rate_per_hour": 720.0,
+    "num_requests": 40,
+    "horizon_s": 20.0,
+    "observe": True,
+}
+
+
+def _chaos_snapshot():
+    from repro.faults.experiment import chaos_point
+
+    row = chaos_point(CHAOS_POINT, seed=1)
+    snapshots = []
+    for arm in ("baseline", "mitigated"):
+        result = row[arm]
+        snapshots.append(relabel_snapshot(result["obs"], arm=arm))
+        fields = MetricsRegistry()
+        for name, value in result.items():
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                fields.gauge(f"chaos.{name}", arm=arm).set(value)
+        snapshots.append(fields.snapshot())
+    return merge_snapshots(snapshots)
+
+
 def _e13_snapshot():
     from repro.fleet.experiment import run_e13
 
@@ -150,6 +178,11 @@ class TestGoldenSnapshots:
     def test_faults_controller_paired_arms(self, update_golden):
         _assert_matches_golden(
             "faults_controller_arms.json", _faults_snapshot(), update_golden
+        )
+
+    def test_faults_chaos_paired_arms(self, update_golden):
+        _assert_matches_golden(
+            "faults_chaos_arms.json", _chaos_snapshot(), update_golden
         )
 
     def test_e13_fleet_routing_arms(self, update_golden):

@@ -1,59 +1,10 @@
-"""Tests for metric recorders."""
+"""Tests for the sample histogram."""
 
 import math
 
 import pytest
 
-from repro.sim.stats import (
-    Counter,
-    Histogram,
-    MetricRegistry,
-    RateMeter,
-    TimeWeightedValue,
-)
-
-
-class TestCounter:
-    def test_add(self):
-        c = Counter("x")
-        c.add()
-        c.add(2.5)
-        assert c.value == 3.5
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Counter().add(-1)
-
-
-class TestTimeWeightedValue:
-    def test_constant_signal_mean(self):
-        tw = TimeWeightedValue(initial=5.0)
-        assert tw.mean(now=10.0) == 5.0
-
-    def test_step_signal_mean(self):
-        tw = TimeWeightedValue()
-        tw.set(0.0, 0.0)
-        tw.set(5.0, 10.0)  # 0 for 5s, then 10
-        assert tw.mean(now=10.0) == pytest.approx(5.0)
-
-    def test_adjust(self):
-        tw = TimeWeightedValue()
-        tw.adjust(1.0, +3)
-        tw.adjust(2.0, -1)
-        assert tw.level == 2
-
-    def test_peak_and_trough(self):
-        tw = TimeWeightedValue()
-        tw.set(1.0, 7.0)
-        tw.set(2.0, -2.0)
-        assert tw.peak == 7.0
-        assert tw.trough == -2.0
-
-    def test_time_backwards_rejected(self):
-        tw = TimeWeightedValue()
-        tw.set(5.0, 1.0)
-        with pytest.raises(ValueError, match="backwards"):
-            tw.set(4.0, 2.0)
+from repro.sim.stats import Histogram
 
 
 class TestHistogram:
@@ -170,43 +121,3 @@ class TestHistogramGrowth:
         assert h.min() == -5.0
         assert h.max() == 1000.0
         assert h.median() == pytest.approx(31.5)
-
-
-class TestRateMeter:
-    def test_rate(self):
-        r = RateMeter()
-        r.tick(10)
-        assert r.rate(now=5.0) == 2.0
-
-    def test_zero_span(self):
-        r = RateMeter()
-        r.tick()
-        assert r.rate(now=0.0) == 0.0
-
-
-class TestMetricRegistry:
-    def test_lazy_creation_and_reuse(self):
-        reg = MetricRegistry()
-        reg.counter("a").add(1)
-        reg.counter("a").add(1)
-        assert reg.counter("a").value == 2
-
-    def test_type_conflict_rejected(self):
-        reg = MetricRegistry()
-        reg.counter("a")
-        with pytest.raises(TypeError):
-            reg.histogram("a")
-
-    def test_snapshot(self):
-        reg = MetricRegistry()
-        reg.counter("c").add(3)
-        reg.histogram("h").observe(10)
-        snap = reg.snapshot()
-        assert snap == {"c": 3.0, "h": 10.0}
-
-    def test_contains_and_names(self):
-        reg = MetricRegistry()
-        reg.counter("z")
-        reg.counter("a")
-        assert "z" in reg
-        assert list(reg.names()) == ["a", "z"]
