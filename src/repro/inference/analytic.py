@@ -1,12 +1,12 @@
 """Closed-form (fluid-replay) approximation of the serving cluster.
 
-The DES in :mod:`repro.inference.engine` is exact but pays one event per
-decode iteration; sweeps over large grids are bounded by its event rate.
-This module evaluates the *same* workload — a concrete request list, the
-same roofline arithmetic, the same placement map — in a handful of
-vectorized NumPy passes, reproducing the
-:class:`~repro.inference.cluster.ClusterReport` aggregates at a few
-hundred times the speed.
+The DES in :mod:`repro.inference.engine` is exact but pays kernel
+events for every arrival, prefill and batch change (one per run of
+decode iterations of an unchanged batch).  This module evaluates the
+*same* workload — a concrete request list, the same roofline arithmetic,
+the same placement map — in a handful of vectorized NumPy passes,
+reproducing the :class:`~repro.inference.cluster.ClusterReport`
+aggregates several times faster (see ``docs/PERFORMANCE.md``).
 
 The model is a **trace-driven fluid replay** rather than a pure
 steady-state queueing formula: it works from the realized arrival times

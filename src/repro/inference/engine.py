@@ -10,6 +10,19 @@ experiments turn:
     placement = {"weights": "hbm", "kv": "hbm", "activations": "hbm"}
     placement = {"weights": "mrm", "kv": "mrm", "activations": "hbm"}
 
+Decode runs in *leaps*: every iteration of an unchanged batch, up to and
+including the first one at which a context finishes, is computed in one
+NumPy pass and costs the kernel one wakeup, at the leap's last step
+boundary.  A call from outside (:meth:`InferenceEngine.submit`,
+``cancel``, ``crash``, ``inject_kv_loss``, ``summarize``) first
+*settles* the leap at the current time: the steps that ended before now
+deliver their tokens, the step in flight is accounted, and the leap is
+cut so the loop's wakeup moves to that step's boundary, where the
+one-event-per-iteration loop would next have admitted or torn down (a
+crash then drops the leap).
+Results equal that loop's bit for bit; ``docs/PERFORMANCE.md`` gives
+the rules.
+
 Recorded per engine, as plain attributes: TTFT and time-between-tokens
 histograms, token throughput, per-tier byte traffic, access energy, and
 the memory-vs-compute-bound step tally (experiment E4's numerator).
@@ -17,20 +30,21 @@ the memory-vs-compute-bound step tally (experiment E4's numerator).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Dict, Generator, List, Mapping, Optional
+
+import numpy as np
 
 from repro.inference.accelerator import AcceleratorConfig
 from repro.inference.batching import BatchScheduler, RunningContext
 from repro.inference.kvcache import KVCacheManager
 from repro.inference.roofline import Boundedness, RooflineModel
 from repro.obs import NULL_REGISTRY
-from repro.sim import Histogram, Interrupted, Simulator, Timeout
+from repro.sim import Histogram, Interrupted, Simulator, Timeout, WakeAt
+from repro.sim.stats import fold_sum
 from repro.workload.model import ModelConfig
-from repro.workload.phases import (
-    decode_step_traffic_batch,
-    prefill_traffic,
-)
+from repro.workload.phases import decode_leap_traffic, prefill_traffic
 from repro.workload.requests import InferenceRequest
 
 DEFAULT_PLACEMENT = {"weights": "hbm", "kv": "hbm", "activations": "hbm"}
@@ -105,11 +119,76 @@ def _quantile_or_nan(histogram: Histogram, quantile: float) -> float:
 
 def _accumulate(*pairs) -> Dict[str, float]:
     """Sum (tier, bytes) pairs into a dict — two structures on the same
-    tier must add their traffic, not overwrite each other."""
+    tier must add their traffic, not overwrite each other.  Values may
+    be per-step arrays."""
     out: Dict[str, float] = {}
     for tier, value in pairs:
         out[tier] = out.get(tier, 0.0) + value
     return out
+
+
+class _DecodeLeap:
+    """The decode iterations of one unchanged batch, computed up front.
+
+    Steps are numbered from 1; ``bounds[s]`` is the time step ``s`` ends
+    (``bounds[0]`` is the leap's start), a running sum in the order the
+    per-step loop's clock advanced.  ``end`` is the last step the leap
+    will run — the first at which a context finishes, or the step in
+    flight when an outside call cut it.  ``delivered`` steps have given
+    their tokens and ``accounted`` steps are in the engine's tallies.
+    """
+
+    __slots__ = (
+        "batch",
+        "bounds",
+        "durations",
+        "memory_bound",
+        "traffic",
+        "end",
+        "delivered",
+        "accounted",
+        "admit_blocked",
+    )
+
+    def __init__(self, engine: "InferenceEngine", batch: List[RunningContext]) -> None:
+        self.batch = batch
+        steps = min(c.request.output_tokens - c.generated for c in batch)
+        traffic = decode_leap_traffic(
+            engine.model, [c.context_tokens for c in batch], steps
+        )
+        placement = engine.placement
+        durations, memory_bound = engine.roofline.time_steps(
+            traffic.flops,
+            _accumulate(
+                (placement["weights"], traffic.bytes_read_weights),
+                (placement["kv"], traffic.bytes_read_kv),
+            ),
+            {placement["kv"]: traffic.bytes_written_kv},
+        )
+        self.durations = durations
+        self.memory_bound = memory_bound
+        self.bounds = np.add.accumulate(
+            np.concatenate(([engine.sim.now], durations))
+        ).tolist()
+        self.traffic = traffic
+        self.end = steps
+        self.delivered = 0
+        self.accounted = 0
+        # The per-step loop asks the scheduler to admit before every
+        # step; this pass asked once.  Nothing it could admit appears
+        # mid-leap, but a blocked attempt bumps ``rejected_for_memory``
+        # each time, which the accounting replays.
+        scheduler = engine.scheduler
+        self.admit_blocked = int(
+            scheduler.pending_count > 0
+            and scheduler.batch_size < scheduler.max_batch_size
+        )
+
+    def in_flight(self, now: float) -> int:
+        """The step running at ``now``: the first whose boundary is not
+        before it (a call at exactly a boundary precedes that step's
+        own wakeup, so the step is still in flight)."""
+        return bisect_left(self.bounds, now, 1, self.end + 1)
 
 
 @dataclass
@@ -249,6 +328,7 @@ class InferenceEngine:
         #: any KV loss when recovery is disabled).
         self.failed: List[RunningContext] = []
         self._recoveries_used: Dict[int, int] = {}
+        self._leap: Optional[_DecodeLeap] = None
         self._wakeup = sim.event(name=f"{self.name}-wakeup")
         self._process = sim.spawn(self._serve_loop(), name=self.name)
         self._busy_time = 0.0
@@ -270,6 +350,7 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     def submit(self, request: InferenceRequest) -> None:
         """Hand a request to this engine (at the current simulated time)."""
+        self._settle()
         self.scheduler.enqueue(request)
         self._wake()
 
@@ -305,6 +386,7 @@ class InferenceEngine:
         """
         if not 0.0 <= magnitude < 1.0:
             raise ValueError("magnitude must be in [0, 1)")
+        self._settle()
         victims = sorted(self.scheduler.running)
         if not victims:
             return "no-target"
@@ -366,12 +448,18 @@ class InferenceEngine:
 
         The serving loop is interrupted (cancelling whatever iteration
         timer it was sleeping on via the kernel's generation check) and
-        sleeps ``restart_delay_s`` before coming back up.
+        sleeps ``restart_delay_s`` before coming back up; a decode leap
+        in flight is settled, cut and dropped, its current step
+        accounted but never delivered.
         """
         if restart_delay_s <= 0:
             raise ValueError("restart delay must be > 0")
         if not self.up:
             return [], []
+        # Cut, then drop: the interrupt below strands the wakeup at the
+        # boundary of the step in flight, where the per-step loop's was.
+        self._settle()
+        self._leap = None
         self.up = False
         self.down_until = self.sim.now + restart_delay_s
         self.engine_crashes += 1
@@ -409,6 +497,7 @@ class InferenceEngine:
         counted as wasted work.  Returns False when the request is not
         resident here (already finished, or never dispatched here).
         """
+        self._settle()
         if self.scheduler.remove_pending(request_id):
             self.requests_cancelled += 1
             return True
@@ -453,10 +542,10 @@ class InferenceEngine:
             if request is not None:
                 yield from self._run_prefill(request)
                 continue
-            # 2. Decode one iteration for the running batch.
+            # 2. Decode the running batch up to its next change.
             batch = self.scheduler.decode_batch()
             if batch:
-                yield from self._run_decode_iteration(batch)
+                yield from self._run_decode_leap(batch)
                 continue
             # Nothing runnable: pending requests exist but don't fit.
             if self.scheduler.running:
@@ -499,51 +588,19 @@ class InferenceEngine:
         yield Timeout(timing.duration_s)
         context.prefill_done_at = self.sim.now
 
-    def _run_decode_iteration(self, batch: List[RunningContext]) -> Generator:
-        lengths = [c.context_tokens for c in batch]
-        traffic = decode_step_traffic_batch(self.model, lengths)
-        reads = _accumulate(
-            (self.placement["weights"], traffic.bytes_read_weights),
-            (self.placement["kv"], traffic.bytes_read_kv),
-        )
-        timing = self.roofline.time_step(
-            traffic.flops,
-            reads,
-            {self.placement["kv"]: traffic.bytes_written_kv},
-        )
-        self._account_step(traffic, timing)
-        yield Timeout(timing.duration_s)
-        now = self.sim.now
-        # A KV-loss fault may tear a victim out of the batch while the
-        # iteration's time elapses; its share of the step is wasted work
-        # and it gets no token.
-        batch = [
-            c for c in batch if c.context_id in self.scheduler.running
-        ]
-        self.kv.append_batch([c.context_id for c in batch])
-        # Batched bookkeeping: counters take whole-batch integer deltas;
-        # histograms keep scalar observes in batch order so the running
-        # sums round exactly as the per-context path did.
-        duration = timing.duration_s
-        ttft = self.ttft
-        tbt = self.tbt
-        finished: List[RunningContext] = []
-        for context in batch:
-            context.generated += 1
-            if context.first_token_at is None:
-                context.first_token_at = now
-                wait = now - context.request.arrival_time
-                ttft.observe(wait)
-                self._obs_ttft.observe(wait)
-            tbt.observe(duration)
-            self._obs_tbt.observe(duration)
-            if context.done:
-                context.finished_at = now
-                finished.append(context)
-        if batch:
-            self.tokens_generated += len(batch)
-            self._obs_tokens.add(len(batch))
+    def _run_decode_leap(self, batch: List[RunningContext]) -> Generator:
+        leap = self._leap = _DecodeLeap(self, batch)
+        yield WakeAt(leap.bounds[leap.end])
+        # Woken at the boundary of the leap's last step (its first
+        # finishing step, or where an outside call cut it).
+        self._leap = None
+        self._account_through(leap, leap.end)
+        batch = self._deliver_through(leap, leap.end)
+        finished = [c for c in batch if c.done]
         if finished:
+            now = self.sim.now
+            for context in finished:
+                context.finished_at = now
             self.kv.release_batch([c.context_id for c in finished])
             listener = self.request_listener
             for context in finished:
@@ -557,9 +614,105 @@ class InferenceEngine:
                 for context in finished:
                     listener(context, "completed")
 
+    def _settle(self) -> None:
+        """Bring a decode leap up to ``now`` before an outside call.
+
+        Steps that ended strictly before now deliver their tokens and
+        the step in flight is accounted, exactly as the per-step loop
+        would stand at this instant.  The leap is then cut at the step in
+        flight: the loop's wakeup moves to that step's boundary, where it
+        next admits, tears down or re-plans.
+        """
+        leap = self._leap
+        if leap is None:
+            return
+        step = leap.in_flight(self.sim.now)
+        self._deliver_through(leap, step - 1)
+        self._account_through(leap, step)
+        if step < leap.end:
+            leap.end = step
+            self._process.wake_at(leap.bounds[step])
+
+    def _deliver_through(self, leap: _DecodeLeap, step: int) -> List[RunningContext]:
+        """Give the leap's steps up to ``step`` their tokens; returns the
+        batch members still running (a KV loss or cancel may have torn
+        one out while the step in flight ran: it gets no token)."""
+        running = self.scheduler.running
+        batch = [c for c in leap.batch if c.context_id in running]
+        first = leap.delivered
+        steps = step - first
+        if steps <= 0:
+            return batch
+        leap.delivered = step
+        self.kv.append_batch([c.context_id for c in batch], steps)
+        if not batch:
+            return batch
+        if first == 0:
+            first_token_at = leap.bounds[1]
+            for context in batch:
+                if context.first_token_at is None:
+                    context.first_token_at = first_token_at
+                    wait = first_token_at - context.request.arrival_time
+                    self.ttft.observe(wait)
+                    self._obs_ttft.observe(wait)
+        for context in batch:
+            context.generated += steps
+        # One sample per token, in (step, batch position) order.
+        gaps = np.repeat(leap.durations[first:step], len(batch))
+        self.tbt.observe_many(gaps)
+        self._obs_tbt.observe_many(gaps)
+        tokens = steps * len(batch)
+        self.tokens_generated += tokens
+        self._obs_tokens.add(tokens)
+        return batch
+
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
+    def _account_through(self, leap: _DecodeLeap, step: int) -> None:
+        """Add the leap's steps up to ``step`` to the tallies, each step's
+        terms in :meth:`_account_step`'s order, folded left to right."""
+        first = leap.accounted
+        steps = step - first
+        if steps <= 0:
+            return
+        leap.accounted = step
+        durations = leap.durations[first:step]
+        self._busy_time = fold_sum(self._busy_time, durations)
+        memory = int(np.count_nonzero(leap.memory_bound[first:step]))
+        if memory:
+            self.memory_bound_steps += memory
+            self._obs_mem_steps.add(memory)
+        if steps - memory:
+            self.compute_bound_steps += steps - memory
+            self._obs_compute_steps.add(steps - memory)
+        weights, kv = self._weights_tier, self._kv_tier
+        weights_read = leap.traffic.bytes_read_weights
+        kv_read = leap.traffic.bytes_read_kv[first:step]
+        kv_written = leap.traffic.bytes_written_kv
+        reads = self.tier_bytes_read
+        if weights.name == kv.name:
+            interleaved = np.empty(2 * steps)
+            interleaved[0::2] = weights_read
+            interleaved[1::2] = kv_read
+            reads[kv.name] = fold_sum(reads[kv.name], interleaved)
+        else:
+            reads[weights.name] = fold_sum(
+                reads[weights.name], np.full(steps, weights_read)
+            )
+            reads[kv.name] = fold_sum(reads[kv.name], kv_read)
+        self.tier_bytes_written[kv.name] = fold_sum(
+            self.tier_bytes_written[kv.name], np.full(steps, kv_written)
+        )
+        energy = np.empty(2 * steps)
+        energy[0::2] = weights.read_energy_j(weights_read)
+        energy[1::2] = kv.read_energy_j(kv_read) + kv.write_energy_j(kv_written)
+        self.access_energy_j = fold_sum(self.access_energy_j, energy)
+        # Step 1's admission attempt really ran; replay the others.
+        replayed = step - max(first, 1)
+        if replayed > 0:
+            self.scheduler.rejected_for_memory += leap.admit_blocked * replayed
+
     def _account_step(self, traffic, timing) -> None:
         self._busy_time += timing.duration_s
         if timing.boundedness is Boundedness.MEMORY:
@@ -584,6 +737,7 @@ class InferenceEngine:
 
     def summarize(self) -> EngineMetrics:
         """Snapshot the run into an :class:`EngineMetrics`."""
+        self._settle()
         return EngineMetrics(
             requests_completed=len(self.completed),
             tokens_generated=self.tokens_generated,

@@ -173,31 +173,45 @@ class KVCacheManager:
             self._obs_resident.set(self.used_bytes())
         return allocated
 
-    def append_batch(self, context_ids: Iterable[int], tokens: int = 1) -> int:
-        """Record one decode step for a whole batch in a single call.
+    def append_batch(self, context_ids: Iterable[int], steps: int = 1) -> int:
+        """Record ``steps`` decode steps of a whole batch in one call.
 
-        Equivalent to ``append(cid, tokens)`` per context, in order —
-        page allocation order (and thus every downstream result) is
-        identical to the per-context loop.  The batch path exists for
-        the decode hot loop: it skips the per-call table lookup dispatch
-        and takes a no-allocation fast path for the common step where a
-        context's current page still has room.  Returns total pages
+        Equivalent to ``steps`` rounds of ``append(cid, 1)`` over the
+        batch in order: pages are allocated in (step, batch position)
+        order, so every page lands on the same context as in the
+        per-step loop.  A context takes a fresh page at the first step
+        its current pages overflow and every ``tokens_per_page`` steps
+        after; the steps in between only move its token count.  When
+        the pool cannot cover every page the run needs it raises
+        :class:`OutOfPages` before allocating any.  Returns total pages
         newly allocated.
         """
-        if tokens < 0:
-            raise ValueError("token count must be >= 0")
-        tables = self._tables
-        allocated = 0
+        if steps < 0:
+            raise ValueError("step count must be >= 0")
+        tables = []
         for context_id in context_ids:
-            table = tables.get(context_id)
+            table = self._tables.get(context_id)
             if table is None:
                 raise KeyError(f"context {context_id} is not registered")
-            total = table.tokens + tokens
-            if total <= len(table.pages) * table.tokens_per_page:
-                # Fast path: fits in already-allocated pages.
-                table.tokens = total
-            else:
-                allocated += table.append_tokens(tokens)
+            tables.append(table)
+        per_page = self.tokens_per_page
+        needs = []
+        for position, table in enumerate(tables):
+            first = len(table.pages) * per_page - table.tokens + 1
+            needs.extend(
+                (step, position) for step in range(first, steps + 1, per_page)
+            )
+        allocator = self.allocator
+        if len(needs) > allocator.free_pages:
+            raise OutOfPages(
+                f"need {len(needs)} pages, only {allocator.free_pages} free"
+            )
+        needs.sort()
+        for _step, position in needs:
+            tables[position].pages.append(allocator.allocate())
+        for table in tables:
+            table.tokens += steps
+        allocated = len(needs)
         if allocated:
             self._obs_appended.add(allocated * self.page_bytes)
             self._obs_resident.set(self.used_bytes())

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Tuple
+
+import numpy as np
 
 from repro.inference.accelerator import AcceleratorConfig
 from repro.workload.model import ModelConfig
@@ -108,6 +110,43 @@ class RooflineModel:
         if unknown:
             raise KeyError(f"bytes routed to unknown tiers: {sorted(unknown)}")
         return StepTiming(compute_time, memory_time, bottleneck)
+
+    def time_steps(
+        self,
+        flops: np.ndarray,
+        tier_read_bytes: Mapping[str, object],
+        tier_write_bytes: Mapping[str, object] = (),
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Array form of :meth:`time_step` for a run of steps.
+
+        ``flops`` and each byte count are per-step arrays (or scalars
+        shared by every step).  Returns ``(duration_s, memory_bound)``:
+        element ``i`` equals ``time_step`` on step ``i``'s numbers —
+        its ``duration_s`` and whether its boundedness is
+        :attr:`Boundedness.MEMORY` — because the same float operations
+        run in the same order, one step per array lane.
+        """
+        acc = self.accelerator
+        flops = np.asarray(flops, dtype=np.float64)
+        if np.any(flops < 0):
+            raise ValueError("flops must be >= 0")
+        tier_write_bytes = dict(tier_write_bytes)
+        unknown = (set(tier_read_bytes) | set(tier_write_bytes)) - set(acc.tier_names)
+        if unknown:
+            raise KeyError(f"bytes routed to unknown tiers: {sorted(unknown)}")
+        compute_time = flops / acc.effective_flops
+        memory_time = np.zeros_like(compute_time)
+        for tier in acc.tiers:
+            reads = np.asarray(tier_read_bytes.get(tier.name, 0.0), dtype=np.float64)
+            writes = np.asarray(tier_write_bytes.get(tier.name, 0.0), dtype=np.float64)
+            if np.any(reads < 0) or np.any(writes < 0):
+                raise ValueError("byte counts must be >= 0")
+            t = (
+                reads / (tier.read_bandwidth * acc.bandwidth_efficiency)
+                + writes / (tier.write_bandwidth * acc.bandwidth_efficiency)
+            )
+            memory_time = np.maximum(memory_time, t)
+        return np.maximum(compute_time, memory_time), memory_time >= compute_time
 
     # ------------------------------------------------------------------
     # Phase-level helpers (single-tier convenience: everything on HBM)

@@ -14,7 +14,8 @@ dependency:
 - :class:`~repro.sim.kernel.Simulator` — the event loop; schedules
   callbacks and drives processes.
 - :class:`~repro.sim.process.Process` — a generator-based coroutine that
-  yields :class:`~repro.sim.process.Timeout`, :class:`~repro.sim.process.Wait`
+  yields :class:`~repro.sim.process.Timeout`,
+  :class:`~repro.sim.process.WakeAt`, :class:`~repro.sim.process.Wait`
   or :class:`~repro.sim.process.Acquire` commands.
 - :class:`~repro.sim.resources.Resource` — a counted resource with a FIFO
   wait queue.
@@ -45,6 +46,7 @@ from repro.sim.process import (
     SimProcessError,
     Timeout,
     Wait,
+    WakeAt,
 )
 from repro.sim.resources import Resource
 from repro.sim.stats import Histogram
@@ -62,4 +64,5 @@ __all__ = [
     "Simulator",
     "Timeout",
     "Wait",
+    "WakeAt",
 ]

@@ -136,8 +136,8 @@ class EventQueue:
     pendings were pushed later so they belong after every live tie
     anyway.  The live level therefore only ever *extends with entries
     earlier than its head*: there is no rebuild path, and each entry is
-    appended, sorted, migrated and popped exactly once — amortised
-    O(log batch) per event with all batch work in C.
+    appended, sorted, migrated and popped (or discarded) at most once —
+    amortised O(log batch) per event with all batch work in C.
 
     Sequence order is implicit: the pending lists record push order, the
     stable sort preserves it, and a merge never reorders live entries,
@@ -185,6 +185,40 @@ class EventQueue:
         self._pend_p.append(payload)
         if time < self._pend_min:
             self._pend_min = time
+
+    def discard(self, time: float, payload: Any) -> bool:
+        """Take ``payload`` (matched by identity), queued at ``time``, out
+        of the queue; returns False when it is not queued.
+
+        Every other entry keeps its place, so push order among equal
+        times still holds.  Searches the pending buffer from its newest
+        entry, then the equal-time run of the sorted live level.
+        """
+        pend_p = self._pend_p
+        for i in range(len(pend_p) - 1, -1, -1):
+            if pend_p[i] is payload:
+                del pend_p[i]
+                del self._pend_t[i]
+                if time == self._pend_min:
+                    self._pend_min = min(self._pend_t, default=_INF)
+                return True
+        lt, lp = self._lt, self._lp
+        # Live times are descending: find the first index at or below
+        # ``time``, then scan its equal-time run.
+        lo, hi = 0, len(lt)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if lt[mid] > time:
+                lo = mid + 1
+            else:
+                hi = mid
+        while lo < len(lt) and lt[lo] == time:
+            if lp[lo] is payload:
+                del lt[lo]
+                del lp[lo]
+                return True
+            lo += 1
+        return False
 
     def pop(self) -> Tuple[float, Any]:
         """Remove and return the earliest ``(time, payload)`` pair."""

@@ -109,12 +109,7 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        event = Event(name=name)
-        event.value = value
-        if callback is not None:
-            event.add_callback(callback)
-        self._queue.push(self._now + delay, event)
-        return event
+        return self.schedule_at(self._now + delay, callback, value, name)
 
     def schedule_at(
         self,
@@ -123,8 +118,27 @@ class Simulator:
         value: Any = None,
         name: str = "",
     ) -> Event:
-        """Like :meth:`schedule` but with an absolute timestamp."""
-        return self.schedule(time - self._now, callback, value, name)
+        """Like :meth:`schedule` but fires at exactly absolute ``time``."""
+        event = Event(name=name)
+        event.value = value
+        if callback is not None:
+            event.add_callback(callback)
+        self._push_at(time, event)
+        return event
+
+    def _push_at(self, time: float, payload: Any) -> None:
+        """Queue ``payload`` (an Event or an opcode tuple) at exactly
+        ``time`` — the absolute-time path of :meth:`schedule_at`,
+        :class:`~repro.sim.process.WakeAt` and
+        :meth:`~repro.sim.process.Process.wake_at`."""
+        if time < self._now:
+            raise ValueError(
+                f"cannot schedule in the past (time={time} < now={self._now})"
+            )
+        if payload.__class__ is tuple:
+            self._queue.push_wakeup(time, payload)
+        else:
+            self._queue.push(time, payload)
 
     def event(self, name: str = "") -> Event:
         """Create an unscheduled event, to be triggered manually."""

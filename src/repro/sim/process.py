@@ -4,6 +4,7 @@ A process is a Python generator driven by the kernel.  Each ``yield``
 hands the kernel a *command* describing what the process waits for next:
 
 - :class:`Timeout` — resume after a simulated delay.
+- :class:`WakeAt` — resume at an absolute simulated time.
 - :class:`Wait` — resume when an :class:`~repro.sim.events.Event` fires;
   the event's ``value`` is sent back into the generator.
 - :class:`Acquire` — resume once a unit of a
@@ -46,6 +47,25 @@ class Timeout(Command):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Timeout({self.delay})"
+
+
+class WakeAt(Command):
+    """Suspend the yielding process until absolute simulated ``time``.
+
+    Unlike ``Timeout(time - now)``, the wakeup lands on exactly
+    ``time``: ``now + (time - now)`` can miss a time computed as a
+    running sum by one ulp.  A time before ``now`` raises
+    ``ValueError`` when the process yields the command.
+    """
+
+    __slots__ = ("time", "value")
+
+    def __init__(self, time: float, value: Any = None) -> None:
+        self.time = float(time)
+        self.value = value
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"WakeAt({self.time})"
 
 
 class Wait(Command):
@@ -96,6 +116,7 @@ class Process:
         "_done",
         "_result",
         "_trace",
+        "_wake_entry",
     )
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = "") -> None:  # noqa: F821
@@ -106,6 +127,9 @@ class Process:
         self._done: Optional[Event] = None
         self._result: Any = _UNSET
         self._trace: Any = None
+        #: ``(time, payload)`` of the last WakeAt wakeup queued, so that
+        #: :meth:`wake_at` can take it out of the queue.
+        self._wake_entry: Any = None
         # Incremented whenever the process changes what it waits on; a
         # stale wakeup (older generation) is ignored, so an interrupt
         # that the process catches cannot be followed by the original
@@ -144,6 +168,24 @@ class Process:
         sim._queue.push_wakeup(
             sim._now, (OP_THROW, self, self._wait_generation, exc or Interrupted())
         )
+
+    def wake_at(self, time: float) -> None:
+        """Move this process's wakeup to absolute ``time``.
+
+        A pending :class:`WakeAt` wakeup is taken out of the queue, so it
+        neither fires nor moves the clock.  Any other wait is superseded
+        as by :meth:`interrupt`: its wakeup still pops, as a no-op.
+        ``time`` before ``now`` raises ``ValueError``.
+        """
+        sim = self.sim
+        generation = self._wait_generation + 1
+        payload = (OP_STEP, self, generation, None)
+        sim._push_at(time, payload)
+        pending = self._wake_entry
+        if pending is not None and pending[1][2] == self._wait_generation:
+            sim._queue.discard(*pending)
+        self._wake_entry = (time, payload)
+        self._wait_generation = generation
 
     def _step_if(
         self,
@@ -218,6 +260,10 @@ class Process:
             sim._queue.push_wakeup(
                 sim._now + command.delay, (OP_STEP, self, generation, command.value)
             )
+        elif cls is WakeAt or isinstance(command, WakeAt):
+            payload = (OP_STEP, self, generation, command.value)
+            sim._push_at(command.time, payload)
+            self._wake_entry = (command.time, payload)
         elif cls is Wait or isinstance(command, Wait):
             command.event._add_waiter(self, generation)
         elif cls is Acquire or isinstance(command, Acquire):

@@ -15,6 +15,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 
+def fold_sum(start: float, values: np.ndarray) -> float:
+    """``start + values[0] + values[1] + ...``, added left to right.
+
+    The bulk twin of a scalar ``total += value`` loop, rounding for
+    rounding (``np.add.reduce`` sums pairwise and may not).
+    """
+    return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
+
+
 class Histogram:
     """Histogram with exact moments and sorted-sample quantiles.
 
@@ -65,10 +74,10 @@ class Histogram:
     def observe_many(self, values: Sequence[float]) -> None:
         """Bulk ingestion: one NumPy copy instead of a Python loop.
 
-        Moments accumulate with NumPy's (deterministic) pairwise
-        summation, which may round differently from an equivalent
-        sequence of scalar :meth:`observe` calls — batched recorders
-        should ingest consistently through one path.
+        Equal to calling :meth:`observe` on each value in order, moments
+        included: they fold left to right (``np.add.accumulate``, never
+        NumPy's pairwise sum), so a batched recorder rounds exactly as a
+        per-sample one.
         """
         arr = np.asarray(values, dtype=np.float64).ravel()
         if arr.size == 0:
@@ -84,8 +93,8 @@ class Histogram:
         ):
             self._sorted = False
         self._n = need
-        self._sum += float(np.add.reduce(arr))
-        self._sumsq += float(np.add.reduce(arr * arr))
+        self._sum = fold_sum(self._sum, arr)
+        self._sumsq = fold_sum(self._sumsq, arr * arr)
 
     @property
     def count(self) -> int:

@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.workload.model import ModelConfig
 
 
@@ -120,6 +122,39 @@ def decode_step_traffic_batch(
         bytes_read_kv=kv_read,
         bytes_written_kv=float(model.kv_bytes_per_token * len(context_lengths)),
         flops=flops,
+    )
+
+
+def decode_leap_traffic(
+    model: ModelConfig, context_lengths: Sequence[int], steps: int
+) -> PhaseTraffic:
+    """``steps`` consecutive decode steps of one unchanged batch.
+
+    Step ``s`` (from 0) decodes every context at its length plus ``s``.
+    ``bytes_read_kv`` and ``flops`` are arrays over steps, each element
+    equal to what :func:`decode_step_traffic_batch` returns for that
+    step: a (steps x batch) matrix of the same per-context expressions,
+    added left to right along each row.  Weights read and KV written do
+    not change from step to step and stay scalars.
+    """
+    if not context_lengths:
+        raise ValueError("batch must be non-empty")
+    if steps < 1:
+        raise ValueError("need at least one step")
+    base = np.asarray(context_lengths, dtype=np.int64)
+    if int(base.min()) < 1:
+        raise ValueError("context must have at least one token")
+    lengths = base[None, :] + np.arange(steps, dtype=np.int64)[:, None]
+    kv_bytes = (lengths * model.kv_bytes_per_token).astype(np.float64)
+    # ModelConfig.decode_flops_per_token, operation for operation.
+    dense = 2.0 * model.n_params
+    attention = 4.0 * model.n_layers * lengths * model.n_kv_heads * model.head_dim
+    flops = dense + attention
+    return PhaseTraffic(
+        bytes_read_weights=float(model.weights_bytes),
+        bytes_read_kv=np.add.accumulate(kv_bytes, axis=1)[:, -1],
+        bytes_written_kv=float(model.kv_bytes_per_token * len(context_lengths)),
+        flops=np.add.accumulate(flops, axis=1)[:, -1],
     )
 
 

@@ -1,5 +1,6 @@
 """Tests for accelerator configs and the roofline timing model."""
 
+import numpy as np
 import pytest
 
 from repro.devices.catalog import HBM3E, LPDDR5X
@@ -67,6 +68,35 @@ class TestRooflineTiming:
         reads_only = roofline.time_step(0.0, {"hbm": 1e12})
         mixed = roofline.time_step(0.0, {"hbm": 1e12}, {"hbm": 1e12})
         assert mixed.memory_time_s == pytest.approx(2 * reads_only.memory_time_s)
+
+    def test_time_steps_equals_time_step_per_lane(self):
+        lpddr = MemoryTierSpec("lpddr", 480 * GiB, 0.5e12, 0.07e12, LPDDR5X)
+        roofline = RooflineModel(B200.with_tiers(B200.tiers + (lpddr,)))
+        rng = np.random.default_rng(5)
+        flops = rng.uniform(0.0, 4e15, 64)
+        hbm_reads = rng.uniform(0.0, 8e12, 64)
+        lpddr_writes = rng.uniform(0.0, 3e10, 64)
+        durations, memory_bound = roofline.time_steps(
+            flops, {"hbm": hbm_reads, "lpddr": 1.5e11}, {"lpddr": lpddr_writes}
+        )
+        for i in range(64):
+            timing = roofline.time_step(
+                float(flops[i]),
+                {"hbm": float(hbm_reads[i]), "lpddr": 1.5e11},
+                {"lpddr": float(lpddr_writes[i])},
+            )
+            assert durations[i] == timing.duration_s
+            assert memory_bound[i] == (timing.boundedness is Boundedness.MEMORY)
+        assert memory_bound.any() and not memory_bound.all()
+
+    def test_time_steps_rejects_bad_input(self):
+        roofline = RooflineModel(B200)
+        with pytest.raises(KeyError, match="unknown tiers"):
+            roofline.time_steps(np.ones(2), {"nvram": 1.0})
+        with pytest.raises(ValueError):
+            roofline.time_steps(np.array([1.0, -1.0]), {"hbm": 1.0})
+        with pytest.raises(ValueError):
+            roofline.time_steps(np.ones(2), {"hbm": np.array([1.0, -1.0])})
 
     def test_tiers_overlap(self):
         lpddr = MemoryTierSpec("lpddr", 480 * GiB, 0.5e12, 0.5e12, LPDDR5X)

@@ -298,6 +298,37 @@ class TestAppendBatch:
             )
         assert batched.used_bytes() == looped.used_bytes()
 
+    def test_steps_match_repeated_single_steps(self):
+        # Pages land in (step, batch position) order: the same page ids
+        # on the same contexts, and the same free list, as the loop.
+        leaped, stepped = self.make(), self.make()
+        for kv in (leaped, stepped):
+            for context_id, prompt in ((1, 16), (2, 3), (3, 40)):
+                kv.register(context_id, prompt_tokens=prompt)
+        assert leaped.append_batch([3, 1, 2], steps=37) == sum(
+            stepped.append_batch([3, 1, 2]) for _ in range(37)
+        )
+        for context_id in (1, 2, 3):
+            assert (
+                leaped._tables[context_id].pages
+                == stepped._tables[context_id].pages
+            )
+            assert (
+                leaped.context_tokens(context_id)
+                == stepped.context_tokens(context_id)
+            )
+        assert leaped.allocator._free == stepped.allocator._free
+
+    def test_steps_out_of_pages_allocates_nothing(self):
+        page_bytes = 16 * LLAMA2_70B.kv_bytes_per_token
+        kv = KVCacheManager(LLAMA2_70B, capacity_bytes=4 * page_bytes)
+        kv.register(1, prompt_tokens=16)
+        free = list(kv.allocator._free)
+        with pytest.raises(OutOfPages):
+            kv.append_batch([1], steps=64)
+        assert kv.allocator._free == free
+        assert kv.context_tokens(1) == 16
+
     def test_allocates_on_page_boundary(self):
         kv = self.make()
         kv.register(1, prompt_tokens=16)  # exactly one full page
@@ -313,4 +344,4 @@ class TestAppendBatch:
         kv = self.make()
         kv.register(1, 16)
         with pytest.raises(ValueError):
-            kv.append_batch([1], tokens=-1)
+            kv.append_batch([1], steps=-1)

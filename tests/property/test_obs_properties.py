@@ -158,6 +158,10 @@ class TestQuantileConsistency:
                 single.observe(sample)
             for q in (0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0):
                 assert bulk.quantile(q) == single.quantile(q)
+            # Moments fold left to right, exactly as repeated observes.
+            assert bulk.total == single.total
+            assert bulk.mean() == single.mean()
+            assert bulk.stdev() == single.stdev()
 
     def test_quantiles_monotone_and_bounded(self):
         for trial in range(TRIALS):

@@ -233,6 +233,56 @@ class TestPopCohort:
         assert list(payloads) == [event, (OP_BOOT, "sentinel")]
 
 
+class TestDiscard:
+    """``discard`` takes one entry out by identity; the rest keep their
+    places and their FIFO order."""
+
+    def _drain(self, q):
+        out = []
+        while q:
+            out.append(q.pop())
+        return out
+
+    def test_from_pending(self):
+        q = EventQueue()
+        a, b, c = ("a",), ("b",), ("c",)
+        for payload in (a, b, c):
+            q.push_wakeup(1.0, payload)
+        assert q.discard(1.0, b)
+        assert self._drain(q) == [(1.0, a), (1.0, c)]
+
+    def test_pending_minimum_recomputed(self):
+        q = EventQueue()
+        early, late = ("early",), ("late",)
+        q.push_wakeup(5.0, late)
+        q.push_wakeup(2.0, early)
+        assert q.discard(2.0, early)
+        assert q.peek_time() == 5.0
+        assert self._drain(q) == [(5.0, late)]
+
+    def test_from_live(self):
+        q = EventQueue()
+        entries = [(float(t), (t, i)) for t in (3, 1, 2) for i in range(3)]
+        for time, payload in entries:
+            q.push_wakeup(time, payload)
+        q.push_wakeup(0.5, ("first",))
+        assert q.pop() == (0.5, ("first",))  # merges the rest into live
+        assert q.discard(2.0, (2, 1)) is False  # equal, not identical
+        victim = entries[7][1]  # (2, 1)
+        assert q.discard(2.0, victim)
+        expected = sorted(
+            (e for e in entries if e[1] is not victim), key=lambda e: e[0]
+        )
+        assert self._drain(q) == expected
+
+    def test_absent_entry(self):
+        q = EventQueue()
+        q.push_wakeup(1.0, tuple("a"))
+        assert not q.discard(1.0, tuple("a"))  # equal, not identical
+        assert not q.discard(2.0, tuple("b"))
+        assert len(q) == 1
+
+
 class TestTimerCancellation:
     """Pending timers must be cancellable/reschedulable: an interrupt
     invalidates the in-flight timeout wakeup (generation bump), and the

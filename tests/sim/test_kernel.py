@@ -31,6 +31,20 @@ class TestScheduling:
         sim.run()
         assert sim.now == 8.0
 
+    def test_schedule_at_fires_at_exactly_the_time(self):
+        # now + (time - now) lands one ulp past this time.
+        now, time = 0.009679724862095583, 0.08926023908396839
+        sim = Simulator(start_time=now)
+        seen = []
+        sim.schedule_at(time, lambda ev: seen.append(sim.now))
+        sim.run()
+        assert seen == [time]
+
+    def test_schedule_at_past_rejected(self):
+        sim = Simulator(start_time=5.0)
+        with pytest.raises(ValueError, match="past"):
+            sim.schedule_at(4.0)
+
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError, match="past"):
             Simulator().schedule(-1.0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator, Timeout, Wait
+from repro.sim import Simulator, Timeout, Wait, WakeAt
 from repro.sim.process import Interrupted, SimProcessError
 
 
@@ -45,6 +45,87 @@ class TestTimeout:
         sim.spawn(proc())
         sim.run()
         assert got == ["tick"]
+
+
+class TestWakeAt:
+    # A boundary computed as a running sum that ``now + (t - now)``
+    # misses by one ulp (now = 0.009679724862095583).
+    NOW = 0.009679724862095583
+    AT = 0.08926023908396839
+
+    def test_wakes_at_exactly_the_given_time(self, sim):
+        assert self.NOW + (self.AT - self.NOW) != self.AT
+        log = []
+
+        def proc():
+            yield Timeout(self.NOW)
+            value = yield WakeAt(self.AT, value="tick")
+            log.append((sim.now, value))
+
+        sim.spawn(proc())
+        sim.run()
+        assert log == [(self.AT, "tick")]
+
+    def test_past_time_rejected(self, sim):
+        def proc():
+            yield Timeout(2.0)
+            yield WakeAt(1.0)
+
+        sim.spawn(proc())
+        with pytest.raises(ValueError, match="past"):
+            sim.run()
+
+    def test_wake_at_supersedes_a_timeout(self, sim):
+        log = []
+
+        def proc():
+            yield Timeout(10.0)
+            log.append(sim.now)
+
+        p = sim.spawn(proc())
+        sim.schedule_at(self.NOW, lambda ev: p.wake_at(self.AT))
+        sim.run()
+        # Woken once, at the new time; the superseded 10.0 wakeup still
+        # popped (the clock reached it) but as a no-op.
+        assert log == [self.AT]
+        assert sim.now == 10.0
+
+    @pytest.mark.parametrize("old, new", [(10.0, 4.0), (1.0, 4.0)])
+    def test_wake_at_moves_a_pending_wake_at(self, sim, old, new):
+        log = []
+
+        def proc():
+            yield WakeAt(old)
+            log.append(sim.now)
+
+        p = sim.spawn(proc())
+        sim.schedule_at(0.5, lambda ev: p.wake_at(new))
+        sim.run()
+        # The WakeAt entry left the queue: it never fired, and the clock
+        # stops at the new time even when the old one was later.
+        assert log == [new]
+        assert sim.now == new
+
+    def test_wake_at_past_time_rejected_and_keeps_wakeup(self, sim):
+        log = []
+
+        def proc():
+            yield Timeout(3.0)
+            log.append(sim.now)
+
+        p = sim.spawn(proc())
+        errors = []
+
+        def probe(_event):
+            try:
+                p.wake_at(1.0)
+            except ValueError as exc:
+                errors.append(str(exc))
+
+        sim.schedule_at(2.0, probe)
+        sim.run()
+        assert errors and "past" in errors[0]
+        assert log == [3.0]
 
 
 class TestWaitAndJoin:

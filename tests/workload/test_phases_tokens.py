@@ -2,9 +2,12 @@
 
 import pytest
 
+from dataclasses import replace
+
 from repro.workload.model import LLAMA2_70B, LLAMA2_70B_MHA
 from repro.workload.phases import (
     PhaseTraffic,
+    decode_leap_traffic,
     decode_step_traffic,
     decode_step_traffic_batch,
     full_request_traffic,
@@ -57,6 +60,29 @@ class TestDecodeTraffic:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             decode_step_traffic_batch(LLAMA2_70B, [])
+
+
+class TestDecodeLeapTraffic:
+    def test_each_step_equals_the_scalar_batch(self):
+        # 2 * n_params is not an integer, so the float order matters.
+        model = replace(LLAMA2_70B, n_params=70e9 + 0.3)
+        lengths = [1, 17, 4096, 333, 2]
+        leap = decode_leap_traffic(model, lengths, 40)
+        assert leap.bytes_read_kv.shape == leap.flops.shape == (40,)
+        for step in range(40):
+            scalar = decode_step_traffic_batch(model, [n + step for n in lengths])
+            assert leap.bytes_read_kv[step] == scalar.bytes_read_kv
+            assert leap.flops[step] == scalar.flops
+            assert leap.bytes_read_weights == scalar.bytes_read_weights
+            assert leap.bytes_written_kv == scalar.bytes_written_kv
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            decode_leap_traffic(LLAMA2_70B, [], 3)
+        with pytest.raises(ValueError):
+            decode_leap_traffic(LLAMA2_70B, [0, 5], 3)
+        with pytest.raises(ValueError):
+            decode_leap_traffic(LLAMA2_70B, [5], 0)
 
 
 class TestFullRequest:
