@@ -73,9 +73,8 @@ def run_housekeeping(rounds=30, working_set=48 * MiB, capacity=64 * MiB):
             flash.ftl.gc_pages_copied * page,
             flash.ftl.gc_pages_copied * page
             * flash.profile.write_energy_j_per_byte),
-        row("mrm (matched)", mrm, 0,
-            mrm.counters.refresh_energy_j
-            + controller.housekeeping_energy_j),
+        row("mrm (matched)", mrm, mrm.counters.bytes_refreshed,
+            mrm.counters.refresh_energy_j),
     ]
     return rows
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +33,10 @@ from repro.core.zones import Block, BlockState, Zone
 from repro.devices.base import BankFailure
 from repro.ecc.bch import BCHCode, DecodeOutcome
 from repro.obs import NULL_REGISTRY
+
+#: How far (in raw bit errors) a read leap keeps every block's decay
+#: count below the ECC rounding edge: room for libm's last-bit error.
+LEAP_MARGIN = 1e-6
 
 
 @dataclass
@@ -357,6 +361,70 @@ class MRMController:
         code = self.ecc_code
         decay = int(round(self.device.rber_of(block, now) * code.n))
         return decay + self.device.injected_bit_errors(block)
+
+    # ------------------------------------------------------------------
+    # Read leaps (see repro.faults.experiment.play_rounds)
+    # ------------------------------------------------------------------
+    def _clears(self, blocks: List[Block], now: float) -> bool:
+        """True if every block surely decodes CORRECTED at ``now`` and at
+        any earlier time with the same injected errors.
+
+        The decay count ``x`` (the scalar :meth:`_codeword_bit_errors`
+        rounds) must stay ``LEAP_MARGIN`` below the rounding edge
+        ``t - injected + 0.5``, which also gives ``round(x) + injected
+        <= t``.  Decay never falls with age, and the margin absorbs the
+        sub-ulp error of libm's ``expm1``, so earlier reads round no
+        higher.
+        """
+        code = self.ecc_code
+        for block in blocks:
+            edge = code.t - self.device.injected_bit_errors(block) + 0.5
+            if self.device.rber_of(block, now) * code.n > edge - LEAP_MARGIN:
+                return False
+        return True
+
+    def clear_rounds(self, blocks: List[Block], times: Sequence[float]) -> int:
+        """How many leading read times of ``times`` (ascending) every
+        block of ``blocks`` surely decodes CORRECTED at, with no fault
+        event or refresh decision in between.
+
+        Checks the last time first; if it fails, bisects for the last
+        time that clears (a retention-violated block can cross ``t``
+        with no event).  Without an ECC code every read is clean.
+        """
+        if not times or self.ecc_code is None:
+            return len(times)
+        if self._clears(blocks, times[-1]):
+            return len(times)
+        lo, hi = 0, len(times) - 1  # times[:lo] clear, times[hi] fails
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self._clears(blocks, times[mid]):
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    def account_clean_reads(
+        self, blocks: List[Block], rounds: int, latency_s: float
+    ) -> None:
+        """Account ``rounds`` more :meth:`read_with_recovery` calls over
+        ``blocks`` in which every block decodes CORRECTED, each taking
+        ``latency_s`` (one such call's total).
+
+        Integer tallies multiply; the device folds its read energy block
+        by block, round by round
+        (:meth:`~repro.core.mrm.MRMDevice.read_block_passes`); the
+        latency histogram takes ``rounds`` equal samples through
+        ``observe_many``, which equals repeated ``observe``.
+        """
+        self.device.read_block_passes(blocks, rounds)
+        size_bytes = rounds * sum(block.size_bytes for block in blocks)
+        self.stats.bytes_read += size_bytes
+        self._obs_bytes_read.add(size_bytes)
+        self.stats.reads += rounds
+        self._obs_reads.add(rounds)
+        self._obs_read_latency.observe_many(np.full(rounds, latency_s))
 
     def _lose_block(self, block: Block, out: RecoveredRead) -> None:
         out.lost_blocks.append(block)

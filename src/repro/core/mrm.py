@@ -118,7 +118,8 @@ class MRMDevice(MemoryDevice):
     memory controller":
 
     - :meth:`append` — write a block into a zone with a target retention;
-    - :meth:`read_block` — sequential block read;
+    - :meth:`read_block` — sequential block read (and
+      :meth:`read_block_passes`, the same reads repeated, in bulk);
     - :meth:`refresh_block` — rewrite a block in place (control-plane
       decision, paid like a write);
     - :meth:`reset_zone` — bulk reclaim;
@@ -242,8 +243,7 @@ class MRMDevice(MemoryDevice):
         address = self.space.block_address(block)
         return AccessResult(AccessKind.WRITE, address, size, latency, energy)
 
-    def read_block(self, block: Block, now: float) -> AccessResult:
-        """Sequential read of one block."""
+    def _check_readable(self, block: Block) -> None:
         if self._failed:
             raise DeviceFailure(self.name)
         if block.zone_id in self._failed_zones:
@@ -252,21 +252,28 @@ class MRMDevice(MemoryDevice):
             raise RuntimeError(
                 f"read of {block.state.value} block z{block.zone_id}b{block.index}"
             )
+
+    def read_block(self, block: Block, now: float) -> AccessResult:
+        """Sequential read of one block."""
+        self._check_readable(block)
         address = self.space.block_address(block)
         return super().read(address, block.size_bytes)
+
+    def read_block_passes(self, blocks: List[Block], passes: int) -> None:
+        """Account ``passes`` sequential passes over ``blocks``: the
+        counters :meth:`read_block` on each block, pass after pass, would
+        leave (:meth:`~repro.devices.base.MemoryDevice.read_passes`),
+        with the same checks on every block."""
+        for block in blocks:
+            self._check_readable(block)
+        self.read_passes(
+            [(self.space.block_address(b), b.size_bytes) for b in blocks],
+            passes,
+        )
 
     def rber_of(self, block: Block, now: float) -> float:
         """Raw bit-error rate of the block's data at time ``now``."""
         return self.error_model.rber(block.age(now), block.retention_s)
-
-    def raw_bit_errors(self, block: Block, now: float) -> int:
-        """Raw bit errors a read of ``block`` sees right now: mean-field
-        retention decay (rounded) plus any injected transient burst."""
-        expected = self.error_model.expected_bit_errors(
-            block.age(now), block.retention_s, block.size_bytes
-        )
-        slot = (block.zone_id, block.index)
-        return int(round(expected)) + self._injected_errors.get(slot, 0)
 
     def injected_bit_errors(self, block: Block) -> int:
         """The injected (transient-burst) errors alone — the component a
@@ -277,7 +284,9 @@ class MRMDevice(MemoryDevice):
         """Control-plane refresh: rewrite the block in place.
 
         Resets the block's age (and therefore its deadline); costs a full
-        block write in energy, latency and wear.
+        block write in energy, latency and wear.  The device counters
+        book it as housekeeping: ``refreshes``, ``bytes_refreshed`` and
+        ``refresh_energy_j``.
         """
         if self._failed:
             raise DeviceFailure(self.name)
@@ -292,6 +301,7 @@ class MRMDevice(MemoryDevice):
         self.blocks_refreshed += 1
         result = self._charge_write(block)
         self.counters.refreshes += 1
+        self.counters.bytes_refreshed += block.size_bytes
         self.counters.refresh_energy_j += result.energy_j
         self.counters.write_energy_j -= result.energy_j
         return result

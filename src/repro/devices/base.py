@@ -20,8 +20,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.sim.stats import fold_sum
 from repro.units import (
     BITS_PER_BYTE,
     GiB,
@@ -31,6 +34,9 @@ from repro.units import (
     Seconds,
     YEAR,
 )
+
+#: Values per fold call in :meth:`MemoryDevice.read_passes`.
+_FOLD_CHUNK = 4096
 
 
 class CellKind(enum.Enum):
@@ -379,6 +385,39 @@ class MemoryDevice:
         c.bytes_read += size_bytes
         c.read_energy_j += energy
         return AccessResult(AccessKind.READ, address, size_bytes, latency, energy)
+
+    def read_passes(
+        self, ranges: Sequence[Tuple[int, int]], passes: int
+    ) -> None:
+        """Account ``passes`` sequential passes over ``ranges``.
+
+        The bulk twin of calling :meth:`MemoryDevice.read` on every
+        ``(address, size_bytes)`` range in order, pass after pass (a
+        subclass that overrides :meth:`read` must not use it): each range is
+        checked once, integer tallies multiply, and ``read_energy_j``
+        adds each range's energy range by range, pass by pass, so it
+        rounds exactly as the scalar loop does.
+        """
+        if passes < 0:
+            raise ValueError("passes must be >= 0")
+        energies = []
+        for address, size_bytes in ranges:
+            self._check_range(address, size_bytes)
+            energies.append(self._read_energy(size_bytes))
+        if not passes or not energies:
+            return
+        c = self.counters
+        c.reads += passes * len(ranges)
+        c.bytes_read += passes * sum(size for _address, size in ranges)
+        # Fold whole passes in chunks of about _FOLD_CHUNK values, so
+        # memory stays bounded however many passes there are.
+        per_chunk = max(1, _FOLD_CHUNK // len(energies))
+        chunk = np.tile(np.asarray(energies, dtype=np.float64), per_chunk)
+        total = c.read_energy_j
+        for done in range(0, passes, per_chunk):
+            count = min(per_chunk, passes - done)
+            total = fold_sum(total, chunk[: count * len(energies)])
+        c.read_energy_j = total
 
     def write(self, address: int, size_bytes: int) -> AccessResult:
         """Account a write; wears every block the range touches."""

@@ -32,13 +32,14 @@ availability on the same faults.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.controller import MRMController, RecoveryConfig
 from repro.core.mrm import MRMConfig, MRMDevice
-from repro.core.zones import BlockState
+from repro.core.zones import Block, BlockState
 from repro.ecc.bch import BCHCode
 from repro.faults.domains import cluster_topology
 from repro.faults.events import FaultKind
@@ -60,6 +61,7 @@ from repro.inference.resilience import ResiliencePolicy
 from repro.obs import MetricsRegistry
 from repro.parallel.sweep import run_sweep
 from repro.sim import Simulator
+from repro.sim.stats import fold_sum
 from repro.units import HOUR, MiB
 from repro.workload.model import LLAMA2_13B
 from repro.workload.requests import InferenceRequest, SLAClass
@@ -129,6 +131,107 @@ def chaos_grid(tiny: bool = False) -> List[Dict[str, Any]]:
     return [{"strike_rate_per_hour": rate} for rate in rates]
 
 
+def _round_times(
+    now: float, step_s: float, duration_s: float, stop: float
+) -> List[float]:
+    """The round times after ``now`` strictly before ``stop``, by the
+    round loop's own arithmetic."""
+    times = []
+    while now < duration_s:
+        now = min(now + step_s, duration_s)
+        if now >= stop:
+            break
+        times.append(now)
+    return times
+
+
+def play_rounds(
+    controller: MRMController,
+    injector: ControllerFaultInjector,
+    working_set: List[Block],
+    duration_s: float,
+    step_s: float,
+    rng: np.random.Generator,
+) -> Dict[str, Any]:
+    """Read ``working_set`` every ``step_s`` until ``duration_s`` while
+    ``injector`` plays its schedule.
+
+    A *round* applies the fault events due, ticks the controller, then
+    reads the live blocks through
+    :meth:`~repro.core.controller.MRMController.read_with_recovery`.
+    Every round demands the whole working set.  After a round that read
+    nothing, or in which every block decoded CORRECTED, the loop *leaps*:
+    it accounts the run of quiet rounds that follows in one pass and
+    resumes at the first round that may differ.  A quiet round has no
+    fault event or refresh decision due, and every live block surely
+    decodes CORRECTED in it
+    (:meth:`~repro.core.controller.MRMController.clear_rounds`); it
+    changes no state and repeats the previous round's accounting
+    (:meth:`~repro.core.controller.MRMController.account_clean_reads`).
+    The totals, controller and device state, obs metrics and RNG stream
+    equal the per-round loop's bit for bit (``docs/PERFORMANCE.md``,
+    "Read leaps").
+
+    Returns ``blocks_demanded``, ``blocks_delivered``,
+    ``read_latency_s`` and ``read_energy_j``.
+    """
+    device = controller.device
+    stats = controller.stats
+    demanded = 0
+    delivered = 0
+    read_latency_s = 0.0
+    read_energy_j = 0.0
+    now = 0.0
+    while now < duration_s:
+        now = min(now + step_s, duration_s)
+        injector.apply_until(now)
+        controller.tick(now)
+        live = [b for b in working_set if b.state is BlockState.VALID]
+        demanded += len(working_set)
+        read = None
+        if live and not device.is_failed:
+            recovered = stats.blocks_recovered
+            read = controller.read_with_recovery(live, now, rng=rng)
+            delivered += len(live) - len(read.lost_blocks)
+            read_latency_s += read.latency_s
+            read_energy_j += read.energy_j
+            # Every DETECTED block ends recovered or lost.
+            if (
+                read.lost_blocks
+                or read.miscorrected_blocks
+                or stats.blocks_recovered != recovered
+            ):
+                continue
+        due = (
+            injector.next_event_time(),
+            controller.scheduler.next_decision_time(),
+        )
+        stop = min((when for when in due if when is not None), default=math.inf)
+        times = _round_times(now, step_s, duration_s, stop)
+        if read is not None:
+            times = times[: controller.clear_rounds(live, times)]
+        if not times:
+            continue
+        rounds = len(times)
+        demanded += rounds * len(working_set)
+        if read is not None:
+            controller.account_clean_reads(live, rounds, read.latency_s)
+            delivered += rounds * len(live)
+            read_latency_s = fold_sum(
+                read_latency_s, np.full(rounds, read.latency_s)
+            )
+            read_energy_j = fold_sum(
+                read_energy_j, np.full(rounds, read.energy_j)
+            )
+        now = times[-1]
+    return {
+        "blocks_demanded": demanded,
+        "blocks_delivered": delivered,
+        "read_latency_s": read_latency_s,
+        "read_energy_j": read_energy_j,
+    }
+
+
 def _controller_arm(
     schedule: FaultSchedule,
     mitigated: bool,
@@ -141,10 +244,12 @@ def _controller_arm(
 
     A 64 MiB device holds a 40-block working set (retention set past
     the experiment horizon, liveness "still needed"), read in full every
-    ``step_s`` while the fault schedule plays.  Availability counts
-    every demanded block every round: a block lost at t stays
-    undelivered for the rest of the run — data loss has a lasting cost,
-    exactly what graceful degradation buys back.
+    ``step_s`` while the fault schedule plays (:func:`play_rounds`).
+    Availability counts every demanded block every round: a block lost
+    at t stays undelivered for the rest of the run — data loss has a
+    lasting cost, exactly what graceful degradation buys back.  Rounds
+    in which nothing happens are folded into read leaps, with results
+    identical to reading every round.
     """
     rng = np.random.default_rng(decode_seed)
     # Per-arm registry (when observing): a pure function of the arm's
@@ -174,39 +279,28 @@ def _controller_arm(
                 liveness=lambda _block, _now: True,
             )
         )
+    totals = play_rounds(
+        controller, injector, working_set, duration_s, step_s, rng
+    )
 
-    demanded = 0
-    delivered = 0
-    read_latency_s = 0.0
-    read_energy_j = 0.0
-    now = 0.0
-    while now < duration_s:
-        now = min(now + step_s, duration_s)
-        injector.apply_until(now)
-        controller.tick(now)
-        live = [b for b in working_set if b.state is BlockState.VALID]
-        demanded += len(working_set)
-        if live and not device.is_failed:
-            result = controller.read_with_recovery(live, now, rng=rng)
-            delivered += len(live) - len(result.lost_blocks)
-            read_latency_s += result.latency_s
-            read_energy_j += result.energy_j
-
+    demanded = totals["blocks_demanded"]
     stats = controller.stats
     result = {
         "mitigated": mitigated,
         "log_fingerprint": injector.log.fingerprint(),
-        "availability": delivered / demanded if demanded else 1.0,
+        "availability": (
+            totals["blocks_delivered"] / demanded if demanded else 1.0
+        ),
         "blocks_demanded": demanded,
-        "blocks_delivered": delivered,
+        "blocks_delivered": totals["blocks_delivered"],
         "data_loss_blocks": stats.data_loss_blocks,
         "blocks_recovered": stats.blocks_recovered,
         "read_retries": stats.read_retries,
         "escalated_refreshes": stats.escalated_refreshes,
         "silent_corruptions": stats.silent_corruptions,
         "remapped_zones": stats.remapped_zones,
-        "read_latency_s": read_latency_s,
-        "read_energy_j": read_energy_j,
+        "read_latency_s": totals["read_latency_s"],
+        "read_energy_j": totals["read_energy_j"],
     }
     if obs is not None:
         result["obs"] = obs.snapshot()

@@ -129,6 +129,15 @@ class ControllerFaultInjector:
     def exhausted(self) -> bool:
         return self._cursor >= len(self.schedule.events)
 
+    def next_event_time(self) -> Optional[float]:
+        """Time of the next event :meth:`apply_until` would apply, or
+        None.  Serving-layer kinds are skipped, as they are there."""
+        events = self.schedule.events
+        for index in range(self._cursor, len(events)):
+            if events[index].kind not in _SERVING_KINDS:
+                return events[index].time_s
+        return None
+
     def apply_until(self, now: float) -> int:
         """Apply every not-yet-applied event with ``time_s <= now``;
         returns how many fired."""

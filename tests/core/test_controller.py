@@ -70,6 +70,22 @@ class TestTick:
         assert summary["refreshed"] == 1
         assert controller.housekeeping_energy_j > 0
 
+    def test_scheduler_refresh_books_once_on_the_device(self, small_mrm):
+        """One scheduler refresh is one block of refresh bytes and one
+        refresh's energy on the device counters; the scheduler's tally is
+        the same refresh, not a second one."""
+        controller = MRMController(small_mrm)
+        (block,) = controller.write(
+            MiB, 64.0, now=0.0, liveness=lambda b, t: True
+        )
+        controller.tick(now=100.0)
+        one_refresh_j = small_mrm.write_energy_for(MiB, 64.0)
+        counters = small_mrm.counters
+        assert counters.refreshes == 1
+        assert counters.bytes_refreshed == block.size_bytes == MiB
+        assert counters.refresh_energy_j == one_refresh_j
+        assert controller.housekeeping_energy_j == one_refresh_j
+
     def test_migration_queue_populated(self, small_mrm):
         controller = MRMController(small_mrm)
         controller.scheduler.wear_migration_threshold = 0.0
