@@ -47,10 +47,6 @@ class RefreshStats:
     migrated: int = 0
     refresh_energy_j: float = 0.0
 
-    @property
-    def decisions(self) -> int:
-        return self.refreshed + self.expired + self.migrated
-
 
 #: Liveness predicate: (block, now) -> is the data still needed?
 LivenessFn = Callable[[Block, float], bool]

@@ -153,10 +153,6 @@ class RetentionModel:
             raise ValueError("delta must be >= 0")
         return self.params.tau0_s * math.exp(delta)
 
-    @property
-    def reference_delta(self) -> float:
-        return self._delta_ref
-
     # ------------------------------------------------------------------
     # Derived write cost
     # ------------------------------------------------------------------

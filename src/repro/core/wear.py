@@ -14,8 +14,6 @@ used to evaluate it (damage imbalance, projected device lifetime).
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.core.mrm import MRMDevice
 from repro.core.zones import Zone
 
@@ -92,11 +90,3 @@ class WearLeveler:
         damage_per_write = device.max_damage / device.blocks_written
         remaining = max(0.0, 1.0 - device.max_damage)
         return remaining / damage_per_write
-
-    def zones_by_damage(self) -> List[Zone]:
-        """All zones, most-damaged first (for reporting)."""
-        return sorted(
-            self.device.space.zones,
-            key=lambda z: self.device.zone_damage(z.zone_id),
-            reverse=True,
-        )

@@ -174,9 +174,6 @@ class ZonedAddressSpace:
         """Valid blocks whose retention deadline has passed."""
         return [b for b in self.valid_blocks() if b.expired(now)]
 
-    def written_bytes(self) -> int:
-        return sum(z.written_bytes for z in self.zones)
-
     def occupancy(self) -> float:
         """Fraction of block slots holding data."""
         used = sum(z.write_pointer for z in self.zones)

@@ -1,19 +1,19 @@
 """Memory-technology device models.
 
 This package is the substrate the paper's analysis runs on: parameterized
-models of every memory/storage technology the paper compares —
+models of every memory/storage technology the paper compares.
 
-- volatile: DRAM (:mod:`~repro.devices.dram`), 3D-stacked HBM
-  (:mod:`~repro.devices.hbm`), LPDDR (:mod:`~repro.devices.lpddr`);
-- non-volatile storage: NAND/NOR Flash (:mod:`~repro.devices.flash`);
-- resistive SCM candidates: PCM (:mod:`~repro.devices.pcm`), RRAM
-  (:mod:`~repro.devices.rram`), STT-MRAM (:mod:`~repro.devices.sttmram`).
-
-Each technology has a :class:`~repro.devices.base.TechnologyProfile`
-(constants: retention, endurance, latency, bandwidth, energy/bit, cost)
-recorded in :mod:`~repro.devices.catalog` with the source of each number,
-and a behavioural :class:`~repro.devices.base.MemoryDevice` subclass that
-accounts accesses, wear, and energy.
+Every technology — DRAM, HBM, LPDDR, NAND/NOR Flash, and the resistive
+SCM candidates PCM, RRAM and STT-MRAM — has a
+:class:`~repro.devices.base.TechnologyProfile` (constants: retention,
+endurance, latency, bandwidth, energy/bit, cost) recorded in
+:mod:`~repro.devices.catalog` with the source of each number.  The
+technologies the experiments drive access by access also have a
+behavioural :class:`~repro.devices.base.MemoryDevice` subclass that
+accounts accesses, wear, and energy: DRAM (:mod:`~repro.devices.dram`),
+3D-stacked HBM (:mod:`~repro.devices.hbm`) and NAND Flash
+(:mod:`~repro.devices.flash`).  The MRM device itself lives in
+:mod:`repro.core.mrm`.
 
 The catalog distinguishes *product* endurance (what shipped devices
 deliver) from *technology-potential* endurance (what the cell technology
@@ -37,10 +37,6 @@ from repro.devices.catalog import (
 from repro.devices.dram import DRAMDevice
 from repro.devices.flash import FlashDevice, FlashTranslationLayer
 from repro.devices.hbm import HBMStack
-from repro.devices.lpddr import LPDDRDevice
-from repro.devices.pcm import PCMDevice
-from repro.devices.rram import RRAMDevice
-from repro.devices.sttmram import STTMRAMDevice
 
 __all__ = [
     "AccessKind",
@@ -50,12 +46,8 @@ __all__ = [
     "FlashDevice",
     "FlashTranslationLayer",
     "HBMStack",
-    "LPDDRDevice",
     "MemoryDevice",
-    "PCMDevice",
     "PRODUCT_ENDURANCE",
-    "RRAMDevice",
-    "STTMRAMDevice",
     "TECHNOLOGY_POTENTIAL_ENDURANCE",
     "TechnologyProfile",
     "all_profiles",

@@ -188,15 +188,6 @@ class DeviceCounters:
     refresh_energy_j: Joules = 0.0
     static_energy_j: Joules = 0.0
 
-    @property
-    def total_energy_j(self) -> Joules:
-        return (
-            self.read_energy_j
-            + self.write_energy_j
-            + self.refresh_energy_j
-            + self.static_energy_j
-        )
-
 
 class EnduranceExceeded(RuntimeError):
     """A cell block was written more times than its endurance allows."""

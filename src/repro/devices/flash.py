@@ -119,10 +119,6 @@ class FlashTranslationLayer:
             self._open = self._take_free_block()
         return self._open
 
-    @property
-    def free_blocks(self) -> int:
-        return len(self._free)
-
     # ------------------------------------------------------------------
     # Host operations
     # ------------------------------------------------------------------

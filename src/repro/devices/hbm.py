@@ -122,19 +122,6 @@ class HBMStack(DRAMDevice):
     # Roadmap helpers (experiment E11)
     # ------------------------------------------------------------------
     @staticmethod
-    def roadmap_max_capacity() -> List[dict]:
-        """Max per-stack capacity of each roadmap generation."""
-        return [
-            {
-                "generation": gen.name,
-                "layers": gen.max_layers,
-                "capacity_bytes": gen.max_stack_capacity(),
-                "bandwidth_per_stack": gen.bandwidth_per_stack,
-            }
-            for gen in HBM_ROADMAP
-        ]
-
-    @staticmethod
     def stacks_needed(model_bytes: int, generation: HBMGeneration) -> int:
         """Stacks required to hold ``model_bytes`` in one generation."""
         if model_bytes <= 0:

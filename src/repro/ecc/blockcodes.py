@@ -33,10 +33,6 @@ class CodePoint:
     def overhead(self) -> float:
         return self.code.overhead
 
-    @property
-    def check_bits_per_data_bit(self) -> float:
-        return self.code.check_bits / self.data_bits
-
 
 DEFAULT_BLOCK_SIZES = (64, 128, 256, 512, 1024, 4096, 16384, 65536)
 

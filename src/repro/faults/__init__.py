@@ -13,9 +13,10 @@ that claim testable.  It threads failure events through every layer —
   controller/device or a serving cluster;
 - **mitigations** live where they belong: retry/remap/refresh-escalation
   in :class:`~repro.core.controller.MRMController`, uncorrectable-error
-  outcomes in :mod:`repro.ecc`, drain plans in
-  :func:`~repro.tiering.migration.plan_drain`, KV recompute-from-prefix
-  in :class:`~repro.inference.engine.InferenceEngine`;
+  outcomes in :mod:`repro.ecc`, draining a failing device onto the
+  controller's ``migration_queue`` (the injector's device-failure
+  handler), KV recompute-from-prefix in
+  :class:`~repro.inference.engine.InferenceEngine`;
 - **experiments** (:mod:`repro.faults.experiment`) measure availability
   and goodput vs fault rate, with and without the mitigations.
 

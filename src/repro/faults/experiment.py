@@ -457,6 +457,9 @@ def _chaos_arm(
         "mitigated": mitigated,
         "log_fingerprint": log.fingerprint(),
         "availability": report.availability,
+        # Strict goodput: output tokens of *completed* requests per second
+        # of horizon.  Work thrown away by failures, sheds, cancels and
+        # recomputes never enters the numerator; arms are ranked by it.
         "goodput_tokens_per_s": report.useful_tokens / horizon_s,
         "slo_attainment": interactive,
         "requests_completed": report.requests_completed,

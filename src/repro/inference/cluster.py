@@ -143,16 +143,6 @@ class ClusterReport:
         return useful / self.duration_s
 
     @property
-    def delivered_goodput_tokens_per_s(self) -> float:
-        """Output tokens of *completed* requests per second — the strict
-        goodput definition the chaos experiments rank arms by (work
-        thrown away by failures, sheds, cancels and recomputes never
-        enters the numerator)."""
-        if self.duration_s <= 0:
-            return 0.0
-        return self.useful_tokens / self.duration_s
-
-    @property
     def tokens_per_joule(self) -> float:
         total = self.access_energy_j + self.board_energy_j
         if total == 0:

@@ -89,18 +89,11 @@ class KVCacheManager:
     # ------------------------------------------------------------------
     # Capacity queries
     # ------------------------------------------------------------------
-    @property
-    def capacity_bytes(self) -> int:
-        return self.allocator.total_pages * self.page_bytes
-
     def free_bytes(self) -> int:
         return self.allocator.free_pages * self.page_bytes
 
     def used_bytes(self) -> int:
         return self.allocator.used_pages * self.page_bytes
-
-    def utilization(self) -> float:
-        return self.allocator.utilization()
 
     def pages_for_tokens(self, tokens: int) -> int:
         if tokens < 0:
@@ -294,8 +287,3 @@ class KVCacheManager:
         """Internal fragmentation across all live contexts — the waste
         PagedAttention bounds to under one page per context [22]."""
         return sum(t.fragmentation_bytes() for t in self._tables.values())
-
-    def read_bytes_for_step(self, context_id: int) -> int:
-        """Bytes a decode step reads for this context (the whole cache,
-        sequentially)."""
-        return self.context_bytes(context_id)

@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Optional
 
 #: Bump when the summary shape or the extraction logic changes; part of
 #: every cache key, so stale summaries are never loaded.
-DATAFLOW_SCHEMA = 2
+DATAFLOW_SCHEMA = 3
 
 # Iteration-order classes of a ``for`` loop's iterable (RL016) ---------------
 #: Provably canonical: ``sorted(...)``.
@@ -165,7 +165,7 @@ class FunctionSummary:
     lineno: int = 0
     col: int = 0
     is_method: bool = False
-    #: Yields at least one Timeout/Wait/Acquire/Release command.
+    #: Yields at least one Timeout/WakeAt/Wait command.
     is_sim_process: bool = False
     params: List[ParamInfo] = field(default_factory=list)
     #: Inferred dimension/base of the return value.

@@ -1,8 +1,8 @@
 """Sim-process hygiene rule (RL007).
 
 Simulation processes are generators driven by the kernel; each
-``yield`` must hand the kernel a command (``Timeout``, ``Wait``,
-``Acquire``, ``Release``, a ``Process`` or an ``Event``).  Two bugs
+``yield`` must hand the kernel a command (``Timeout``, ``WakeAt``,
+``Wait``, a ``Process`` or an ``Event``).  Two bugs
 this rule catches statically:
 
 - a process generator that yields a bare literal (``yield 5`` meaning
@@ -28,9 +28,8 @@ from repro.lint.rules.base import Rule, RuleContext, dotted_name
 #: Constructors whose presence marks a generator as a sim process.
 COMMAND_CONSTRUCTORS: Set[str] = {
     "Timeout",
+    "WakeAt",
     "Wait",
-    "Acquire",
-    "Release",
 }
 
 #: Calls that block the real world (never legal in model code).

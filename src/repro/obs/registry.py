@@ -126,10 +126,6 @@ class ObsHistogram:
     def observe_many(self, values: Sequence[float]) -> None:
         self.samples.observe_many(values)
 
-    @property
-    def count(self) -> int:
-        return self.samples.count
-
     def summary(self) -> Dict[str, object]:
         """The snapshot form: exact moments plus fixed quantiles."""
         h = self.samples
@@ -244,7 +240,6 @@ class _NullMetric:
     __slots__ = ()
     name = ""
     value = 0.0
-    count = 0
 
     def add(self, amount: float = 1.0) -> None:
         pass

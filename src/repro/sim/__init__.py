@@ -15,10 +15,8 @@ dependency:
   callbacks and drives processes.
 - :class:`~repro.sim.process.Process` — a generator-based coroutine that
   yields :class:`~repro.sim.process.Timeout`,
-  :class:`~repro.sim.process.WakeAt`, :class:`~repro.sim.process.Wait`
-  or :class:`~repro.sim.process.Acquire` commands.
-- :class:`~repro.sim.resources.Resource` — a counted resource with a FIFO
-  wait queue.
+  :class:`~repro.sim.process.WakeAt` or :class:`~repro.sim.process.Wait`
+  commands.
 - :class:`~repro.sim.stats.Histogram` — an exact-quantile sample
   histogram (TTFT, time between tokens).
 
@@ -39,27 +37,21 @@ Example
 from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import Simulator
 from repro.sim.process import (
-    Acquire,
     Interrupted,
     Process,
-    Release,
     SimProcessError,
     Timeout,
     Wait,
     WakeAt,
 )
-from repro.sim.resources import Resource
 from repro.sim.stats import Histogram
 
 __all__ = [
-    "Acquire",
     "Event",
     "EventQueue",
     "Histogram",
     "Interrupted",
     "Process",
-    "Release",
-    "Resource",
     "SimProcessError",
     "Simulator",
     "Timeout",

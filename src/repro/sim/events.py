@@ -23,12 +23,12 @@ from typing import Any, Callable, List, Optional, Tuple
 
 # Opcode tags for closure-free kernel wakeups.  A queue payload is either
 # an :class:`Event` (fired on pop) or a plain tuple whose first element is
-# one of these opcodes (dispatched by ``Simulator._dispatch`` without
-# allocating a per-event closure).
-OP_STEP = 0  # (OP_STEP, process, generation, value) -> process._step_if
+# one of these opcodes (dispatched by ``Simulator.run`` without
+# allocating a per-event closure).  A step or throw whose generation is
+# no longer the process's current one is stale and does nothing.
+OP_STEP = 0  # (OP_STEP, process, generation, value) -> process._step(value)
 OP_BOOT = 1  # (OP_BOOT, process)                    -> process._step(None)
-OP_THROW = 2  # (OP_THROW, process, generation, exc) -> process._step_if(throw=exc)
-OP_GRANT = 3  # (OP_GRANT, resource, process, generation) -> resource._grant
+OP_THROW = 2  # (OP_THROW, process, generation, exc) -> process._step(None, exc)
 
 _INF = float("inf")
 
@@ -176,7 +176,7 @@ class EventQueue:
     def push_wakeup(self, time: float, payload: tuple) -> None:
         """Schedule an opcode-tuple wakeup (no :class:`Event` bookkeeping).
 
-        Process timeouts, resource grants and interrupt throws go through
+        Process boots, timeouts, wakeups and interrupt throws go through
         here: two list appends and no per-event object or closure.
         """
         if time != time:  # NaN guard
@@ -227,14 +227,13 @@ class EventQueue:
         return self._lt.pop(), self._lp.pop()
 
     def pop_cohort(
-        self, until: Optional[float] = None, limit: Optional[int] = None
+        self, until: Optional[float] = None
     ) -> Optional[Tuple[float, List[Any]]]:
         """Remove the earliest same-timestamp cohort as one batch.
 
         Returns ``(time, payloads)`` with payloads in push order, or
         ``None`` when the queue is empty or the head lies beyond
-        ``until``.  ``limit`` caps the cohort size (the remainder stays
-        queued and pops first on the next call, preserving order).
+        ``until``.
 
         **Cohort contract** (pinned by ``tests/sim/test_events.py::
         TestCohortPermutation``): payloads come back in exactly push
@@ -264,8 +263,6 @@ class EventQueue:
         j = n - 2
         while j > 0 and lt[j - 1] == time:
             j -= 1
-        if limit is not None and n - j > limit:
-            j = n - limit
         lp = self._lp
         payloads = lp[j:]
         # Descending storage keeps the earliest-pushed tie at the end;

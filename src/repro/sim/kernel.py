@@ -7,8 +7,8 @@ steps run instantaneously at the current simulated time.
 The loop is batched: the queue hands back whole same-timestamp *cohorts*
 (see :meth:`repro.sim.events.EventQueue.pop_cohort`) and the kernel
 dispatches each payload through a closure-free opcode switch — a plain
-tuple ``(opcode, ...)`` for process wakeups, resource grants and throws,
-or an :class:`~repro.sim.events.Event` to fire.  Nothing on the per-event
+tuple ``(opcode, ...)`` for process boots, wakeups and throws, or an
+:class:`~repro.sim.events.Event` to fire.  Nothing on the per-event
 path allocates a lambda, and the clock/observability updates
 are paid once per cohort instead of once per event.
 """
@@ -17,13 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Optional
 
-from repro.sim.events import (
-    OP_BOOT,
-    OP_GRANT,
-    OP_STEP,
-    Event,
-    EventQueue,
-)
+from repro.sim.events import OP_BOOT, OP_STEP, Event, EventQueue
 from repro.sim.process import Process
 
 
@@ -175,38 +169,8 @@ class Simulator:
     # ------------------------------------------------------------------
     # The loop
     # ------------------------------------------------------------------
-    def _dispatch(self, payload: Any) -> None:
-        """Fire one queue payload: an opcode tuple or an Event."""
-        if payload.__class__ is tuple:
-            op = payload[0]
-            if op == OP_STEP:
-                payload[1]._step_if(payload[2], payload[3])
-            elif op == OP_BOOT:
-                payload[1]._step(None)
-            elif op == OP_GRANT:
-                payload[1]._grant(payload[2], payload[3])
-            else:  # OP_THROW
-                payload[1]._step_if(payload[2], throw=payload[3])
-        else:
-            payload._fire()
-
-    def step(self) -> bool:
-        """Process the single earliest event.  Return False if none left."""
-        if not self._queue:
-            return False
-        time, payload = self._queue.pop()
-        if time < self._now:
-            raise RuntimeError(f"time went backwards: {time} < {self._now}")
-        self._now = time
-        self._events_done += 1
-        if self._obs_events is not None:
-            self._obs_events.add()
-        self._dispatch(payload)
-        return True
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run until the queue empties, ``until`` is reached, or
-        ``max_events`` have been processed.
+    def run(self, until: Optional[float] = None) -> None:
+        """Run until the queue empties or ``until`` is reached.
 
         When stopping at ``until``, the clock is advanced to exactly
         ``until`` (events at later times stay queued).
@@ -214,77 +178,43 @@ class Simulator:
         if self._running:
             raise RuntimeError("simulator is already running (re-entrant run())")
         self._running = True
-        processed = 0
-        queue = self._queue
         obs_events = self._obs_events
+        # Opcode dispatch is inlined into the loop body so each event
+        # costs zero extra method calls.  Whether the clock stops at
+        # `until` because later events remain or because the queue
+        # drained, it lands on exactly `until`, so no peek is needed.
+        pop_cohort = self._queue.pop_cohort
         try:
-            if max_events is None:
-                # Hot path: opcode dispatch inlined into the loop body so
-                # each event costs zero extra method calls.  Whether the
-                # clock stops at `until` because later events remain or
-                # because the queue drained, it lands on exactly `until`,
-                # so no peek is needed.
-                pop_cohort = queue.pop_cohort
-                while True:
-                    cohort = pop_cohort(until)
-                    if cohort is None:
-                        break
-                    time, payloads = cohort
-                    if time < self._now:
-                        raise RuntimeError(
-                            f"time went backwards: {time} < {self._now}"
-                        )
-                    self._now = time
-                    count = len(payloads)
-                    processed += count
-                    self._events_done += count
-                    if obs_events is not None:
-                        # One exact integer add per cohort: bit-identical
-                        # to count repeated add(1) calls (integers are
-                        # exact in float64 far beyond any event count).
-                        obs_events.add(count)
-                    for payload in payloads:
-                        if payload.__class__ is tuple:
-                            op = payload[0]
-                            if op == OP_STEP:
-                                process = payload[1]
-                                if payload[2] == process._wait_generation:
-                                    process._step(payload[3])
-                            elif op == OP_BOOT:
-                                payload[1]._step(None)
-                            elif op == OP_GRANT:
-                                payload[1]._grant(payload[2], payload[3])
-                            else:  # OP_THROW
-                                process = payload[1]
-                                if payload[2] == process._wait_generation:
-                                    process._step(None, payload[3])
-                        else:
-                            payload._fire()
-                if until is not None and until > self._now:
-                    self._now = until
-                return
-            # Bounded path: max_events needs a peek before every cohort so
-            # the stop-at-`until` check keeps priority over the budget.
             while True:
-                next_time = queue.peek_time()
-                if next_time is None:
+                cohort = pop_cohort(until)
+                if cohort is None:
                     break
-                if until is not None and next_time > until:
-                    self._now = until
-                    return
-                if processed >= max_events:
-                    return
-                time, payloads = queue.pop_cohort(until, max_events - processed)
+                time, payloads = cohort
                 if time < self._now:
                     raise RuntimeError(f"time went backwards: {time} < {self._now}")
                 self._now = time
                 count = len(payloads)
-                processed += count
                 self._events_done += count
                 if obs_events is not None:
+                    # One exact integer add per cohort: bit-identical to
+                    # count repeated add(1) calls (integers are exact in
+                    # float64 far beyond any event count).
                     obs_events.add(count)
                 for payload in payloads:
-                    self._dispatch(payload)
+                    if payload.__class__ is tuple:
+                        op = payload[0]
+                        if op == OP_STEP:
+                            process = payload[1]
+                            if payload[2] == process._wait_generation:
+                                process._step(payload[3])
+                        elif op == OP_BOOT:
+                            payload[1]._step(None)
+                        else:  # OP_THROW
+                            process = payload[1]
+                            if payload[2] == process._wait_generation:
+                                process._step(None, payload[3])
+                    else:
+                        payload._fire()
             if until is not None and until > self._now:
                 self._now = until
         finally:

@@ -7,9 +7,6 @@ hands the kernel a *command* describing what the process waits for next:
 - :class:`WakeAt` — resume at an absolute simulated time.
 - :class:`Wait` — resume when an :class:`~repro.sim.events.Event` fires;
   the event's ``value`` is sent back into the generator.
-- :class:`Acquire` — resume once a unit of a
-  :class:`~repro.sim.resources.Resource` is held.
-- :class:`Release` — give a unit back (resumes immediately).
 
 A process may also ``yield`` another :class:`Process` to join it (resume
 when the child finishes; the child's return value is sent back).
@@ -75,24 +72,6 @@ class Wait(Command):
 
     def __init__(self, event: Event) -> None:
         self.event = event
-
-
-class Acquire(Command):
-    """Suspend until one unit of ``resource`` is held by this process."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource") -> None:  # noqa: F821
-        self.resource = resource
-
-
-class Release(Command):
-    """Return one unit of ``resource``; the process resumes immediately."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource") -> None:  # noqa: F821
-        self.resource = resource
 
 
 _UNSET = object()
@@ -266,11 +245,6 @@ class Process:
             self._wake_entry = (command.time, payload)
         elif cls is Wait or isinstance(command, Wait):
             command.event._add_waiter(self, generation)
-        elif cls is Acquire or isinstance(command, Acquire):
-            command.resource._enqueue(self, generation)
-        elif cls is Release or isinstance(command, Release):
-            command.resource._release()
-            sim._queue.push_wakeup(sim._now, (OP_STEP, self, generation, None))
         elif cls is Process or isinstance(command, Process):
             command.done._add_waiter(self, generation)
         elif isinstance(command, Event):

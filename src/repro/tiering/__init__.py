@@ -11,8 +11,6 @@ required to lay out the data."
 - :mod:`~repro.tiering.policy` — placement policies mapping
   :class:`~repro.core.placement.DataObject` to tiers: all-HBM baseline,
   static kind-based, lifetime/access-aware, cost-greedy.
-- :mod:`~repro.tiering.migration` — migration plans between placements
-  (bytes moved, transfer time, energy).
 - :mod:`~repro.tiering.scheduler` — the retention-aware tier manager:
   admission, expiry-driven demotion/drop, refresh-vs-migrate economics.
 """
@@ -33,7 +31,6 @@ from repro.tiering.policy import (
     PlacementError,
     PlacementPolicy,
 )
-from repro.tiering.migration import MigrationPlan, plan_migration
 from repro.tiering.scheduler import TierManager, TierManagerStats
 from repro.tiering.offload import (
     ConversationShape,
@@ -50,7 +47,6 @@ __all__ = [
     "KindBasedPolicy",
     "LifetimeAwarePolicy",
     "MemoryTier",
-    "MigrationPlan",
     "Placement",
     "PlacementError",
     "PlacementPolicy",
@@ -60,5 +56,4 @@ __all__ = [
     "hbm_tier",
     "lpddr_tier",
     "mrm_tier",
-    "plan_migration",
 ]

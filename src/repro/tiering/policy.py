@@ -106,15 +106,6 @@ class Placement:
                 worst = (tier.name, util)
         return worst
 
-    def access_power_w(self) -> float:
-        """Steady-state dynamic access power of the placement."""
-        total = 0.0
-        for tier in self.tiers:
-            reads = self.read_bandwidth_demand(tier.name)
-            writes = self.write_bandwidth_demand(tier.name)
-            total += tier.read_energy_j(reads) + tier.write_energy_j(writes)
-        return total
-
     def refresh_power_w(self) -> float:
         """Refresh power of volatile tiers (whole-tier, DRAM refreshes
         everything whether used or not)."""

@@ -12,8 +12,6 @@ here, parameterized and testable:
   arrival-process generators (Poisson, bursty).
 - :mod:`~repro.workload.phases` — the prefill/decode phase traffic
   equations: bytes read/written and FLOPs per phase.
-- :mod:`~repro.workload.tokens` — per-step token generation accounting
-  for a single context.
 - :mod:`~repro.workload.traces` — a JSONL trace format, synthetic trace
   generation (the production-trace substitute) and replay.
 """
@@ -46,7 +44,6 @@ from repro.workload.requests import (
     SLAClass,
 )
 from repro.workload.phases import PhaseTraffic, decode_step_traffic, prefill_traffic
-from repro.workload.tokens import ContextTokens
 from repro.workload.speculative import (
     SpeculationConfig,
     speculative_decode_step_traffic,
@@ -74,7 +71,6 @@ from repro.workload.traces import (
 __all__ = [
     "ArrivalProcess",
     "BurstyArrivals",
-    "ContextTokens",
     "Distribution",
     "EmpiricalDistribution",
     "ExponentialDistribution",

@@ -88,10 +88,6 @@ class ModelConfig:
             raise ValueError("context length must be >= 0")
         return context_tokens * self.kv_bytes_per_token
 
-    def max_kv_cache_bytes(self) -> int:
-        """KV cache of a full-limit context."""
-        return self.kv_cache_bytes(self.context_limit_tokens)
-
     def activation_bytes(self, batch_size: int = 1) -> int:
         """Peak transient activation footprint of one forward pass.
 

@@ -91,22 +91,6 @@ class ArrivalProcess:
     def next_gap(self, rng: np.random.Generator) -> float:
         raise NotImplementedError
 
-    def next_gaps(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` gaps at once (bulk trace generation).
-
-        The base implementation loops ``next_gap`` so stateful processes
-        stay correct; memoryless processes override with a single
-        vectorised draw.  Both paths consume the *same* ``rng`` — a
-        process is free to produce a different (still deterministic)
-        stream through the bulk path, so callers should not interleave
-        the two on one generator and expect identical traces.
-        """
-        if count < 0:
-            raise ValueError("gap count must be >= 0")
-        return np.array(
-            [self.next_gap(rng) for _ in range(count)], dtype=np.float64
-        )
-
 
 class PoissonArrivals(ArrivalProcess):
     """Memoryless arrivals at ``rate_per_s``."""
@@ -118,12 +102,6 @@ class PoissonArrivals(ArrivalProcess):
 
     def next_gap(self, rng: np.random.Generator) -> float:
         return float(rng.exponential(1.0 / self.rate_per_s))
-
-    def next_gaps(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Vectorised: one NumPy call for the whole block of arrivals."""
-        if count < 0:
-            raise ValueError("gap count must be >= 0")
-        return rng.exponential(1.0 / self.rate_per_s, size=count)
 
 
 class BurstyArrivals(ArrivalProcess):

@@ -1,11 +1,10 @@
-"""Tests for DRAM, HBM and LPDDR models."""
+"""Tests for the DRAM and HBM models and the LPDDR catalog profile."""
 
 import pytest
 
-from repro.devices.catalog import DDR5, HBM3E
+from repro.devices.catalog import DDR5, HBM3E, LPDDR5X
 from repro.devices.dram import DRAMDevice
 from repro.devices.hbm import HBM_ROADMAP, HBMGeneration, HBMStack
-from repro.devices.lpddr import LPDDRDevice
 from repro.units import GiB
 
 
@@ -104,27 +103,5 @@ class TestHBMStack:
 
 
 class TestLPDDR:
-    def test_self_refresh_blocks_access(self):
-        dev = LPDDRDevice(capacity_bytes=GiB)
-        dev.enter_self_refresh()
-        with pytest.raises(RuntimeError, match="self-refresh"):
-            dev.read(0, 64)
-        with pytest.raises(RuntimeError, match="self-refresh"):
-            dev.write(0, 64)
-        dev.exit_self_refresh()
-        dev.read(0, 64)  # works again
-
-    def test_self_refresh_cuts_refresh_energy(self):
-        active = LPDDRDevice(capacity_bytes=GiB)
-        parked = LPDDRDevice(capacity_bytes=GiB)
-        parked.enter_self_refresh()
-        assert parked.accrue_refresh_energy(1.0) == pytest.approx(
-            active.accrue_refresh_energy(1.0)
-            * LPDDRDevice.SELF_REFRESH_POWER_FRACTION
-        )
-
     def test_lpddr_cheaper_energy_than_ddr(self):
-        assert (
-            LPDDRDevice().profile.read_energy_j_per_byte
-            < DDR5.read_energy_j_per_byte
-        )
+        assert LPDDR5X.read_energy_j_per_byte < DDR5.read_energy_j_per_byte

@@ -109,8 +109,8 @@ class TestShuffledCohorts:
         fifo_pop = EventQueue.pop_cohort
         shuffled = []
 
-        def shuffled_pop(self, until=None, limit=None):
-            cohort = fifo_pop(self, until, limit)
+        def shuffled_pop(self, until=None):
+            cohort = fifo_pop(self, until)
             if cohort is not None and len(cohort[1]) > 1:
                 rng.shuffle(cohort[1])
                 shuffled.append(len(cohort[1]))

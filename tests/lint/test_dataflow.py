@@ -337,6 +337,34 @@ class TestRL015ProcessPurity:
         assert "slow_helper" in findings[0].message
         assert "time.time" in findings[0].message
 
+    def test_wakeat_process_through_helper(self, tmp_path):
+        # A process that only yields WakeAt is still a process.
+        write(
+            tmp_path,
+            "repro/util.py",
+            """\
+            import time
+
+            def slow_helper():
+                return time.time()
+            """,
+        )
+        write(
+            tmp_path,
+            "repro/sim/procs.py",
+            """\
+            from repro.util import slow_helper
+            from repro.sim.process import WakeAt
+
+            def proc(env, t):
+                slow_helper()
+                yield WakeAt(t)
+            """,
+        )
+        findings = df_findings(tmp_path, "RL015")
+        assert len(findings) == 1
+        assert "slow_helper" in findings[0].message
+
     def test_two_hop_chain_is_reported(self, tmp_path):
         write(
             tmp_path,

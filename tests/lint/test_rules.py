@@ -238,6 +238,19 @@ class TestRL007SimProcessHygiene:
         findings = run_lint(tmp_path, source)
         assert "RL007" in rule_ids(findings)
 
+    def test_bare_yield_in_wakeat_process_flagged(self, tmp_path):
+        # WakeAt alone marks a generator as a process: the engine's
+        # decode leap yields nothing else.
+        source = """\
+            from repro.sim.process import WakeAt
+
+            def proc(t):
+                yield WakeAt(t)
+                yield
+        """
+        findings = run_lint(tmp_path, source)
+        assert "RL007" in rule_ids(findings)
+
     def test_data_generator_exempt(self, tmp_path):
         # A plain iterator yielding values is not a sim process.
         source = """\

@@ -190,20 +190,6 @@ class TestPopCohort:
         assert time == 3.0
         assert list(payloads) == ties
 
-    def test_limit_splits_cohort_preserving_order(self):
-        queue = EventQueue()
-        ties = [Event(str(i)) for i in range(7)]
-        for event in ties:
-            queue.push(1.0, event)
-        time, first = queue.pop_cohort(limit=3)
-        assert time == 1.0
-        assert list(first) == ties[:3]
-        # The remainder stays queued and pops first, still in order.
-        time, rest = queue.pop_cohort()
-        assert time == 1.0
-        assert list(rest) == ties[3:]
-        assert not queue
-
     def test_equal_time_pending_orders_after_live_ties(self):
         """An entry pushed at a timestamp that is already live must pop
         after every live tie at that timestamp (global FIFO), even when

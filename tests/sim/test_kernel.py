@@ -87,17 +87,6 @@ class TestRunControl:
         sim.run(until=100.0)
         assert sim.now == 100.0
 
-    def test_max_events(self):
-        sim = Simulator()
-        hits = []
-        for i in range(10):
-            sim.schedule(float(i + 1), lambda ev, i=i: hits.append(i))
-        sim.run(max_events=3)
-        assert len(hits) == 3
-
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
-
     def test_reentrant_run_rejected(self):
         sim = Simulator()
         sim.schedule(1.0, lambda ev: sim.run())

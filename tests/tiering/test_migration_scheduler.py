@@ -1,10 +1,8 @@
-"""Tests for migration planning and the retention-aware tier manager."""
+"""Tests for the retention-aware tier manager."""
 
 import pytest
 
 from repro.core.placement import kv_cache_object, weights_object
-from repro.tiering.migration import plan_migration
-from repro.tiering.policy import AllHBMPolicy, KindBasedPolicy
 from repro.tiering.scheduler import TierManager
 from repro.tiering.tiers import hbm_tier, lpddr_tier, mrm_tier
 from repro.units import DAY, GiB, HOUR
@@ -24,35 +22,6 @@ def objects():
         kv_cache_object(20 * GiB, read_bytes_per_s=5e11,
                         append_bytes_per_s=3e6, name="kv"),
     ]
-
-
-class TestMigrationPlan:
-    def test_identical_placements_empty_plan(self):
-        objs = objects()
-        tier_set = tiers()
-        before = AllHBMPolicy().place(objs, tier_set)
-        plan = plan_migration(before, before, objs)
-        assert plan.empty
-        assert plan.bytes_moved == 0
-
-    def test_diff_produces_moves_with_costs(self):
-        objs = objects()
-        tier_set = tiers()
-        before = AllHBMPolicy().place(objs, tier_set)
-        after = KindBasedPolicy().place(objs, tier_set)
-        plan = plan_migration(before, after, objs)
-        assert len(plan.moves) == 2  # both objects move hbm -> mrm
-        assert plan.bytes_moved == sum(o.size_bytes for o in objs)
-        assert plan.transfer_time_s > 0
-        assert plan.energy_j > 0
-
-    def test_missing_object_rejected(self):
-        objs = objects()
-        tier_set = tiers()
-        before = AllHBMPolicy().place(objs[:1], tier_set)
-        after = AllHBMPolicy().place(objs[:1], tier_set)
-        with pytest.raises(KeyError):
-            plan_migration(before, after, objs)
 
 
 class TestTierManager:

@@ -6,10 +6,8 @@ counters are the specification here, and they must agree with the
 legacy ``stats`` dataclass at every step.
 """
 
-from repro.core.placement import kv_cache_object, weights_object
+from repro.core.placement import kv_cache_object
 from repro.obs import MetricsRegistry
-from repro.tiering.migration import plan_drain, plan_migration
-from repro.tiering.policy import AllHBMPolicy, KindBasedPolicy
 from repro.tiering.scheduler import TierManager
 from repro.tiering.tiers import hbm_tier, lpddr_tier, mrm_tier
 from repro.units import GiB, HOUR
@@ -125,58 +123,3 @@ class TestDeadlineMetrics:
         assert counters["tier.migrations_total"] == stats.migrated
         assert counters["tier.objects_dropped_total"] == stats.dropped
         assert counters["tier.bytes_dropped_total"] == stats.bytes_dropped
-
-
-class TestMigrationPlanMetrics:
-    def _placements(self):
-        objs = [
-            weights_object(100 * GiB, read_bytes_per_s=4e12, name="w"),
-            kv_object(name="kv"),
-        ]
-        tier_set = tiers()
-        before = AllHBMPolicy().place(objs, tier_set)
-        after = KindBasedPolicy().place(objs, tier_set)
-        return before, after, objs
-
-    def test_rebalance_plan_recorded(self):
-        reg = MetricsRegistry()
-        before, after, objs = self._placements()
-        plan = plan_migration(before, after, objs, obs=reg)
-        counters = reg.snapshot()["counters"]
-        assert counters["migration.plans_total{kind=rebalance}"] == 1.0
-        assert (
-            counters["migration.moves_total{kind=rebalance}"]
-            == len(plan.moves)
-        )
-        assert (
-            counters["migration.bytes_moved_total{kind=rebalance}"]
-            == plan.bytes_moved
-        )
-        hist = reg.snapshot()["histograms"][
-            "migration.transfer_time_s{kind=rebalance}"
-        ]
-        assert hist["count"] == 1
-        assert hist["sum"] == plan.transfer_time_s
-
-    def test_drain_records_stranded_objects(self):
-        reg = MetricsRegistry()
-        # Destination too small for everything on the failing tier.
-        tier_set = [
-            mrm_tier(512 * GiB, retention_s=HOUR),
-            lpddr_tier(25 * GiB),
-        ]
-        objs = [
-            kv_object(size=20 * GiB, name="fits"),
-            kv_object(size=20 * GiB, name="stranded"),
-        ]
-        placement = KindBasedPolicy().place(objs, tier_set)
-        plan, stranded = plan_drain(placement, "mrm", obs=reg)
-        assert len(plan.moves) == 1
-        assert len(stranded) == 1
-        counters = reg.snapshot()["counters"]
-        assert counters["migration.plans_total{kind=drain}"] == 1.0
-        assert counters["migration.stranded_objects_total{kind=drain}"] == 1.0
-        assert (
-            counters["migration.stranded_bytes_total{kind=drain}"]
-            == stranded[0].size_bytes
-        )

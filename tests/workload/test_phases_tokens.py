@@ -1,4 +1,4 @@
-"""Tests for phase traffic equations and per-context token accounting."""
+"""Tests for the phase traffic equations."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from repro.workload.phases import (
     full_request_traffic,
     prefill_traffic,
 )
-from repro.workload.tokens import ContextTokens
 
 
 class TestPrefillTraffic:
@@ -106,32 +105,3 @@ class TestFullRequest:
     def test_infinite_ratio_for_pure_reads(self):
         t = PhaseTraffic(100.0, 0.0, 0.0, 0.0)
         assert t.read_write_ratio == float("inf")
-
-
-class TestContextTokens:
-    def test_lifecycle(self):
-        ctx = ContextTokens(LLAMA2_70B, prompt_tokens=100)
-        assert ctx.kv_bytes == 0
-        written = ctx.prefill()
-        assert written == 100 * LLAMA2_70B.kv_bytes_per_token
-        read, appended = ctx.decode_step()
-        assert read == LLAMA2_70B.kv_cache_bytes(100)
-        assert appended == LLAMA2_70B.kv_bytes_per_token
-        assert ctx.context_tokens == 101
-
-    def test_double_prefill_rejected(self):
-        ctx = ContextTokens(LLAMA2_70B, 10)
-        ctx.prefill()
-        with pytest.raises(RuntimeError):
-            ctx.prefill()
-
-    def test_decode_before_prefill_rejected(self):
-        with pytest.raises(RuntimeError):
-            ContextTokens(LLAMA2_70B, 10).decode_step()
-
-    def test_at_limit(self):
-        ctx = ContextTokens(LLAMA2_70B, LLAMA2_70B.context_limit_tokens - 1)
-        ctx.prefill()
-        assert not ctx.at_limit()
-        ctx.decode_step()
-        assert ctx.at_limit()
