@@ -20,7 +20,7 @@ from repro.analysis.figures import format_table
 from repro.inference.accelerator import H100_80G
 from repro.inference.cluster import Cluster, tensor_parallel_group
 from repro.sim import Simulator
-from repro.units import GiB, bytes_to_human
+from repro.units import MiB, bytes_to_human
 from repro.workload.distributions import SPLITWISE_CONVERSATION
 from repro.workload.model import LLAMA2_70B
 from repro.workload.requests import PoissonArrivals
@@ -67,9 +67,15 @@ def main() -> None:
 
     # --- characterize the block-level access stream ------------------------
     print()
-    print("=== block-level access characterization (Section 2 claims) ===")
+    # 256 MiB blocks keep this to seconds (8 MiB took over a minute)
+    # and read the same sequentiality, in-place fraction and
+    # predictability; the read:write ratio moves by 0.1%.
+    print("=== block-level access characterization, 256 MiB blocks "
+          "(Section 2 claims) ===")
     requests = list(replay_trace(trace))[:12]
-    stream = synthesize_access_stream(model, requests, batch_size=4)
+    stream = synthesize_access_stream(
+        model, requests, page_bytes=256 * MiB, batch_size=4
+    )
     profile = characterize(stream)
     rows = [
         ["read:write ratio", f"{profile.read_write_ratio:.0f}:1"],

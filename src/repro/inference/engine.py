@@ -2,7 +2,8 @@
 
 :class:`InferenceEngine` glues the pieces together: requests arrive, the
 batch scheduler admits them against free KV pages, prefill runs (one
-request at a time, compute-bound), then continuous decode iterations run
+request at a time, compute-bound; a request submitted ``prefilled``
+brings its prompt KV and skips it), then continuous decode iterations run
 the whole batch; each iteration's duration comes from the roofline with
 bytes routed to tiers per the *placement map* — the knob the tiering
 experiments turn:
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Mapping, Optional
+from typing import Callable, Dict, Generator, List, Mapping, Optional, Set
 
 import numpy as np
 
@@ -328,6 +329,8 @@ class InferenceEngine:
         #: any KV loss when recovery is disabled).
         self.failed: List[RunningContext] = []
         self._recoveries_used: Dict[int, int] = {}
+        #: Ids of queued requests that were submitted ``prefilled``.
+        self._prefilled: Set[int] = set()
         self._leap: Optional[_DecodeLeap] = None
         self._wakeup = sim.event(name=f"{self.name}-wakeup")
         self._process = sim.spawn(self._serve_loop(), name=self.name)
@@ -348,9 +351,16 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # External interface
     # ------------------------------------------------------------------
-    def submit(self, request: InferenceRequest) -> None:
-        """Hand a request to this engine (at the current simulated time)."""
+    def submit(self, request: InferenceRequest, prefilled: bool = False) -> None:
+        """Hand a request to this engine (at the current simulated time).
+
+        A ``prefilled`` request brings its prompt KV (a phase-split
+        prefill machine computed it), so admission runs no prefill step.
+        The mark dies with the pending entry: any recompute prefills.
+        """
         self._settle()
+        if prefilled:
+            self._prefilled.add(request.request_id)
         self.scheduler.enqueue(request)
         self._wake()
 
@@ -470,6 +480,7 @@ class InferenceEngine:
             if self._lose_kv(context):
                 displaced.append(context.request)
         dropped_pending = self.scheduler.pop_pending()
+        self._prefilled.clear()
         if self._process.alive:
             self._process.interrupt(EngineCrashed(restart_delay_s))
         else:
@@ -499,6 +510,7 @@ class InferenceEngine:
         """
         self._settle()
         if self.scheduler.remove_pending(request_id):
+            self._prefilled.discard(request_id)
             self.requests_cancelled += 1
             return True
         context = self.scheduler.running.get(request_id)
@@ -540,7 +552,12 @@ class InferenceEngine:
             # 1. Admit + prefill (one request per pass keeps TTFT fair).
             request = self.scheduler.try_admit()
             if request is not None:
-                yield from self._run_prefill(request)
+                if request.request_id in self._prefilled:
+                    # Decode-only: its prompt KV arrived with it.
+                    self._prefilled.remove(request.request_id)
+                    self._start(request).prefill_done_at = self.sim.now
+                else:
+                    yield from self._run_prefill(request)
                 continue
             # 2. Decode the running batch up to its next change.
             batch = self.scheduler.decode_batch()
@@ -565,7 +582,8 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # Phases
     # ------------------------------------------------------------------
-    def _run_prefill(self, request: InferenceRequest) -> Generator:
+    def _start(self, request: InferenceRequest) -> RunningContext:
+        """Admit ``request`` into the running set with its prompt's KV."""
         context = self.scheduler.start(request)
         _allocated, shared_tokens = self.kv.register(
             context.context_id,
@@ -575,6 +593,10 @@ class InferenceEngine:
         if shared_tokens:
             self.prefix_tokens_shared += shared_tokens
             self._obs_prefix_shared.add(shared_tokens)
+        return context
+
+    def _run_prefill(self, request: InferenceRequest) -> Generator:
+        context = self._start(request)
         # Multi-turn follow-up: history KV already resident, prefill only
         # the new turn's tokens.
         new_tokens = request.prompt_tokens - request.cached_prompt_tokens

@@ -1,8 +1,11 @@
 """Tests for the batch scheduler, engine and cluster."""
 
+from unittest import mock
+
 import pytest
 
 from repro.fleet.autoscaler import apply_memory_config
+from repro.inference import cluster as cluster_module
 from repro.inference.accelerator import H100_80G
 from repro.inference.batching import BatchScheduler
 from repro.inference.cluster import Cluster, tensor_parallel_group
@@ -151,6 +154,118 @@ class TestEngine:
             InferenceEngine(sim, H100_80G, LLAMA2_70B, max_batch_size=4,
                             kv_capacity_bytes=None)
             # 70B weights (130 GiB) exceed one H100's 80 GiB
+
+
+class CountingEngine(InferenceEngine):
+    """An engine that records the id of every request it prefills."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.prefills = []
+
+    def _run_prefill(self, request):
+        self.prefills.append(request.request_id)
+        yield from super()._run_prefill(request)
+
+
+class TestDecodeOnlySubmit:
+    """``submit(request, prefilled=True)``: the prompt KV arrives with the
+    request, so admission runs no prefill step.  The mark lives only as
+    long as the request's pending entry; every recompute prefills."""
+
+    @staticmethod
+    def make_engine(max_batch_size=4):
+        sim = Simulator()
+        engine = CountingEngine(
+            sim, tensor_parallel_group(H100_80G, 2), LLAMA2_13B,
+            max_batch_size=max_batch_size,
+        )
+        return sim, engine
+
+    @staticmethod
+    def finish(sim, engine):
+        sim.run()
+        engine.drain()
+        sim.run()
+
+    def test_admission_skips_prefill_and_consumes_the_mark(self):
+        sim, engine = self.make_engine()
+        request = InferenceRequest(0.0, 512, 4)
+        engine.submit(request, prefilled=True)
+        sim.run()
+        [context] = engine.completed
+        assert engine.prefills == []
+        assert context.prefill_done_at == 0.0
+        summary = engine.summarize()
+        assert summary.memory_bound_steps + summary.compute_bound_steps == 4
+        # The mark went with the pending entry: the request again prefills.
+        engine.submit(request)
+        self.finish(sim, engine)
+        assert engine.prefills == [request.request_id]
+
+    def test_cancel_of_a_pending_request_drops_the_mark(self):
+        sim, engine = self.make_engine()
+        request = InferenceRequest(0.0, 512, 4)
+        engine.submit(request, prefilled=True)
+        assert engine.cancel(request.request_id)
+        engine.submit(request)
+        self.finish(sim, engine)
+        assert engine.prefills == [request.request_id]
+
+    def test_crash_clears_the_mark(self):
+        sim, engine = self.make_engine(max_batch_size=1)
+        running = InferenceRequest(0.0, 512, 40)
+        queued = InferenceRequest(0.0, 512, 4)
+        engine.submit(running)
+        engine.submit(queued, prefilled=True)
+        dropped = []
+
+        def crash(_event):
+            dropped.extend(engine.crash(0.1)[1])
+            # Back to the same engine, as a dispatcher re-routes a lost
+            # queue when no other engine is up.
+            engine.submit(queued)
+
+        sim.schedule_at(0.05, crash)
+        self.finish(sim, engine)
+        assert dropped == [queued]
+        assert engine.prefills == [running.request_id, queued.request_id]
+        assert [c.request for c in engine.completed] == [queued]
+
+    def test_kv_loss_recompute_prefills_again(self):
+        sim, engine = self.make_engine()
+        request = InferenceRequest(0.0, 512, 40)
+        engine.submit(request, prefilled=True)
+        outcomes = []
+        sim.schedule_at(
+            0.05, lambda _event: outcomes.append(engine.inject_kv_loss(0.0))
+        )
+        self.finish(sim, engine)
+        assert outcomes == ["recovered"]
+        assert engine.prefills == [request.request_id]
+        assert len(engine.completed) == 1
+
+    def test_crash_redispatch_to_the_same_engine_prefills_again(self):
+        sim = Simulator()
+        with mock.patch.object(cluster_module, "InferenceEngine", CountingEngine):
+            cluster = Cluster(
+                sim, tensor_parallel_group(H100_80G, 2), LLAMA2_13B,
+                num_engines=1,
+            )
+        [engine] = cluster.engines
+        request = InferenceRequest(0.0, 512, 40)
+        engine.submit(request, prefilled=True)
+        outcomes = []
+        sim.schedule_at(
+            0.05,
+            lambda _event: outcomes.append(
+                cluster.handle_engine_crash(engine.name)
+            ),
+        )
+        self.finish(sim, engine)
+        assert outcomes == [("crashed", 1)]
+        assert engine.prefills == [request.request_id]
+        assert len(engine.completed) == 1
 
 
 class TestCluster:

@@ -6,13 +6,13 @@ decode iteration.  Both engines run the same scenarios through
 :class:`~repro.inference.cluster.Cluster` — fractional-parameter models,
 split and shared weight/KV tiers, batch caps 1-16, arrivals and mid-run
 ``summarize()`` probes placed exactly on step boundaries, prefix
-sharing, KV losses, engine crashes and a hedging, timing-out resilience
-policy — and everything they produce must be bit-identical: reports,
-tallies, histogram samples and moments, context timestamps, the
-allocator's free list and the obs snapshot.  The one exception is a
-call between engines at an instant both wake at, which the oracle
-detects (:func:`same_instant_calls`) and :class:`TestSameInstantOrder`
-pins.
+sharing, decode-only (``prefilled``) submissions, KV losses, engine
+crashes and a hedging, timing-out resilience policy — and everything
+they produce must be bit-identical: reports, tallies, histogram samples
+and moments, context timestamps, the allocator's free list and the obs
+snapshot.  The one exception is a call between engines at an instant
+both wake at, which the oracle detects (:func:`same_instant_calls`) and
+:class:`TestSameInstantOrder` pins.
 """
 
 from contextlib import contextmanager
@@ -74,9 +74,9 @@ class PerStepEngine(InferenceEngine):
         if self.sim._running:
             self.calls.append((self.sim.now, _ZERO_TIME[0]))
 
-    def submit(self, request):
+    def submit(self, request, prefilled=False):
         self.touched()
-        super().submit(request)
+        super().submit(request, prefilled)
 
     def cancel(self, request_id):
         self.touched()
@@ -196,6 +196,23 @@ def same_instant_calls(cluster) -> int:
 
 
 @contextmanager
+def _decode_only(request_ids):
+    """Deliver the arrivals in ``request_ids`` the way a phase-split
+    cluster delivers a transferred context: ``prefilled``, straight to
+    the JSQ engine.  Scenarios with a dispatcher draw none."""
+    deliver = Cluster._deliver
+
+    def _deliver(self, request):
+        if request.request_id in request_ids:
+            self._least_loaded().submit(request, prefilled=True)
+        else:
+            deliver(self, request)
+
+    with mock.patch.object(Cluster, "_deliver", _deliver):
+        yield
+
+
+@contextmanager
 def _observed_dispatch():
     """Mark arrivals as zero-time events and log every queue-depth read
     as a call on the engine read (per-step runs only)."""
@@ -280,11 +297,18 @@ def _serve(engine_cls, scenario, extra_times=(), probe_times=()):
     # Ids are compared relative to the run's first request: the runs
     # create the same requests and clones in the same order.
     first_id = requests[0].request_id
-    if engine_cls is PerStepEngine:
-        with _observed_dispatch():
+    flags = scenario.get("prefilled", ())
+    prefilled = {
+        r.request_id
+        for j, r in enumerate(requests)
+        if flags and flags[j % len(flags)]
+    }
+    with _decode_only(prefilled):
+        if engine_cls is PerStepEngine:
+            with _observed_dispatch():
+                cluster.run(requests)
+        else:
             cluster.run(requests)
-    else:
-        cluster.run(requests)
 
     engines = []
     for engine in cluster.engines:
@@ -371,6 +395,13 @@ def scenarios(draw):
             max_queue_depth=draw(st.sampled_from([0, 3])),
             restart_delay_s=draw(st.sampled_from([0.1, 0.4])),
         )
+    # Decode-only arrivals, one flag per spec (extra arrivals copy their
+    # spec's); they bypass a dispatcher, so only undispatched runs draw.
+    prefilled = []
+    if resilience is None:
+        prefilled = draw(
+            st.lists(st.booleans(), min_size=count, max_size=count)
+        )
     return {
         "model": model,
         "memory": draw(st.sampled_from(["hbm", "mrm", "mrm-both"])),
@@ -378,6 +409,7 @@ def scenarios(draw):
         "batch": draw(st.integers(1, 16)),
         "prefix_sharing": draw(st.booleans()),
         "specs": specs,
+        "prefilled": prefilled,
         "recovery": draw(st.booleans()),
         "resilience": resilience,
         "faults": draw(st.sampled_from(["none", "kv", "domain"])),
@@ -466,6 +498,22 @@ class TestSettleRules:
         probes = boundaries[::3] + [b + 1e-4 for b in boundaries[1::5]]
         expected = _serve(PerStepEngine, scenario, probe_times=probes)[:2]
         actual = _serve(InferenceEngine, scenario, probe_times=probes)[:2]
+        assert actual == expected
+
+    def test_decode_only_arrival_cuts_a_leap(self):
+        # Every request is decode-only; the extra one lands on a step
+        # boundary while the first request's leap runs.
+        scenario = _single_engine_scenario(prefilled=[True])
+        *_, first = _serve(PerStepEngine, scenario)
+        time = first.engines[0].boundaries[5]
+        *expected, oracle = _serve(PerStepEngine, scenario, [time])
+        *actual, _ = _serve(InferenceEngine, scenario, [time])
+        [late] = [
+            c for c in oracle.engines[0].completed
+            if c.request.arrival_time == time
+        ]
+        # Admitted at the boundary it arrived on, with no prefill step.
+        assert late.prefill_done_at == time
         assert actual == expected
 
     def test_cut_leaves_no_stale_wakeup_behind(self):

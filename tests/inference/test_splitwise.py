@@ -68,7 +68,7 @@ class TestSplitwiseCluster:
 
     def test_weights_must_fit_decode_machine(self):
         sim = Simulator()
-        with pytest.raises(ValueError, match="do not fit"):
+        with pytest.raises(ValueError, match="no KV capacity left"):
             SplitwiseCluster(sim, H100_80G, LLAMA2_70B)  # 130 GiB > 80 GiB
 
 
