@@ -1,11 +1,10 @@
 """Reduce one parsed file to a :class:`FileSummary`.
 
 Extraction is deliberately file-local: the only inputs are the source
-text and the module's dotted name, so the result can be content-hash
-cached.  Name resolution uses the file's own imports (``from
-repro.workload.requests import ArrivalProcess`` makes the bare name
-resolvable here); chasing re-export chains across files is the
-linker's job.
+text and the module's dotted name.  Name resolution uses the file's
+own imports (``from repro.workload.requests import ArrivalProcess``
+makes the bare name resolvable here); chasing re-export chains across
+files is the linker's job.
 
 Precision stance: this is a linter, so the inferencer prefers silence
 over guessing — straight-line local assignments are tracked (last

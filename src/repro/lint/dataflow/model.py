@@ -1,24 +1,15 @@
-"""Per-file analysis summaries: the unit the dataflow cache stores.
+"""Per-file analysis summaries: what the dataflow layer knows of a file.
 
 A :class:`FileSummary` is a pure function of one file's source text —
-no cross-file facts leak in, so summaries can be content-hash cached
-and recomputed independently.  Everything interprocedural (alias
+no cross-file facts leak in.  Everything interprocedural (alias
 chasing, call-graph closure, dimension conflicts) happens later in the
 linker over a set of summaries.
-
-All structures round-trip through JSON exactly (lists, dicts, strings,
-ints, None), so a cache hit is indistinguishable from a fresh
-extraction.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional
-
-#: Bump when the summary shape or the extraction logic changes; part of
-#: every cache key, so stale summaries are never loaded.
-DATAFLOW_SCHEMA = 3
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 # Iteration-order classes of a ``for`` loop's iterable (RL016) ---------------
 #: Provably canonical: ``sorted(...)``.
@@ -204,9 +195,8 @@ class ClassSummary:
 
 @dataclass
 class FileSummary:
-    """The cached per-file analysis product."""
+    """The per-file analysis product."""
 
-    schema: int = DATAFLOW_SCHEMA
     #: Repo-relative display path (stable across machines).
     path: str = ""
     #: Dotted module name, or "" outside a repro package root.
@@ -216,46 +206,3 @@ class FileSummary:
     aliases: Dict[str, str] = field(default_factory=dict)
     functions: List[FunctionSummary] = field(default_factory=list)
     classes: List[ClassSummary] = field(default_factory=list)
-
-    # -- JSON round-trip ---------------------------------------------------
-    def to_json(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "FileSummary":
-        summary = cls(
-            schema=payload.get("schema", -1),
-            path=payload.get("path", ""),
-            module=payload.get("module", ""),
-            aliases=dict(payload.get("aliases", {})),
-        )
-        for fn in payload.get("functions", []):
-            summary.functions.append(
-                FunctionSummary(
-                    **{
-                        **fn,
-                        "params": [ParamInfo(**p) for p in fn["params"]],
-                        "calls": [
-                            CallInfo(
-                                **{**c, "args": [ArgInfo(**a) for a in c["args"]]}
-                            )
-                            for c in fn["calls"]
-                        ],
-                        "rng_events": [RngEvent(**e) for e in fn["rng_events"]],
-                        "wall_calls": [WallCall(**w) for w in fn["wall_calls"]],
-                        "float_accums": [
-                            FloatAccum(**a) for a in fn["float_accums"]
-                        ],
-                    }
-                )
-            )
-        for klass in payload.get("classes", []):
-            summary.classes.append(
-                ClassSummary(
-                    qualname=klass["qualname"],
-                    lineno=klass["lineno"],
-                    is_dataclass=klass["is_dataclass"],
-                    init_params=[ParamInfo(**p) for p in klass["init_params"]],
-                )
-            )
-        return summary

@@ -15,7 +15,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from repro.lint.dataflow import dimensions as dims
 from repro.lint.dataflow.linker import Program
 from repro.lint.dataflow.model import PROV_LITERAL, PROV_UNSEEDED
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 
 #: Packages whose code a sweep's per-point SeedSequence must govern.
 RNG_SCOPE_PACKAGES: Tuple[str, ...] = ("repro.sim", "repro.workload", "repro.faults")
@@ -65,7 +65,6 @@ def _finding(
 ) -> Finding:
     return Finding(
         rule_id=rule_id,
-        severity=Severity.ERROR,
         path=path,
         line=lineno,
         col=col,

@@ -2,31 +2,13 @@
 
 A :class:`Finding` is one violation at one source location.  Findings
 are value objects: the engine produces them, the suppression layer
-filters them, the baseline layer matches them by fingerprint, and the
-CLI renders them.
+filters them, and the CLI renders them.  Every rule is an error: a new
+finding fails the run unless an inline pragma suppresses it.
 """
 
 from __future__ import annotations
 
-import enum
-import hashlib
-from dataclasses import dataclass, field
-from typing import Optional
-
-
-class Severity(enum.Enum):
-    """How bad a finding is.
-
-    ``ERROR`` findings fail the run (exit code 1) unless suppressed or
-    baselined; ``WARNING`` findings are reported but only fail the run
-    under ``--strict``.
-    """
-
-    ERROR = "error"
-    WARNING = "warning"
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.value
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -37,8 +19,6 @@ class Finding:
     ----------
     rule_id:
         The rule that fired, e.g. ``"RL003"``.
-    severity:
-        :class:`Severity` of the rule (rules may downgrade per-finding).
     path:
         Path of the offending file, as given to the engine (the engine
         normalises to a repo-relative posix path when it can).
@@ -52,33 +32,16 @@ class Finding:
     """
 
     rule_id: str
-    severity: Severity
     path: str
     line: int
     col: int
     message: str
     fix_hint: str = ""
-    #: The stripped source line, used for stable fingerprints.
-    source_line: str = field(default="", compare=False)
 
-    def fingerprint(self) -> str:
-        """A line-number-independent identity for baseline matching.
-
-        Hashes (path, rule, stripped source text) so that findings
-        survive unrelated edits shifting line numbers.  Identical
-        violations on identical lines share a fingerprint; the baseline
-        stores a count per fingerprint to handle that.
-        """
-        payload = f"{self.path}::{self.rule_id}::{self.source_line.strip()}"
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-    def render(self, show_hint: bool = True) -> str:
-        """One human-readable line (plus an optional hint line)."""
-        text = (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.rule_id} [{self.severity}] {self.message}"
-        )
-        if show_hint and self.fix_hint:
+    def render(self) -> str:
+        """One human-readable line, plus a hint line when there is one."""
+        text = f"{self.path}:{self.line}:{self.col}: {self.rule_id} {self.message}"
+        if self.fix_hint:
             text += f"\n    hint: {self.fix_hint}"
         return text
 

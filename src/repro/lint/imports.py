@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Optional, Set
 
 #: The package whose determinism contract anchors the closure.
 SIM_PACKAGE = "repro.sim"
@@ -68,18 +68,18 @@ class ImportGraph:
 
     def __init__(self) -> None:
         self._imports: Dict[str, Set[str]] = {}
+        #: module -> known modules it imports (:meth:`_targets`).
+        self._targets_memo: Dict[str, Set[str]] = {}
 
     def add(self, path: Path, tree: ast.AST) -> None:
         module = module_name_for(path)
         if module is None:
             return
         self._imports[module] = imported_modules(tree, module)
+        self._targets_memo.clear()
 
     def _is_or_under(self, module: str, package: str) -> bool:
         return module == package or module.startswith(package + ".")
-
-    def _touches_sim(self, names: Iterable[str]) -> bool:
-        return any(self._is_or_under(n, SIM_PACKAGE) for n in names)
 
     def _resolve(self, imported: str) -> Set[str]:
         """Known modules an imported dotted name refers to (the module
@@ -91,9 +91,13 @@ class ImportGraph:
         }
 
     def _targets(self, module: str) -> Set[str]:
-        resolved: Set[str] = set()
-        for name in self._imports.get(module, ()):
-            resolved |= self._resolve(name)
+        """Known modules ``module`` imports, computed once per module."""
+        resolved = self._targets_memo.get(module)
+        if resolved is None:
+            resolved = set()
+            for name in self._imports.get(module, ()):
+                resolved |= self._resolve(name)
+            self._targets_memo[module] = resolved
         return resolved
 
     def dependencies_of(self, roots: Set[str]) -> Set[str]:

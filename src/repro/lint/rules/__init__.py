@@ -3,12 +3,11 @@
 Adding a rule is three steps (see ``docs/STATIC_ANALYSIS.md``):
 
 1. subclass :class:`~repro.lint.rules.base.Rule` in a module here,
-2. give it the next free ``RL0xx`` id, a severity and a summary,
+2. give it the next free ``RL0xx`` id and a summary,
 3. append the class to :data:`RULE_CLASSES`.
 
-Ids are never reused: a retired rule's id stays retired, so a pragma or
-baseline entry naming one is an unknown id rather than a silent
-reinterpretation.
+Ids are never reused: a retired rule's id stays retired, so a pragma
+naming one is an unknown id rather than a silent reinterpretation.
 """
 
 from __future__ import annotations

@@ -1,19 +1,21 @@
 """Rule plumbing: the context a rule sees and the base class it extends.
 
-A rule is a class with a ``rule_id`` (``RL001``...), a ``severity``, a
-one-line ``summary`` (shown by ``--list-rules``) and a ``check`` method
-yielding :class:`~repro.lint.findings.Finding` objects.  Rules are
-stateless between files; everything file- or repo-scoped arrives in the
-:class:`RuleContext`.
+A rule is a class with a ``rule_id`` (``RL001``...), a one-line
+``summary`` (shown by ``--list-rules``) and a ``check`` method yielding
+:class:`~repro.lint.findings.Finding` objects.  Rules are stateless
+between files; everything file- or repo-scoped arrives in the
+:class:`RuleContext`, which walks each tree once and shares the walk
+with every rule.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Set
+from functools import cached_property
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 
 
 @dataclass
@@ -27,6 +29,21 @@ class RuleContext:
     module: Optional[str] = None
     #: Modules under the determinism contract (see repro.lint.imports).
     determinism_critical: Set[str] = field(default_factory=set)
+
+    @cached_property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of :attr:`tree` in ``ast.walk`` order, walked once
+        per file rather than once per rule."""
+        return list(ast.walk(self.tree))
+
+    @cached_property
+    def parents(self) -> Dict[ast.AST, ast.AST]:
+        """Child node -> parent node over the whole tree."""
+        parents: Dict[ast.AST, ast.AST] = {}
+        for node in self.nodes:
+            for child in ast.iter_child_nodes(node):
+                parents[child] = node
+        return parents
 
     def source_line(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):
@@ -54,7 +71,6 @@ class Rule:
     """Base class for all lint rules."""
 
     rule_id: str = "RL000"
-    severity: Severity = Severity.ERROR
     summary: str = ""
 
     def check(self, ctx: RuleContext) -> Iterator[Finding]:  # pragma: no cover
@@ -66,20 +82,15 @@ class Rule:
         node: ast.AST,
         message: str,
         fix_hint: str = "",
-        severity: Optional[Severity] = None,
     ) -> Finding:
         """Build a finding anchored at ``node``."""
-        lineno = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
         return Finding(
             rule_id=self.rule_id,
-            severity=severity or self.severity,
             path=ctx.path,
-            line=lineno,
-            col=col,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0),
             message=message,
             fix_hint=fix_hint or f"or suppress: # repro-lint: disable={self.rule_id}",
-            source_line=ctx.source_line(lineno),
         )
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Set
 
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 from repro.lint.rules.base import Rule, RuleContext, dotted_name
 
 #: numpy.random attributes that are constructors, not global draws.
@@ -71,7 +71,6 @@ class UnseededRandomRule(Rule):
     """RL003: randomness drawn from hidden global state."""
 
     rule_id = "RL003"
-    severity = Severity.ERROR
     summary = (
         "unseeded randomness: module-level random.*, random.Random()/"
         "default_rng() without a seed, or numpy legacy np.random.* globals"
@@ -83,7 +82,7 @@ class UnseededRandomRule(Rule):
     def _scan_imports(self, ctx: RuleContext) -> Set[str]:
         """Names bound by ``from random import Random [as R]``."""
         aliases: Set[str] = set()
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.ImportFrom) and node.module == "random":
                 for alias in node.names:
                     if alias.name == "Random":
@@ -92,7 +91,7 @@ class UnseededRandomRule(Rule):
 
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
         random_ctor_aliases = self._scan_imports(ctx)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = dotted_name(node.func)
@@ -150,11 +149,10 @@ class WallClockRule(Rule):
     """RL004: wall-clock reads inside a simulated-time codebase."""
 
     rule_id = "RL004"
-    severity = Severity.ERROR
     summary = "wall-clock call (time.time, datetime.now); simulated time is the only clock"
 
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = dotted_name(node.func)
@@ -186,7 +184,6 @@ class SetIterationRule(Rule):
     """RL005: iteration order of a set leaks into results."""
 
     rule_id = "RL005"
-    severity = Severity.ERROR
     summary = (
         "iterating a set (hash order) in determinism-critical code; "
         "wrap in sorted()"
@@ -195,7 +192,7 @@ class SetIterationRule(Rule):
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
         if not ctx.is_determinism_critical:
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             iters = []
             if isinstance(node, ast.For):
                 iters.append(node.iter)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List
 
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 from repro.lint.rules.base import Rule, RuleContext, dotted_name
 
 #: Exception names too broad to swallow silently.
@@ -59,7 +59,6 @@ class SwallowedExceptionRule(Rule):
     determinism-critical modules."""
 
     rule_id = "RL010"
-    severity = Severity.ERROR
     summary = (
         "bare `except:` or a swallowed broad handler (`except Exception: "
         "pass`) in a determinism-critical module; faults must propagate "
@@ -69,7 +68,7 @@ class SwallowedExceptionRule(Rule):
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
         if not ctx.is_determinism_critical:
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:

@@ -18,9 +18,9 @@ Whitelisted idioms (not flagged):
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set
+from typing import Iterator, List, Set
 
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 from repro.lint.rules.base import Rule, RuleContext
 
 
@@ -30,9 +30,9 @@ def _is_float_literal(node: ast.AST) -> bool:
     return isinstance(node, ast.Constant) and isinstance(node.value, float)
 
 
-def _nodes_inside_asserts(tree: ast.AST) -> Set[int]:
+def _nodes_inside_asserts(nodes: List[ast.AST]) -> Set[int]:
     inside: Set[int] = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Assert):
             for sub in ast.walk(node):
                 inside.add(id(sub))
@@ -43,12 +43,11 @@ class FloatEqualityRule(Rule):
     """RL006: ``==``/``!=`` with a float literal operand."""
 
     rule_id = "RL006"
-    severity = Severity.ERROR
     summary = "float equality comparison (== / != with a float literal)"
 
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
-        in_assert = _nodes_inside_asserts(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        in_assert = _nodes_inside_asserts(ctx.nodes)
+        for node in ctx.nodes:
             if not isinstance(node, ast.Compare) or id(node) in in_assert:
                 continue
             operands = [node.left, *node.comparators]

@@ -29,9 +29,9 @@ identity builtins are legal Python.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set
+from typing import Iterator, List, Set
 
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 from repro.lint.rules.base import Rule, RuleContext, dotted_name
 from repro.lint.rules.determinism import _WALL_CLOCK_CALLS
 
@@ -69,8 +69,8 @@ _IDENTITY_CALLS: Set[str] = {
 _FORBIDDEN: Set[str] = _WALL_CLOCK_CALLS | _IDENTITY_CALLS
 
 
-def _imports_obs(tree: ast.Module) -> bool:
-    for node in ast.walk(tree):
+def _imports_obs(nodes: List[ast.AST]) -> bool:
+    for node in nodes:
         if isinstance(node, ast.Import):
             if any(a.name.startswith("repro.obs") for a in node.names):
                 return True
@@ -84,7 +84,6 @@ class ObsDeterminismRule(Rule):
     """RL011: host identity or wall clock fed into an obs position."""
 
     rule_id = "RL011"
-    severity = Severity.ERROR
     summary = (
         "wall-clock or per-process identity (time.time, id, hash, uuid, "
         "getpid) in a repro.obs metric/trace position; snapshots must be "
@@ -93,9 +92,9 @@ class ObsDeterminismRule(Rule):
 
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
         in_obs_package = bool(ctx.module) and ctx.module.startswith("repro.obs")
-        if not in_obs_package and not _imports_obs(ctx.tree):
+        if not in_obs_package and not _imports_obs(ctx.nodes):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             if not isinstance(node.func, ast.Attribute):

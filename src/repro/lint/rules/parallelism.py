@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 from repro.lint.rules.base import Rule, RuleContext, dotted_name
 
 _ALLOWED_PACKAGE = "repro.parallel"
@@ -42,7 +42,6 @@ class AdHocParallelismRule(Rule):
     """RL009: process fan-out outside the sanctioned sweep engine."""
 
     rule_id = "RL009"
-    severity = Severity.ERROR
     summary = (
         "ProcessPoolExecutor/multiprocessing use outside repro.parallel — "
         "unseeded ad-hoc fan-out breaks the determinism contract"
@@ -51,7 +50,7 @@ class AdHocParallelismRule(Rule):
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
         if _in_allowed_package(ctx):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     root = alias.name.split(".")[0]

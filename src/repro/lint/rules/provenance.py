@@ -22,7 +22,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 from repro.lint.rules.base import Rule, RuleContext, dotted_name, numeric_value
 
 DEVICES_PACKAGE = "devices"
@@ -48,7 +48,6 @@ class DeviceProvenanceRule(Rule):
     """RL008: device numbers without a citation."""
 
     rule_id = "RL008"
-    severity = Severity.ERROR
     summary = (
         "device parameter without provenance: profile missing source=, or "
         "numeric constant without a citation comment (devices/ only)"
@@ -57,7 +56,7 @@ class DeviceProvenanceRule(Rule):
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
         if ctx.in_package != DEVICES_PACKAGE:
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Call) and _is_profile_call(node):
                 kw = _source_kwarg(node)
                 if kw is None or _empty_source(kw):

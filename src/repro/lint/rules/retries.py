@@ -25,7 +25,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Set
 
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 from repro.lint.rules.base import Rule, RuleContext, dotted_name
 
 #: Sub-packages under ``repro`` this rule applies to.
@@ -73,7 +73,6 @@ class UnboundedResilienceRule(Rule):
     serving and fault code."""
 
     rule_id = "RL020"
-    severity = Severity.ERROR
     summary = (
         "serving/faults code retries without a budget (while True over "
         "retry state with no bound check) or blocks without a timeout "
@@ -142,7 +141,7 @@ class UnboundedResilienceRule(Rule):
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
         if ctx.in_package not in RESILIENCE_PACKAGES:
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.While):
                 yield from self._check_retry_loop(ctx, node)
             elif isinstance(node, ast.Call):

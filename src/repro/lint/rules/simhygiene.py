@@ -22,7 +22,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Set
 
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 from repro.lint.rules.base import Rule, RuleContext, dotted_name
 
 #: Constructors whose presence marks a generator as a sim process.
@@ -69,7 +69,6 @@ class SimProcessHygieneRule(Rule):
     """RL007: process generators yielding non-commands; blocking calls."""
 
     rule_id = "RL007"
-    severity = Severity.ERROR
     summary = (
         "sim process yields a non-command literal, or model code calls a "
         "blocking function (time.sleep, input, subprocess)"
@@ -106,7 +105,7 @@ class SimProcessHygieneRule(Rule):
                 )
 
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._check_generator(ctx, node)
             if isinstance(node, ast.Call):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, Optional, Set, Tuple
 
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 from repro.lint.rules.base import Rule, RuleContext, numeric_value
 
 #: Literal values that re-derive a named repro.units constant.  This
@@ -54,14 +54,6 @@ BINARY_SIZE_NAMES: Set[str] = {"KiB", "MiB", "GiB", "TiB"}
 DECIMAL_SIZE_NAMES: Set[str] = {"KB", "MB", "GB", "TB"}
 
 
-def _parent_map(tree: ast.AST) -> Dict[ast.AST, ast.AST]:
-    parents: Dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
-
-
 def _is_quantity_position(node: ast.AST, parents: Dict[ast.AST, ast.AST]) -> bool:
     """Is ``node`` the value of a keyword / assignment whose name has a
     unit suffix (``capacity_bytes=...``, ``retention_s = ...``)?"""
@@ -81,7 +73,6 @@ class MagicUnitLiteralRule(Rule):
     """RL001: a magic number re-derives a named ``repro.units`` constant."""
 
     rule_id = "RL001"
-    severity = Severity.ERROR
     summary = (
         "magic scale factor (1024**3, 86400, ...) in a physical-quantity "
         "position; use the repro.units constant"
@@ -105,8 +96,8 @@ class MagicUnitLiteralRule(Rule):
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
         if ctx.module == "repro.units":  # the definitions themselves
             return
-        parents = _parent_map(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        parents = ctx.parents
+        for node in ctx.nodes:
             if isinstance(node, ast.BinOp):
                 constant = self._pow_rewrite(node)
                 if constant:
@@ -146,14 +137,13 @@ class MixedSizeUnitsRule(Rule):
     """RL002: binary and decimal size constants mixed in one expression."""
 
     rule_id = "RL002"
-    severity = Severity.ERROR
     summary = "binary (GiB) and decimal (GB) size constants mixed in one expression"
 
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
         if ctx.module == "repro.units":
             return
-        parents = _parent_map(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        parents = ctx.parents
+        for node in ctx.nodes:
             # Only inspect maximal arithmetic expressions, once each.
             if not isinstance(node, ast.BinOp) or isinstance(
                 parents.get(node), ast.BinOp

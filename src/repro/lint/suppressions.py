@@ -87,6 +87,8 @@ def _comments(lines: Sequence[str]) -> Iterator[Tuple[int, str]]:
     scanning every line verbatim if tokenization fails.
     """
     source = "\n".join(lines) + "\n"
+    if "repro-lint" not in source:
+        return  # no pragma can be here: skip tokenizing
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, IndentationError, SyntaxError):
@@ -143,7 +145,7 @@ class SuppressionIndex:
                     self.file_level |= ids
             else:
                 self.by_line.setdefault(lineno, set()).update(ids)
-        if tree is not None:
+        if tree is not None and self.by_line:
             self._apply_decorator_pragmas(tree)
 
     def _apply_decorator_pragmas(self, tree: ast.Module) -> None:

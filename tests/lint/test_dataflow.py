@@ -9,10 +9,10 @@ from pathlib import Path
 
 from repro.lint import lint_paths
 from repro.lint.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
-from repro.lint.dataflow import DATAFLOW_RULE_IDS, analyze_tree
+from repro.lint.dataflow import DATAFLOW_RULE_IDS
 from repro.lint.dataflow.extract import classify_iter, extract_summary
 from repro.lint.dataflow.linker import Program
-from repro.lint.dataflow.model import FileSummary, ITER_DICT, ITER_SET, ITER_SORTED
+from repro.lint.dataflow.model import ITER_DICT, ITER_SET, ITER_SORTED
 from repro.lint.dataflow.rules import check_program, float_accum_shared
 
 
@@ -21,6 +21,15 @@ def write(tmp_path: Path, relpath: str, source: str) -> Path:
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(textwrap.dedent(source))
     return target
+
+
+def refuse_summaries(monkeypatch) -> None:
+    """Fail the test if the dataflow pass extracts any summary."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("summary built for a per-file-only run")
+
+    monkeypatch.setattr("repro.lint.dataflow.run.extract_summary", refuse)
 
 
 def df_findings(tmp_path, rule_id=None):
@@ -205,7 +214,9 @@ class TestRL013BaseConflicts:
                 return reserved_bytes() + 4 * GB
             """,
         )
-        per_file_only = lint_paths([tmp_path], repo_root=tmp_path, dataflow=False)
+        per_file_only = lint_paths(
+            [tmp_path], repo_root=tmp_path, dataflow_rule_ids=set()
+        )
         assert per_file_only.new == []
         with_dataflow = lint_paths([tmp_path], repo_root=tmp_path)
         assert [f.rule_id for f in with_dataflow.new] == ["RL013"]
@@ -302,7 +313,9 @@ class TestRL014SeedProvenance:
                 return make_rng()
             """,
         )
-        per_file_only = lint_paths([tmp_path], repo_root=tmp_path, dataflow=False)
+        per_file_only = lint_paths(
+            [tmp_path], repo_root=tmp_path, dataflow_rule_ids=set()
+        )
         assert per_file_only.new == []
         with_dataflow = lint_paths([tmp_path], repo_root=tmp_path)
         assert [f.rule_id for f in with_dataflow.new] == ["RL014"]
@@ -581,11 +594,12 @@ class TestRL016:
 
     def test_scoped_to_determinism_critical_modules(self, tmp_path):
         # Same pattern outside the sim import closure: the engine stays
-        # silent, but an ungated standalone run still sees it.
+        # silent until a sim module imports it into the closure.
         write(tmp_path, "repro/reportutil.py", RL016_TP)
         assert df_findings(tmp_path, "RL016") == []
-        findings, _ = analyze_tree([tmp_path], cache_dir=None, repo_root=tmp_path)
-        assert [f for f in findings if f.rule_id == "RL016"]
+        write(tmp_path, "repro/sim/kernel.py", "from repro import reportutil\n")
+        findings = df_findings(tmp_path, "RL016")
+        assert [f.path for f in findings] == ["repro/reportutil.py"]
 
     def test_suppression_pragma_applies(self, tmp_path):
         write(
@@ -637,28 +651,6 @@ class TestEngineIntegration:
         result = lint_paths([tmp_path], repo_root=tmp_path)
         assert not result.new
         assert [f.rule_id for f in result.suppressed] == ["RL012"]
-
-    def test_dataflow_findings_respect_baseline(self, tmp_path):
-        from repro.lint.baseline import Baseline
-
-        write(tmp_path, "repro/helpers.py", HELPERS)
-        write(
-            tmp_path,
-            "repro/driver.py",
-            """\
-            from repro.helpers import reserved_bytes
-
-            def run():
-                window_s = reserved_bytes()
-                return window_s
-            """,
-        )
-        first = lint_paths([tmp_path], repo_root=tmp_path)
-        assert [f.rule_id for f in first.new] == ["RL012"]
-        baseline = Baseline.from_findings(first.new, justification="legacy")
-        second = lint_paths([tmp_path], baseline=baseline, repo_root=tmp_path)
-        assert not second.new
-        assert [f.rule_id for f in second.baselined] == ["RL012"]
 
     def test_rule_selection_narrows_dataflow(self, tmp_path):
         write(tmp_path, "repro/helpers.py", HELPERS)
@@ -713,16 +705,26 @@ class TestEngineIntegration:
         # RL003 would fire on random.random() if per-file rules ran.
         assert [f.rule_id for f in result.new] == ["RL013"]
 
-    def test_dataflow_off_skips_pass(self, tmp_path):
+    def test_dataflow_off_skips_pass(self, tmp_path, monkeypatch):
+        # A selection with no dataflow id builds no summary at all.
+        refuse_summaries(monkeypatch)
         write(tmp_path, "repro/helpers.py", HELPERS)
-        result = lint_paths([tmp_path], repo_root=tmp_path, dataflow=False)
-        assert result.dataflow_stats is None
+        result = lint_paths([tmp_path], repo_root=tmp_path, dataflow_rule_ids=set())
+        assert result.files_checked == 1 and not result.new
 
-    def test_stats_surface_on_result(self, tmp_path):
+    def test_per_file_only_selection_builds_no_summary(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # The fast path for editor hooks: ignoring every dataflow id runs
+        # the per-file rules alone and never extracts a summary.
+        refuse_summaries(monkeypatch)
         write(tmp_path, "repro/helpers.py", HELPERS)
-        result = lint_paths([tmp_path], repo_root=tmp_path)
-        assert result.dataflow_stats is not None
-        assert result.dataflow_stats.files == 1
+        write(tmp_path, "repro/m.py", "import random\nx = random.random()\n")
+        monkeypatch.chdir(tmp_path)
+        argv = ["--ignore", ",".join(DATAFLOW_RULE_IDS), str(tmp_path)]
+        assert main(argv) == EXIT_FINDINGS
+        assert "RL003" in capsys.readouterr().out
+        assert main(["--select", "RL003", str(tmp_path)]) == EXIT_FINDINGS
 
     def test_reports_are_deterministic(self, tmp_path):
         write(tmp_path, "repro/helpers.py", HELPERS)
@@ -743,37 +745,14 @@ class TestEngineIntegration:
                 return total, frac, window_s
             """,
         )
-        first, _ = analyze_tree([tmp_path], cache_dir=None, repo_root=tmp_path)
-        second, _ = analyze_tree([tmp_path], cache_dir=None, repo_root=tmp_path)
+        # A dataflow-only selection: no per-file rule runs.
+        first = lint_paths([tmp_path], rule_classes=[], repo_root=tmp_path).new
+        second = lint_paths([tmp_path], rule_classes=[], repo_root=tmp_path).new
         assert [f.render() for f in first] == [f.render() for f in second]
         assert len(first) >= 3
 
 
 class TestSummaryModel:
-    def test_summary_json_roundtrip_is_exact(self):
-        source = textwrap.dedent(
-            """\
-            import numpy as np
-            from repro.units import GiB, HOUR
-
-            def make_rng(seed=None):
-                return np.random.default_rng(seed)
-
-            def capacity_bytes():
-                return 32 * GiB
-
-            def run(duration_s, n_points):
-                rng = make_rng(seed=7)
-                total = capacity_bytes() * n_points
-                return total / duration_s
-            """
-        )
-        summary = extract_summary("repro/m.py", "repro.m", source)
-        payload = summary.to_json()
-        restored = FileSummary.from_json(payload)
-        assert restored == summary
-        assert restored.to_json() == payload
-
     def test_check_program_dedupes(self):
         source = textwrap.dedent(
             """\

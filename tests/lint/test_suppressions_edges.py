@@ -89,7 +89,7 @@ class TestDecoratorSuppression:
         # covers a finding anchored at the def line two lines below.
         import ast
 
-        from repro.lint.findings import Finding, Severity
+        from repro.lint.findings import Finding
         from repro.lint.suppressions import SuppressionIndex
 
         source = textwrap.dedent(
@@ -104,7 +104,6 @@ class TestDecoratorSuppression:
         index = SuppressionIndex(lines, tree=ast.parse(source))
         at_def = Finding(
             rule_id="RL003",
-            severity=Severity.ERROR,
             path="repro/m.py",
             line=3,
             col=0,

@@ -19,6 +19,9 @@ import inspect
 import pathlib
 import sys
 
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
 PACKAGES = [
     "repro.sim",
     "repro.devices",
