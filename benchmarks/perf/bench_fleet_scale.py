@@ -20,6 +20,9 @@ Appends a ``fleet`` section to the ``BENCH_sim.json`` run entry:
   host time against size stays at or below
   :data:`MAX_ANALYTIC_SIZE_EXPONENT`, so a superlinear term in the
   evaluator fails here rather than hiding behind small cells.
+- ``e13.des_size_exponent`` — the same guard for the DES: the same cell
+  on the discrete-event simulator, asserted at or below
+  :data:`MAX_DES_SIZE_EXPONENT` on non-tiny runs.
 
 Set ``REPRO_PERF_TINY=1`` for the CI smoke variant: same code paths and
 assertions except the absolute-scale floor and the slope bound.
@@ -51,6 +54,14 @@ ANALYTIC_SIZES = (
 #: Ceiling on the analytic evaluator's log-log size slope (the heap
 #: replay reads ~0.96-1.02 over these sizes; a pure n² stage reads 2).
 MAX_ANALYTIC_SIZE_EXPONENT = 1.3
+
+#: Request counts of the DES size guard: the DES costs ~0.6 ms per
+#: request on this cell (2-vCPU Xeon), so 8k requests take ~5 s.
+DES_SIZES = (250, 500, 1_000) if TINY else (1_000, 2_000, 4_000, 8_000)
+
+#: Ceiling on the DES's log-log size slope over :data:`DES_SIZES`
+#: (reads ~0.96-1.04; per-request work is flat, so n² shows as ~2).
+MAX_DES_SIZE_EXPONENT = 1.3
 
 
 def _small_fleet(mode):
@@ -105,9 +116,10 @@ def test_e13_scale(bench_record):
         assert totals["users_per_day"] >= 1_000_000
 
 
-def _repeated_cell(point, size, epoch_s):
+def _repeated_cell(point, size, epoch_s, mode="analytic"):
     """``point`` grown to ``size`` requests by appending copies of its
-    records shifted by one epoch each: same replicas, same arrival rate."""
+    records shifted by one epoch each: same replicas, same arrival rate,
+    evaluated in ``mode``."""
     records = []
     shift = 0.0
     while len(records) < size:
@@ -116,21 +128,31 @@ def _repeated_cell(point, size, epoch_s):
             for arrival, prompt, output, sla in point["records"]
         )
         shift += epoch_s
-    return dict(point, mode="analytic", records=tuple(records[:size]))
+    return dict(point, mode=mode, records=tuple(records[:size]))
 
 
-def test_analytic_size_scaling(bench_record):
-    # The largest chat cell of two E13 epochs at seed 0 (18 replicas,
-    # ~3.7k requests, MRM placement).
+def _chat_reference_cell():
+    """The largest chat cell of two E13 epochs at seed 0 (18 replicas,
+    ~3.7k requests, MRM placement), and the epoch length."""
     config = replace(e13_config(), horizon_s=2 * e13_config().epoch_s)
     points, _context = build_cells(config, root_seed=0)
     base = max(
         (point for point in points if point["tenant"] == "chat"),
         key=lambda point: len(point["records"]),
     )
+    return base, config.epoch_s
+
+
+def _size_exponent(sizes, seconds):
+    """Log-log slope of host time against request count."""
+    return float(np.polyfit(np.log(sizes), np.log(seconds), 1)[0])
+
+
+def test_analytic_size_scaling(bench_record):
+    base, epoch_s = _chat_reference_cell()
     seconds = []
     for size in ANALYTIC_SIZES:
-        point = _repeated_cell(base, size, config.epoch_s)
+        point = _repeated_cell(base, size, epoch_s)
         best = math.inf
         for _ in range(2):
             t0 = time.perf_counter()
@@ -139,9 +161,7 @@ def test_analytic_size_scaling(bench_record):
         assert row["mode"] == "analytic"
         assert row["requests_completed"] == size
         seconds.append(best)
-    exponent = float(
-        np.polyfit(np.log(ANALYTIC_SIZES), np.log(seconds), 1)[0]
-    )
+    exponent = _size_exponent(ANALYTIC_SIZES, seconds)
     bench_record.setdefault("fleet_e13", {}).update({
         "analytic_replicas": base["replicas"],
         "analytic_size_seconds": dict(zip(map(str, ANALYTIC_SIZES), seconds)),
@@ -151,6 +171,27 @@ def test_analytic_size_scaling(bench_record):
         assert exponent <= MAX_ANALYTIC_SIZE_EXPONENT, (
             dict(zip(ANALYTIC_SIZES, seconds))
         )
+
+
+def test_des_size_scaling(bench_record):
+    # The analytic guard's cell on the DES: one run per size, since the
+    # DES does no more per request at 8k requests than at 1k.
+    base, epoch_s = _chat_reference_cell()
+    seconds = []
+    for size in DES_SIZES:
+        point = _repeated_cell(base, size, epoch_s, mode="des")
+        t0 = time.perf_counter()
+        row = fleet_cell_point(point, None)
+        seconds.append(time.perf_counter() - t0)
+        assert row["mode"] == "des"
+        assert row["requests_completed"] == size
+    exponent = _size_exponent(DES_SIZES, seconds)
+    bench_record.setdefault("fleet_e13", {}).update({
+        "des_size_seconds": dict(zip(map(str, DES_SIZES), seconds)),
+        "des_size_exponent": exponent,
+    })
+    if not TINY:
+        assert exponent <= MAX_DES_SIZE_EXPONENT, dict(zip(DES_SIZES, seconds))
 
 
 def test_analytic_vs_des_modes(bench_record):

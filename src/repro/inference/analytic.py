@@ -50,6 +50,7 @@ the validity envelope and the measured DES-vs-analytic error table.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -77,10 +78,32 @@ class UnsupportedScenario(ValueError):
 
 def _quantile(values: np.ndarray, q: float) -> float:
     """Rank-interpolated quantile, matching ``Histogram.quantile`` as
-    ``Cluster.report`` uses it (linear interpolation at ``q * (n - 1)``)."""
-    if values.size == 0:
+    ``Cluster.report`` uses it (linear interpolation at ``q * (n - 1)``).
+
+    ``np.quantile``'s linear method, operation for operation, without
+    its per-call overhead: the same order statistics and the same
+    interpolation, so the same float.
+    """
+    n = values.size
+    if n == 0:
         return float("nan")
-    return float(np.quantile(values, q))
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        # np.quantile points both neighbours at the last element.
+        lo = hi = n - 1
+        gamma = virtual + 1
+    else:
+        lo = math.floor(virtual)
+        hi = lo + 1
+        gamma = virtual - lo
+    ranked = np.partition(values, sorted({lo, hi, n - 1}))
+    if math.isnan(ranked[n - 1]):
+        return float("nan")
+    a, b = float(ranked[lo]), float(ranked[hi])
+    diff = b - a
+    if gamma >= 0.5:
+        return b - diff * (1 - gamma)
+    return a + diff * gamma
 
 
 def analytic_cluster_report(
@@ -176,7 +199,7 @@ def analytic_cluster_report(
     # ------------------------------------------------------------------
     ctx = np.repeat(prompt, output) + _step_index(output)
     starts = np.zeros(count, dtype=np.int64)
-    np.cumsum(output[:-1], out=starts[1:])
+    output[:-1].cumsum(out=starts[1:])
     c_bar = float(ctx.mean())
 
     def step_times(
@@ -284,7 +307,8 @@ def analytic_cluster_report(
     )
     co_ctx = np.maximum(ctx_sum - ctx, 0.0)
     raw_b = np.maximum(step_b, 1.0)
-    np.clip(step_b, 1.0, float(max_batch_size), out=step_b)
+    np.maximum(step_b, 1.0, out=step_b)
+    np.minimum(step_b, float(max_batch_size), out=step_b)
     # If the cap trimmed the batch, trim the co-runner context with it.
     co_ctx *= (step_b - 1.0) / np.maximum(raw_b - 1.0, 1.0)
     step_time, step_memory_bound = step_times(step_b, co_ctx)
@@ -383,7 +407,7 @@ def _step_index(output: np.ndarray) -> np.ndarray:
     """Flat ``[0..n_0-1, 0..n_1-1, ...]`` step offsets for each request."""
     total = int(output.sum())
     index = np.arange(total, dtype=np.float64)
-    starts = np.repeat(np.cumsum(output) - output, output)
+    starts = np.repeat(output.cumsum() - output, output)
     return index - starts
 
 
@@ -465,9 +489,9 @@ def _engine_geometry(
         slope_deltas = np.concatenate([growth[idx], -growth[idx]])
         order = np.argsort(bounds, kind="stable")
         t = bounds[order]
-        conc = np.cumsum(deltas[order])
-        ctx_const = np.cumsum(const_deltas[order])
-        ctx_slope = np.cumsum(slope_deltas[order])
+        conc = deltas[order].cumsum()
+        ctx_const = const_deltas[order].cumsum()
+        ctx_slope = slope_deltas[order].cumsum()
         profiles[e] = (t, conc, ctx_const, ctx_slope)
         seg = np.diff(t)
         if seg.size:
@@ -478,10 +502,11 @@ def _engine_geometry(
             )
         peak = max(peak, float(conc.max()))
         # Cumulative ∫ c dt at each boundary; windows query it below.
-        cum = np.concatenate([[0.0], np.cumsum(conc[:-1] * seg)])
+        cum = np.concatenate([[0.0], (conc[:-1] * seg).cumsum()])
 
         def integral(x: np.ndarray) -> np.ndarray:
-            k = np.clip(np.searchsorted(t, x, side="right") - 1, 0, t.size - 1)
+            # searchsorted(..., "right") - 1 never passes t.size - 1.
+            k = np.maximum(t.searchsorted(x, side="right") - 1, 0)
             return cum[k] + conc[k] * np.maximum(x - t[k], 0.0)
 
         window = f - s
@@ -503,7 +528,7 @@ def _sample_profiles(
         t, conc, ctx_const, ctx_slope = profile
         mask = engine_flat == e
         x = flat_t[mask]
-        k = np.clip(np.searchsorted(t, x, side="right") - 1, 0, t.size - 1)
+        k = np.maximum(t.searchsorted(x, side="right") - 1, 0)
         conc_out[mask] = conc[k]
         ctx_out[mask] = ctx_const[k] + ctx_slope[k] * x
     return conc_out, ctx_out
@@ -556,7 +581,7 @@ def _admission_waits(
         w = w + np.where(mid_decode, 0.5 * mean_step[idx], 0.0)
         wait[idx] = w
         # Prefill preemptions: sum of pre over arrivals in a window.
-        pre_cum = np.concatenate([[0.0], np.cumsum(pre)])
+        pre_cum = np.concatenate([[0.0], pre.cumsum()])
         lo = np.arange(1, idx.size + 1)  # strictly-after-self positions
         dstart = a + w + pre
         dend = dstart + decode_sum[idx]

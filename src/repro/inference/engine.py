@@ -43,9 +43,8 @@ from repro.inference.kvcache import KVCacheManager
 from repro.inference.roofline import Boundedness, RooflineModel
 from repro.obs import NULL_REGISTRY
 from repro.sim import Histogram, Interrupted, Simulator, Timeout, WakeAt
-from repro.sim.stats import fold_sum
 from repro.workload.model import ModelConfig
-from repro.workload.phases import decode_leap_traffic, prefill_traffic
+from repro.workload.phases import decode_lanes, prefill_traffic
 from repro.workload.requests import InferenceRequest
 
 DEFAULT_PLACEMENT = {"weights": "hbm", "kv": "hbm", "activations": "hbm"}
@@ -133,10 +132,12 @@ class _DecodeLeap:
 
     Steps are numbered from 1; ``bounds[s]`` is the time step ``s`` ends
     (``bounds[0]`` is the leap's start), a running sum in the order the
-    per-step loop's clock advanced.  ``end`` is the last step the leap
-    will run — the first at which a context finishes, or the step in
-    flight when an outside call cut it.  ``delivered`` steps have given
-    their tokens and ``accounted`` steps are in the engine's tallies.
+    per-step loop's clock advanced.  ``totals[:, 2 * s]`` holds the
+    engine's running totals with steps up to ``s`` accounted.
+    ``end`` is the last step the leap will run — the first at which a
+    context finishes, or the step in flight when an outside call cut it.
+    ``delivered`` steps have given their tokens and ``accounted`` steps
+    are in the engine's tallies.
     """
 
     __slots__ = (
@@ -144,7 +145,7 @@ class _DecodeLeap:
         "bounds",
         "durations",
         "memory_bound",
-        "traffic",
+        "totals",
         "end",
         "delivered",
         "accounted",
@@ -154,9 +155,7 @@ class _DecodeLeap:
     def __init__(self, engine: "InferenceEngine", batch: List[RunningContext]) -> None:
         self.batch = batch
         steps = min(c.request.output_tokens - c.generated for c in batch)
-        traffic = decode_leap_traffic(
-            engine.model, [c.context_tokens for c in batch], steps
-        )
+        traffic = engine.lanes.leap([c.context_tokens for c in batch], steps)
         placement = engine.placement
         durations, memory_bound = engine.roofline.time_steps(
             traffic.flops,
@@ -168,10 +167,38 @@ class _DecodeLeap:
         )
         self.durations = durations
         self.memory_bound = memory_bound
-        self.bounds = np.add.accumulate(
-            np.concatenate(([engine.sim.now], durations))
-        ).tolist()
-        self.traffic = traffic
+        # One fold for the clock and every running total.  Row r starts
+        # with its value now, then takes each step's weights term and KV
+        # term in _account_step's order, so column 2s holds it after
+        # step s.  A zero stands for a term the row does not take, and
+        # adding 0.0 leaves a non-negative total unchanged.  Only this
+        # leap moves the totals while it runs: their one other writer,
+        # the serving loop's prefill, waits for the leap to end.
+        weights, kv = engine._weights_tier, engine._kv_tier
+        weights_read = traffic.bytes_read_weights
+        kv_read = traffic.bytes_read_kv
+        kv_written = traffic.bytes_written_kv
+        reads = engine.tier_bytes_read
+        terms = np.zeros((6, 2 * steps + 1))
+        terms[:, 0] = (
+            engine.sim.now,
+            engine._busy_time,
+            reads[weights.name],
+            reads[kv.name],
+            engine.tier_bytes_written[kv.name],
+            engine.access_energy_j,
+        )
+        terms[0:2, 1::2] = durations
+        terms[2, 1::2] = weights_read
+        if weights.name == kv.name:
+            terms[3, 1::2] = weights_read
+        terms[3, 2::2] = kv_read
+        terms[4, 2::2] = kv_written
+        terms[5, 1::2] = weights.read_energy_j(weights_read)
+        terms[5, 2::2] = kv.read_energy_j(kv_read) + kv.write_energy_j(kv_written)
+        folded = np.add.accumulate(terms, axis=1)
+        self.bounds = folded[0, ::2].tolist()
+        self.totals = folded[1:]
         self.end = steps
         self.delivered = 0
         self.accounted = 0
@@ -263,6 +290,7 @@ class InferenceEngine:
         self.placement = resolve_placement(accelerator, placement)
         self.name = name or f"engine-{accelerator.name}"
         self.roofline = RooflineModel(accelerator)
+        self.lanes = decode_lanes(model)
         # Placement is fixed for the engine's life: resolve the routed
         # tiers once so per-step accounting does no lookup.
         self._weights_tier = accelerator.tier(self.placement["weights"])
@@ -680,7 +708,7 @@ class InferenceEngine:
         for context in batch:
             context.generated += steps
         # One sample per token, in (step, batch position) order.
-        gaps = np.repeat(leap.durations[first:step], len(batch))
+        gaps = leap.durations[first:step].repeat(len(batch))
         self.tbt.observe_many(gaps)
         self._obs_tbt.observe_many(gaps)
         tokens = steps * len(batch)
@@ -692,15 +720,14 @@ class InferenceEngine:
     # Accounting
     # ------------------------------------------------------------------
     def _account_through(self, leap: _DecodeLeap, step: int) -> None:
-        """Add the leap's steps up to ``step`` to the tallies, each step's
-        terms in :meth:`_account_step`'s order, folded left to right."""
+        """Bring the tallies to the end of the leap's step ``step``: the
+        totals as the leap folded them, each step's terms in
+        :meth:`_account_step`'s order, left to right."""
         first = leap.accounted
         steps = step - first
         if steps <= 0:
             return
         leap.accounted = step
-        durations = leap.durations[first:step]
-        self._busy_time = fold_sum(self._busy_time, durations)
         memory = int(np.count_nonzero(leap.memory_bound[first:step]))
         if memory:
             self.memory_bound_steps += memory
@@ -709,27 +736,16 @@ class InferenceEngine:
             self.compute_bound_steps += steps - memory
             self._obs_compute_steps.add(steps - memory)
         weights, kv = self._weights_tier, self._kv_tier
-        weights_read = leap.traffic.bytes_read_weights
-        kv_read = leap.traffic.bytes_read_kv[first:step]
-        kv_written = leap.traffic.bytes_written_kv
         reads = self.tier_bytes_read
-        if weights.name == kv.name:
-            interleaved = np.empty(2 * steps)
-            interleaved[0::2] = weights_read
-            interleaved[1::2] = kv_read
-            reads[kv.name] = fold_sum(reads[kv.name], interleaved)
-        else:
-            reads[weights.name] = fold_sum(
-                reads[weights.name], np.full(steps, weights_read)
-            )
-            reads[kv.name] = fold_sum(reads[kv.name], kv_read)
-        self.tier_bytes_written[kv.name] = fold_sum(
-            self.tier_bytes_written[kv.name], np.full(steps, kv_written)
-        )
-        energy = np.empty(2 * steps)
-        energy[0::2] = weights.read_energy_j(weights_read)
-        energy[1::2] = kv.read_energy_j(kv_read) + kv.write_energy_j(kv_written)
-        self.access_energy_j = fold_sum(self.access_energy_j, energy)
+        # Assigned left to right: on a shared tier, the KV-tier row (both
+        # read terms) overwrites the weights-tier row.
+        (
+            self._busy_time,
+            reads[weights.name],
+            reads[kv.name],
+            self.tier_bytes_written[kv.name],
+            self.access_energy_j,
+        ) = leap.totals[:, 2 * step].tolist()
         # Step 1's admission attempt really ran; replay the others.
         replayed = step - max(first, 1)
         if replayed > 0:

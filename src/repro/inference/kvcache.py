@@ -194,14 +194,11 @@ class KVCacheManager:
             needs.extend(
                 (step, position) for step in range(first, steps + 1, per_page)
             )
-        allocator = self.allocator
-        if len(needs) > allocator.free_pages:
-            raise OutOfPages(
-                f"need {len(needs)} pages, only {allocator.free_pages} free"
-            )
-        needs.sort()
-        for _step, position in needs:
-            tables[position].pages.append(allocator.allocate())
+        if needs:
+            needs.sort()
+            pages = self.allocator.allocate_run(len(needs))
+            for (_step, position), page in zip(needs, pages):
+                tables[position].pages.append(page)
         for table in tables:
             table.tokens += steps
         allocated = len(needs)

@@ -16,7 +16,7 @@ construction).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List, Sequence
 
 
 class OutOfPages(RuntimeError):
@@ -41,7 +41,8 @@ class PagedAllocator:
         self.total_pages = total_pages
         self.page_bytes = page_bytes
         self._free: List[int] = list(range(total_pages - 1, -1, -1))
-        self._refcount: Dict[int, int] = {}
+        #: References per page id; 0 is a free page.
+        self._refcount: List[int] = [0] * total_pages
 
     @property
     def free_pages(self) -> int:
@@ -54,36 +55,59 @@ class PagedAllocator:
     def utilization(self) -> float:
         return self.used_pages / self.total_pages
 
-    def allocate(self) -> int:
-        """Take one physical page (refcount 1)."""
-        if not self._free:
+    def allocate_run(self, count: int) -> List[int]:
+        """Take ``count`` physical pages (refcount 1 each), or none.
+
+        The pages are the ones ``count`` takes of one page each would
+        return, in the same order: the end of the free list, backwards.
+        Raises :class:`OutOfPages`, taking nothing, when fewer are free.
+        """
+        free = self._free
+        if count < 0:
+            raise ValueError("page count must be >= 0")
+        if count > len(free):
             raise OutOfPages(
-                f"no free pages ({self.total_pages} total, all in use)"
+                f"need {count} pages, only {len(free)} free "
+                f"({self.total_pages} total)"
             )
-        page = self._free.pop()
-        self._refcount[page] = 1
-        return page
+        pages = free[: -count - 1 : -1]
+        del free[len(free) - count :]
+        refcount = self._refcount
+        for page in pages:
+            refcount[page] = 1
+        return pages
 
-    def share(self, page: int) -> int:
-        """Add a reference to an allocated page (prefix sharing)."""
-        if page not in self._refcount:
-            raise KeyError(f"page {page} is not allocated")
-        self._refcount[page] += 1
-        return page
+    def share_run(self, pages: Sequence[int]) -> None:
+        """Add a reference to each of ``pages`` (prefix sharing)."""
+        refcount = self._refcount
+        for page in pages:
+            if not refcount[page]:
+                raise KeyError(f"page {page} is not allocated")
+            refcount[page] += 1
 
-    def release(self, page: int) -> None:
-        """Drop one reference; frees the page at zero."""
-        count = self._refcount.get(page)
-        if count is None:
-            raise KeyError(f"page {page} is not allocated")
-        if count == 1:
-            del self._refcount[page]
-            self._free.append(page)
-        else:
-            self._refcount[page] = count - 1
+    def release_run(self, pages: Sequence[int]) -> None:
+        """Drop one reference to each of ``pages``, in order; a page is
+        freed at zero and joins the free list in run order.
+
+        A page that is not allocated raises ``KeyError`` after the pages
+        before it are released, as one-page releases would.
+        """
+        refcount = self._refcount
+        freed = []
+        for page in pages:
+            count = refcount[page]
+            if count == 1:
+                refcount[page] = 0
+                freed.append(page)
+            elif count:
+                refcount[page] = count - 1
+            else:
+                self._free.extend(freed)
+                raise KeyError(f"page {page} is not allocated")
+        self._free.extend(freed)
 
     def refcount(self, page: int) -> int:
-        return self._refcount.get(page, 0)
+        return self._refcount[page]
 
 
 @dataclass
@@ -123,12 +147,7 @@ class PageTable:
         needed.  Returns pages allocated.  Raises :class:`OutOfPages`
         without partial allocation (all-or-nothing)."""
         need = self.pages_needed_for(new_tokens)
-        if need > self.allocator.free_pages:
-            raise OutOfPages(
-                f"need {need} pages, only {self.allocator.free_pages} free"
-            )
-        for _ in range(need):
-            self.pages.append(self.allocator.allocate())
+        self.pages.extend(self.allocator.allocate_run(need))
         self.tokens += new_tokens
         return need
 
@@ -145,8 +164,9 @@ class PageTable:
             raise ValueError("prefix longer than the source context")
         whole_pages = prefix_tokens // self.tokens_per_page
         whole_pages = min(whole_pages, len(source.pages))
-        for page in source.pages[:whole_pages]:
-            self.pages.append(self.allocator.share(page))
+        shared = source.pages[:whole_pages]
+        self.allocator.share_run(shared)
+        self.pages.extend(shared)
         self.tokens = whole_pages * self.tokens_per_page
         self.shared_prefix_pages = whole_pages
         return whole_pages
@@ -154,8 +174,7 @@ class PageTable:
     def free(self) -> int:
         """Release every page (end of context).  Returns pages released."""
         released = len(self.pages)
-        for page in self.pages:
-            self.allocator.release(page)
+        self.allocator.release_run(self.pages)
         self.pages = []
         self.tokens = 0
         self.shared_prefix_pages = 0

@@ -26,6 +26,13 @@ from repro.workload.model import ModelConfig
 from repro.workload.phases import PhaseTraffic, decode_step_traffic, prefill_traffic
 
 
+def _negative(count) -> bool:
+    """Whether a byte count, a scalar or a per-step array, is negative."""
+    if isinstance(count, np.ndarray):
+        return bool((count < 0).any())
+    return count < 0
+
+
 class Boundedness(enum.Enum):
     COMPUTE = "compute-bound"
     MEMORY = "memory-bound"
@@ -69,6 +76,7 @@ class RooflineModel:
 
     def __init__(self, accelerator: AcceleratorConfig) -> None:
         self.accelerator = accelerator
+        self._tier_names = frozenset(accelerator.tier_names)
 
     # ------------------------------------------------------------------
     # Generic timing
@@ -104,12 +112,14 @@ class RooflineModel:
             if t > memory_time:
                 memory_time = t
                 bottleneck = tier.name
-        unknown = (
-            set(tier_read_bytes) | set(tier_write_bytes)
-        ) - set(acc.tier_names)
-        if unknown:
-            raise KeyError(f"bytes routed to unknown tiers: {sorted(unknown)}")
+        self._check_tiers(tier_read_bytes, tier_write_bytes)
         return StepTiming(compute_time, memory_time, bottleneck)
+
+    def _check_tiers(self, tier_read_bytes, tier_write_bytes) -> None:
+        names = self._tier_names
+        if not (tier_read_bytes.keys() <= names and tier_write_bytes.keys() <= names):
+            unknown = (set(tier_read_bytes) | set(tier_write_bytes)) - names
+            raise KeyError(f"bytes routed to unknown tiers: {sorted(unknown)}")
 
     def time_steps(
         self,
@@ -128,18 +138,17 @@ class RooflineModel:
         """
         acc = self.accelerator
         flops = np.asarray(flops, dtype=np.float64)
-        if np.any(flops < 0):
+        if (flops < 0).any():
             raise ValueError("flops must be >= 0")
         tier_write_bytes = dict(tier_write_bytes)
-        unknown = (set(tier_read_bytes) | set(tier_write_bytes)) - set(acc.tier_names)
-        if unknown:
-            raise KeyError(f"bytes routed to unknown tiers: {sorted(unknown)}")
+        self._check_tiers(tier_read_bytes, tier_write_bytes)
         compute_time = flops / acc.effective_flops
-        memory_time = np.zeros_like(compute_time)
+        # Scalar traffic stays a Python float; the max over tiers is exact.
+        memory_time = 0.0
         for tier in acc.tiers:
-            reads = np.asarray(tier_read_bytes.get(tier.name, 0.0), dtype=np.float64)
-            writes = np.asarray(tier_write_bytes.get(tier.name, 0.0), dtype=np.float64)
-            if np.any(reads < 0) or np.any(writes < 0):
+            reads = tier_read_bytes.get(tier.name, 0.0)
+            writes = tier_write_bytes.get(tier.name, 0.0)
+            if _negative(reads) or _negative(writes):
                 raise ValueError("byte counts must be >= 0")
             t = (
                 reads / (tier.read_bandwidth * acc.bandwidth_efficiency)

@@ -33,17 +33,24 @@ class Histogram:
     :meth:`observe_many` bulk path for batched recorders.
     """
 
-    __slots__ = ("name", "_buf", "_n", "_sorted", "_sum", "_sumsq")
+    __slots__ = ("name", "_buf", "_n", "_sorted", "_sum", "_sumsq", "_folded")
 
     _INITIAL_CAPACITY = 64
+
+    #: Samples per accumulate when the moments catch up; bounds the
+    #: fold's temporary arrays.
+    _FOLD_CHUNK = 1 << 16
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self._buf = np.empty(self._INITIAL_CAPACITY, dtype=np.float64)
         self._n = 0
         self._sorted = True
+        #: The moments cover the first ``_folded`` samples; the rest fold
+        #: in, in insertion order, when a moment is read or before a sort.
         self._sum = 0.0
         self._sumsq = 0.0
+        self._folded = 0
 
     def _grow_to(self, need: int) -> None:
         """Grow to ``max(2x, need)`` in one allocation and one copy.
@@ -68,33 +75,46 @@ class Histogram:
             self._grow_to(n + 1)
         self._buf[n] = value
         self._n = n + 1
-        self._sum += value
-        self._sumsq += value * value
 
     def observe_many(self, values: Sequence[float]) -> None:
         """Bulk ingestion: one NumPy copy instead of a Python loop.
 
-        Equal to calling :meth:`observe` on each value in order, moments
-        included: they fold left to right (``np.add.accumulate``, never
-        NumPy's pairwise sum), so a batched recorder rounds exactly as a
-        per-sample one.
+        Equal to calling :meth:`observe` on each value in order.
         """
         arr = np.asarray(values, dtype=np.float64).ravel()
-        if arr.size == 0:
+        size = arr.size
+        if size == 0:
             return
         n = self._n
-        need = n + arr.size
+        need = n + size
         if need > len(self._buf):
             self._grow_to(need)
         self._buf[n:need] = arr
         if self._sorted and (
-            (n and arr[0] < self._buf[n - 1])
-            or (arr.size > 1 and bool(np.any(np.diff(arr) < 0)))
+            (n and arr[0] < self._buf[n - 1]) or (arr[1:] < arr[:-1]).any()
         ):
             self._sorted = False
         self._n = need
-        self._sum = fold_sum(self._sum, arr)
-        self._sumsq = fold_sum(self._sumsq, arr * arr)
+
+    def _fold(self) -> None:
+        """Fold the samples observed since the last fold into the moments.
+
+        Left to right in insertion order (``np.add.accumulate``, never
+        NumPy's pairwise sum), so the moments round exactly as a
+        per-sample ``total += value`` would have.
+        """
+        start, n = self._folded, self._n
+        total, sumsq = self._sum, self._sumsq
+        while start < n:
+            chunk = self._buf[start : min(n, start + self._FOLD_CHUNK)]
+            moments = np.empty((2, chunk.size + 1))
+            moments[0, 0] = total
+            moments[1, 0] = sumsq
+            moments[0, 1:] = chunk
+            np.multiply(chunk, chunk, out=moments[1, 1:])
+            total, sumsq = np.add.accumulate(moments, axis=1)[:, -1].tolist()
+            start += chunk.size
+        self._sum, self._sumsq, self._folded = total, sumsq, n
 
     @property
     def count(self) -> int:
@@ -102,17 +122,20 @@ class Histogram:
 
     @property
     def total(self) -> float:
+        self._fold()
         return self._sum
 
     def mean(self) -> float:
         if not self._n:
             return float("nan")
+        self._fold()
         return self._sum / self._n
 
     def stdev(self) -> float:
         n = self._n
         if n < 2:
             return 0.0
+        self._fold()
         mean = self._sum / n
         var = max(0.0, self._sumsq / n - mean * mean)
         return math.sqrt(var)
@@ -120,6 +143,7 @@ class Histogram:
     def _ensure_sorted(self) -> np.ndarray:
         view = self._buf[: self._n]
         if not self._sorted:
+            self._fold()  # sorting loses the insertion order
             view.sort()
             self._sorted = True
         return view

@@ -19,6 +19,7 @@ writes remain per-context.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -125,37 +126,78 @@ def decode_step_traffic_batch(
     )
 
 
-def decode_leap_traffic(
-    model: ModelConfig, context_lengths: Sequence[int], steps: int
-) -> PhaseTraffic:
-    """``steps`` consecutive decode steps of one unchanged batch.
+class DecodeLanes:
+    """One model's decode lanes, tabulated by context length.
 
-    Step ``s`` (from 0) decodes every context at its length plus ``s``.
-    ``bytes_read_kv`` and ``flops`` are arrays over steps, each element
-    equal to what :func:`decode_step_traffic_batch` returns for that
-    step: a (steps x batch) matrix of the same per-context expressions,
-    added left to right along each row.  Weights read and KV written do
-    not change from step to step and stay scalars.
+    Lane ``n`` holds what one context of ``n`` tokens adds to a decode
+    step: KV bytes read, ``float(n * kv_bytes_per_token)``, and FLOPs,
+    :meth:`ModelConfig.decode_flops_per_token`'s expression operation
+    for operation.  The table grows by doubling when a leap needs a
+    longer context.  Its arrays are read-only, because a one-context
+    leap's rows are views of them.  Get one through :func:`decode_lanes`
+    so that the engines serving a model share it.
     """
-    if not context_lengths:
-        raise ValueError("batch must be non-empty")
-    if steps < 1:
-        raise ValueError("need at least one step")
-    base = np.asarray(context_lengths, dtype=np.int64)
-    if int(base.min()) < 1:
-        raise ValueError("context must have at least one token")
-    lengths = base[None, :] + np.arange(steps, dtype=np.int64)[:, None]
-    kv_bytes = (lengths * model.kv_bytes_per_token).astype(np.float64)
-    # ModelConfig.decode_flops_per_token, operation for operation.
-    dense = 2.0 * model.n_params
-    attention = 4.0 * model.n_layers * lengths * model.n_kv_heads * model.head_dim
-    flops = dense + attention
-    return PhaseTraffic(
-        bytes_read_weights=float(model.weights_bytes),
-        bytes_read_kv=np.add.accumulate(kv_bytes, axis=1)[:, -1],
-        bytes_written_kv=float(model.kv_bytes_per_token * len(context_lengths)),
-        flops=np.add.accumulate(flops, axis=1)[:, -1],
-    )
+
+    __slots__ = ("_kv", "_flops", "_weights_read", "_kv_per_token", "_model")
+
+    def __init__(self, model: ModelConfig) -> None:
+        self._model = model
+        self._weights_read = float(model.weights_bytes)
+        self._kv_per_token = model.kv_bytes_per_token
+        self._kv = self._flops = np.empty(0)
+
+    def _grow(self, size: int) -> None:
+        model = self._model
+        lengths = np.arange(size, dtype=np.int64)
+        kv = (lengths * self._kv_per_token).astype(np.float64)
+        dense = 2.0 * model.n_params
+        attention = 4.0 * model.n_layers * lengths * model.n_kv_heads * model.head_dim
+        flops = dense + attention
+        kv.flags.writeable = flops.flags.writeable = False
+        self._kv, self._flops = kv, flops
+
+    def leap(self, context_lengths: Sequence[int], steps: int) -> PhaseTraffic:
+        """``steps`` consecutive decode steps of one unchanged batch.
+
+        Step ``s`` (from 0) decodes every context at its length plus
+        ``s``.  ``bytes_read_kv`` and ``flops`` are arrays over steps,
+        each element equal to what :func:`decode_step_traffic_batch`
+        returns for that step: the contexts' lanes added left to right
+        over batch positions.  Weights read and KV written do not change
+        from step to step and stay scalars.
+        """
+        if not context_lengths:
+            raise ValueError("batch must be non-empty")
+        if steps < 1:
+            raise ValueError("need at least one step")
+        if min(context_lengths) < 1:
+            raise ValueError("context must have at least one token")
+        top = max(context_lengths) + steps
+        if top > len(self._kv):
+            self._grow(max(2 * len(self._kv), top))
+        kv, flops = self._kv, self._flops
+        length = context_lengths[0]
+        kv_read = kv[length : length + steps]
+        flops_sum = flops[length : length + steps]
+        for length in context_lengths[1:]:
+            kv_read = kv_read + kv[length : length + steps]
+            flops_sum = flops_sum + flops[length : length + steps]
+        return PhaseTraffic(
+            bytes_read_weights=self._weights_read,
+            bytes_read_kv=kv_read,
+            bytes_written_kv=float(self._kv_per_token * len(context_lengths)),
+            flops=flops_sum,
+        )
+
+
+@functools.lru_cache(maxsize=8)
+def decode_lanes(model: ModelConfig) -> DecodeLanes:
+    """The lane table of ``model``, shared by every engine that serves it.
+
+    Bounded: a run that cycles through many models (a property test)
+    rebuilds a table rather than keeping each one.
+    """
+    return DecodeLanes(model)
 
 
 def full_request_traffic(

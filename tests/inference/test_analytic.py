@@ -16,8 +16,12 @@ The heap-based JSQ replay is also checked against the quadratic scan it
 replaced, which stays here as the reference.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fleet.autoscaler import apply_memory_config
 from repro.inference import (
@@ -31,7 +35,7 @@ from repro.inference import (
     run_serve_sweep,
 )
 from repro.inference.accelerator import A100_80G, H100_80G
-from repro.inference.analytic import _jsq_replay
+from repro.inference.analytic import _jsq_replay, _quantile
 from repro.inference.cluster import tensor_parallel_group
 from repro.sim import Simulator
 from repro.workload.model import LLAMA2_13B, LLAMA2_70B
@@ -203,6 +207,33 @@ class TestJSQReplay:
         arrival = np.array([0.0, 0.0, 1.0])
         departure = np.array([1.0, 5.0, 5.0])
         assert _jsq_replay(arrival, departure, 3).tolist() == [0, 1, 0]
+
+
+class TestQuantile:
+    """``_quantile`` is ``np.quantile``'s linear method without its
+    per-call overhead: the same float for every input."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(0.0, 1e6),
+                st.sampled_from([0.0, 1.0, 2.5, math.inf, math.nan]),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        q=st.one_of(st.sampled_from([0.0, 0.5, 0.99, 1.0]), st.floats(0.0, 1.0)),
+    )
+    def test_equals_np_quantile(self, values, q):
+        values = np.array(values)
+        with np.errstate(invalid="ignore"):
+            expected = float(np.quantile(values, q))
+        actual = _quantile(values, q)
+        assert actual == expected or (math.isnan(actual) and math.isnan(expected))
+
+    def test_empty_is_nan(self):
+        assert math.isnan(_quantile(np.array([]), 0.5))
 
 
 class TestCrossValidation:

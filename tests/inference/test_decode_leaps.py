@@ -9,10 +9,10 @@ split and shared weight/KV tiers, batch caps 1-16, arrivals and mid-run
 sharing, decode-only (``prefilled``) submissions, KV losses, engine
 crashes and a hedging, timing-out resilience policy — and everything
 they produce must be bit-identical: reports, tallies, histogram samples
-and moments, context timestamps, the allocator's free list and the obs
-snapshot.  The one exception is a call between engines at an instant
-both wake at, which the oracle detects (:func:`same_instant_calls`) and
-:class:`TestSameInstantOrder` pins.
+and moments, context timestamps, the allocator's free list and page
+reference counts, and the obs snapshot.  The one exception is a call
+between engines at an instant both wake at, which the oracle detects
+(:func:`same_instant_calls`) and :class:`TestSameInstantOrder` pins.
 """
 
 from contextlib import contextmanager
@@ -251,10 +251,10 @@ def _probe(probes, cluster):
 
 
 def _serve(engine_cls, scenario, extra_times=(), probe_times=()):
-    """Run one scenario; returns ``(state, free_lists, cluster)``:
-    ``state`` is the repr of everything else the run produced (a repr,
-    so NaN fields compare equal), ``free_lists`` each engine's KV page
-    free list."""
+    """Run one scenario; returns ``(state, pools, cluster)``: ``state``
+    is the repr of everything else the run produced (a repr, so NaN
+    fields compare equal), ``pools`` each engine's KV page free list and
+    per-page reference counts."""
     accelerator, placement = _hardware(scenario["memory"])
     obs = MetricsRegistry()
     sim = Simulator(obs=obs)
@@ -334,7 +334,6 @@ def _serve(engine_cls, scenario, extra_times=(), probe_times=()):
                 engine.scheduler.admitted,
                 histograms,
                 contexts,
-                sorted(engine.kv.allocator._refcount.items()),
             )
         )
     snapshot = obs.snapshot()
@@ -351,8 +350,11 @@ def _serve(engine_cls, scenario, extra_times=(), probe_times=()):
             log.fingerprint() if log is not None else None,
         )
     )
-    free_lists = [engine.kv.allocator._free for engine in cluster.engines]
-    return state, free_lists, cluster
+    pools = [
+        (engine.kv.allocator._free, engine.kv.allocator._refcount)
+        for engine in cluster.engines
+    ]
+    return state, pools, cluster
 
 
 @st.composite
@@ -555,6 +557,25 @@ class TestSettleRules:
         *actual, _ = _serve(InferenceEngine, scenario)
         assert sum(e.engine_crashes for e in per_step.engines) > 0
         assert actual == expected
+
+
+class TestOneFold:
+    """Each accounting pass folds every running total in one pass, in the
+    per-step loop's order (weights term, then KV term, step by step)."""
+
+    @pytest.mark.parametrize("memory", ["hbm", "mrm", "mrm-both"])
+    def test_tallies_match_per_step_loop(self, memory):
+        scenario = _single_engine_scenario(memory=memory)
+        *_, first = _serve(PerStepEngine, scenario)
+        probes = first.engines[0].boundaries[::4]
+        expected = _serve(PerStepEngine, scenario, probe_times=probes)[:2]
+        actual = _serve(InferenceEngine, scenario, probe_times=probes)[:2]
+        assert actual == expected
+
+    def test_engines_share_the_model_lane_table(self):
+        cluster = Cluster(Simulator(), TP4_H100, LLAMA2_70B, num_engines=3)
+        first, *rest = cluster.engines
+        assert all(engine.lanes is first.lanes for engine in rest)
 
 
 class TestSameInstantOrder:

@@ -1,6 +1,8 @@
 """Tests for the paged allocator and KV-cache manager."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.inference.kvcache import KVCacheManager
 from repro.inference.paging import OutOfPages, PagedAllocator, PageTable
@@ -11,38 +13,38 @@ from repro.workload.model import LLAMA2_70B
 class TestPagedAllocator:
     def test_allocate_release_cycle(self):
         alloc = PagedAllocator(total_pages=4, page_bytes=1024)
-        pages = [alloc.allocate() for _ in range(4)]
+        pages = alloc.allocate_run(4)
         assert len(set(pages)) == 4
         assert alloc.free_pages == 0
         with pytest.raises(OutOfPages):
-            alloc.allocate()
-        alloc.release(pages[0])
+            alloc.allocate_run(1)
+        alloc.release_run([pages[0]])
         assert alloc.free_pages == 1
 
     def test_refcounted_sharing(self):
         alloc = PagedAllocator(4, 1024)
-        page = alloc.allocate()
-        alloc.share(page)
+        [page] = alloc.allocate_run(1)
+        alloc.share_run([page])
         assert alloc.refcount(page) == 2
-        alloc.release(page)
+        alloc.release_run([page])
         assert alloc.refcount(page) == 1
         assert alloc.free_pages == 3  # still held
-        alloc.release(page)
+        alloc.release_run([page])
         assert alloc.free_pages == 4
 
     def test_release_unallocated_rejected(self):
         alloc = PagedAllocator(4, 1024)
         with pytest.raises(KeyError):
-            alloc.release(0)
+            alloc.release_run([0])
 
     def test_share_unallocated_rejected(self):
         alloc = PagedAllocator(4, 1024)
         with pytest.raises(KeyError):
-            alloc.share(1)
+            alloc.share_run([1])
 
     def test_utilization(self):
         alloc = PagedAllocator(4, 1024)
-        alloc.allocate()
+        alloc.allocate_run(1)
         assert alloc.utilization() == 0.25
 
 
@@ -345,3 +347,187 @@ class TestAppendBatch:
         kv.register(1, 16)
         with pytest.raises(ValueError):
             kv.append_batch([1], steps=-1)
+
+
+class PerPageAllocator(PagedAllocator):
+    """The one-page-per-call allocator that page runs replace, kept as
+    the oracle: a dict of reference counts, and every run taken,
+    shared or released one page at a time."""
+
+    def __init__(self, total_pages: int, page_bytes: int) -> None:
+        super().__init__(total_pages, page_bytes)
+        self.counts = {}
+
+    def allocate(self) -> int:
+        if not self._free:
+            raise OutOfPages("no free pages")
+        page = self._free.pop()
+        self.counts[page] = 1
+        return page
+
+    def share(self, page: int) -> None:
+        if page not in self.counts:
+            raise KeyError(page)
+        self.counts[page] += 1
+
+    def release(self, page: int) -> None:
+        count = self.counts.get(page)
+        if count is None:
+            raise KeyError(page)
+        if count == 1:
+            del self.counts[page]
+            self._free.append(page)
+        else:
+            self.counts[page] = count - 1
+
+    def allocate_run(self, count):
+        if count > self.free_pages:
+            raise OutOfPages("not enough free pages")
+        return [self.allocate() for _ in range(count)]
+
+    def share_run(self, pages):
+        for page in pages:
+            self.share(page)
+
+    def release_run(self, pages):
+        for page in pages:
+            self.release(page)
+
+    def refcount(self, page: int) -> int:
+        return self.counts.get(page, 0)
+
+
+def _pool(alloc: PagedAllocator):
+    """The free list and every page's reference count."""
+    return (
+        list(alloc._free),
+        [alloc.refcount(page) for page in range(alloc.total_pages)],
+    )
+
+
+class TestPageRuns:
+    """A run call equals the same pages taken, shared or released one
+    at a time: the same ids, free-list order and reference counts."""
+
+    def pair(self, pages=12):
+        return PagedAllocator(pages, 1024), PerPageAllocator(pages, 1024)
+
+    def test_take_matches_single_takes(self):
+        run, single = self.pair()
+        for count in (3, 0, 5, 1):
+            assert run.allocate_run(count) == single.allocate_run(count)
+            assert _pool(run) == _pool(single)
+
+    def test_release_with_shared_pages_matches_single_releases(self):
+        run, single = self.pair()
+        for alloc in (run, single):
+            pages = alloc.allocate_run(8)
+            alloc.share_run(pages[1:6:2])
+            alloc.release_run(pages[::-1])
+            alloc.allocate_run(2)
+            alloc.release_run(pages[1:6:2])
+        assert _pool(run) == _pool(single)
+
+    def test_out_of_pages_takes_nothing(self):
+        run, _single = self.pair(pages=4)
+        run.allocate_run(3)
+        before = _pool(run)
+        with pytest.raises(OutOfPages):
+            run.allocate_run(2)
+        assert _pool(run) == before
+
+    def test_double_release_raises_after_the_pages_before_it(self):
+        run, single = self.pair(pages=4)
+        outcomes = []
+        for alloc in (run, single):
+            pages = alloc.allocate_run(4)
+            alloc.release_run(pages[:1])
+            with pytest.raises(KeyError):
+                alloc.release_run([pages[2], pages[3], pages[0], pages[1]])
+            outcomes.append(_pool(alloc))
+        assert outcomes[0] == outcomes[1]
+        # Pages 2 and 3 went back before the double release raised.
+        assert run.free_pages == 3
+
+    def test_share_of_a_free_page_raises(self):
+        run, _single = self.pair()
+        pages = run.allocate_run(2)
+        run.release_run(pages[:1])
+        with pytest.raises(KeyError):
+            run.share_run(pages)
+
+
+@st.composite
+def _kv_ops(draw):
+    ops = []
+    live = []
+    next_id = 0
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(["register", "append", "release"]))
+        if kind == "register" or not live:
+            prefix = draw(st.sampled_from([None, "a", "b"]))
+            ops.append(("register", next_id, draw(st.integers(1, 160)), prefix))
+            live.append(next_id)
+            next_id += 1
+        elif kind == "append":
+            ids = draw(st.lists(st.sampled_from(live), min_size=1, unique=True))
+            ops.append(("append", ids, draw(st.integers(0, 64))))
+        else:
+            victims = draw(st.lists(st.sampled_from(live), min_size=1, unique=True))
+            for victim in victims:
+                live.remove(victim)
+            ops.append(("release", victims))
+    return ops
+
+
+class TestKVCacheAgainstPerPageReference:
+    """register / append_batch / release_batch with prefix sharing on,
+    against a manager whose allocator works a page at a time and whose
+    decode steps append one token per context per step."""
+
+    @staticmethod
+    def make(allocator_cls):
+        kv = KVCacheManager(
+            LLAMA2_70B,
+            capacity_bytes=24 * 16 * LLAMA2_70B.kv_bytes_per_token,
+            tokens_per_page=16,
+            enable_prefix_sharing=True,
+        )
+        kv.allocator = allocator_cls(kv.allocator.total_pages, kv.page_bytes)
+        return kv
+
+    @settings(max_examples=60, deadline=None)
+    @given(_kv_ops())
+    def test_same_pages_as_the_per_page_reference(self, ops):
+        kv, ref = self.make(PagedAllocator), self.make(PerPageAllocator)
+        for op in ops:
+            if op[0] == "register":
+                _, context_id, prompt, prefix = op
+                outcomes = []
+                for manager in (kv, ref):
+                    try:
+                        outcomes.append(manager.register(context_id, prompt, prefix))
+                    except OutOfPages:
+                        outcomes.append("out of pages")
+                assert outcomes[0] == outcomes[1]
+            elif op[0] == "append":
+                _, ids, steps = op
+                ids = [c for c in ids if c in ref._tables]
+                need = sum(ref._tables[c].pages_needed_for(steps) for c in ids)
+                if need > ref.allocator.free_pages:
+                    before = _pool(kv.allocator)
+                    with pytest.raises(OutOfPages):
+                        kv.append_batch(ids, steps)
+                    assert _pool(kv.allocator) == before
+                    continue
+                allocated = kv.append_batch(ids, steps)
+                assert allocated == sum(
+                    ref.append(c, 1) for _ in range(steps) for c in ids
+                )
+            else:
+                victims = [c for c in op[1] if c in ref._tables]
+                assert kv.release_batch(victims) == ref.release_batch(victims)
+            assert _pool(kv.allocator) == _pool(ref.allocator)
+            assert {c: (t.pages, t.tokens) for c, t in kv._tables.items()} == {
+                c: (t.pages, t.tokens) for c, t in ref._tables.items()
+            }

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.stats import Histogram
 
@@ -121,3 +123,61 @@ class TestHistogramGrowth:
         assert h.min() == -5.0
         assert h.max() == 1000.0
         assert h.median() == pytest.approx(31.5)
+
+
+class TestMomentsFoldInInsertionOrder:
+    """The moments equal a plain ``total += v`` loop over the samples in
+    the order they arrived, however scalar observes, bursts, quantile
+    reads (which sort the buffer) and moment reads interleave."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("one"), st.floats(-1e6, 1e6)),
+                st.tuples(
+                    st.just("many"),
+                    st.lists(st.floats(-1e6, 1e6), max_size=40),
+                ),
+                st.tuples(st.just("quantile"), st.floats(0.0, 1.0)),
+                st.tuples(st.just("moments"), st.none()),
+            ),
+            max_size=30,
+        )
+    )
+    def test_matches_per_sample_reference(self, ops):
+        h = Histogram()
+        total = sumsq = 0.0
+        count = 0
+        for op, arg in ops:
+            if op == "one":
+                h.observe(arg)
+                values = [arg]
+            elif op == "many":
+                h.observe_many(arg)
+                values = arg
+            else:
+                if op == "quantile":
+                    h.quantile(arg)
+                elif count:
+                    assert h.total == total
+                    assert h.mean() == total / count
+                continue
+            for value in values:
+                total += value
+                sumsq += value * value
+            count += len(values)
+        assert h.count == count
+        assert h.total == total
+        if count > 1:
+            mean = total / count
+            assert h.stdev() == math.sqrt(max(0.0, sumsq / count - mean * mean))
+
+    def test_large_backlog_folds_in_chunks(self):
+        values = [float(v % 977) / 7.0 for v in range(3 * Histogram._FOLD_CHUNK + 5)]
+        bulk = Histogram()
+        bulk.observe_many(values)
+        total = 0.0
+        for value in values:
+            total += value
+        assert bulk.total == total

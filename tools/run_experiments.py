@@ -98,7 +98,7 @@ def check(record: pathlib.Path) -> int:
     benches = sorted(str(p) for p in (ROOT / "benchmarks").glob("bench_*.py"))
     command = [
         sys.executable, "-m", "pytest", *benches,
-        "--benchmark-disable", "-s", "-q", "-p", "no:cacheprovider",
+        "--benchmark-disable", "-s", "-qq", "-p", "no:cacheprovider",
     ]
     print(f"running: pytest {len(benches)} paper benches --benchmark-disable -s")
     completed = subprocess.run(
@@ -144,7 +144,7 @@ def main() -> int:
 
     command = [
         sys.executable, "-m", "pytest", args.benchmarks,
-        "--benchmark-only", "-s", "-q", "--benchmark-disable-gc",
+        "--benchmark-only", "-s", "-qq", "--benchmark-disable-gc",
     ]
     print("running:", " ".join(command))
     completed = subprocess.run(command, capture_output=True, text=True, env=_env())
