@@ -35,7 +35,6 @@ from repro.faults.events import (
     KIND_ORDER,
     FaultEvent,
     FaultKind,
-    parse_fault_kind,
     timeline_fingerprint,
 )
 from repro.faults.experiment import (
@@ -60,7 +59,6 @@ from repro.faults.schedule import (
     FaultSchedule,
     generate_correlated_schedule,
     generate_schedule,
-    merge_schedules,
 )
 
 __all__ = [
@@ -80,8 +78,6 @@ __all__ = [
     "controller_point",
     "generate_correlated_schedule",
     "generate_schedule",
-    "merge_schedules",
-    "parse_fault_kind",
     "rates_for",
     "run_chaos_experiment",
     "run_controller_experiment",

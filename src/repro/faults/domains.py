@@ -126,24 +126,6 @@ class FaultTopology:
                 )
         return self
 
-    def domain(self, name: str) -> FaultDomain:
-        for domain in self.domains:
-            if domain.name == name:
-                return domain
-        raise KeyError(f"no fault domain named {name!r}")
-
-    def engines(self) -> List[str]:
-        """Every engine name reachable from engine/power domains, in
-        first-mention order (deterministic; never set order)."""
-        names: List[str] = []
-        for domain in self.domains:
-            if domain.level not in ("engine", "power"):
-                continue
-            for member in domain.members:
-                if member not in names:
-                    names.append(member)
-        return names
-
 
 def cluster_topology(
     num_engines: int,

@@ -62,17 +62,6 @@ class FaultKind(enum.Enum):
 KIND_ORDER: Tuple[FaultKind, ...] = tuple(FaultKind)
 
 
-def parse_fault_kind(name: str) -> FaultKind:
-    """Resolve a fault-kind string with a CLI-friendly error message."""
-    try:
-        return FaultKind(name)
-    except ValueError:
-        known = ", ".join(kind.value for kind in KIND_ORDER)
-        raise ValueError(
-            f"unknown fault kind {name!r}; known: {known}"
-        ) from None
-
-
 @dataclass(frozen=True)
 class FaultEvent:
     """One scheduled fault.

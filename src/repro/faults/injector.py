@@ -73,9 +73,6 @@ class FaultLog:
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
-    def count(self, outcome: str) -> int:
-        return sum(1 for e in self.entries if e["outcome"] == outcome)
-
 
 def _pick(magnitude: float, count: int) -> int:
     """Map a frozen uniform draw onto an index in ``[0, count)``."""
@@ -124,10 +121,6 @@ class ControllerFaultInjector:
             burst_scale_bits = 4 * (t + 1)
         self.burst_scale_bits = burst_scale_bits
         self._cursor = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self._cursor >= len(self.schedule.events)
 
     def next_event_time(self) -> Optional[float]:
         """Time of the next event :meth:`apply_until` would apply, or

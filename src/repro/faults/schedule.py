@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple, Union
+from typing import Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -68,9 +68,6 @@ class FaultSchedule:
     def fingerprint(self) -> str:
         """Digest for serial-vs-parallel equality checks."""
         return timeline_fingerprint(self.events)
-
-    def of_kind(self, kind: FaultKind) -> List[FaultEvent]:
-        return [event for event in self.events if event.kind is kind]
 
 
 def generate_schedule(
@@ -224,32 +221,3 @@ def generate_correlated_schedule(
         )
     )
     return FaultSchedule(events=events, duration_s=float(duration_s))
-
-
-def merge_schedules(schedules: Sequence[FaultSchedule]) -> FaultSchedule:
-    """Merge per-device schedules into one timeline (stable re-sequence).
-
-    Events order by ``(time, original device position, original seq)``;
-    the merged events are renumbered with fresh ``seq`` values.
-    """
-    if not schedules:
-        return FaultSchedule(events=(), duration_s=0.0)
-    keyed: List[Tuple[float, int, int, FaultEvent]] = []
-    for position, schedule in enumerate(schedules):
-        for event in schedule.events:
-            keyed.append((event.time_s, position, event.seq, event))
-    keyed.sort(key=lambda item: (item[0], item[1], item[2]))
-    merged = tuple(
-        FaultEvent(
-            time_s=event.time_s,
-            kind=event.kind,
-            device=event.device,
-            magnitude=event.magnitude,
-            seq=seq,
-        )
-        for seq, (_t, _p, _s, event) in enumerate(keyed)
-    )
-    return FaultSchedule(
-        events=merged,
-        duration_s=max(s.duration_s for s in schedules),
-    )

@@ -14,7 +14,6 @@ from repro.fleet.arrivals import (
     generate_fleet_traces,
     generate_tenant_trace,
     merge_arrivals,
-    offered_rate_per_s,
 )
 from repro.fleet.autoscaler import (
     AutoscalerConfig,
@@ -74,7 +73,6 @@ __all__ = [
     "generate_tenant_trace",
     "merge_arrivals",
     "mrm_tier_spec",
-    "offered_rate_per_s",
     "plan_capacity",
     "run_fleet",
     "static_plan",

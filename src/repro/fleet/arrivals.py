@@ -176,12 +176,3 @@ def merge_arrivals(
             merged.append((record.arrival_time, name, index, record))
     merged.sort(key=lambda item: (item[0], rank[item[1]], item[2]))
     return merged
-
-
-def offered_rate_per_s(
-    trace: Sequence[TraceRecord], duration_s: float
-) -> float:
-    """Mean offered request rate of a trace over a horizon."""
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    return len(trace) / duration_s

@@ -14,7 +14,7 @@ token throughput, latency SLAs):
 - :mod:`~repro.inference.paging` — PagedAttention-style KV page
   allocation [22] with static virtual-to-physical mapping.
 - :mod:`~repro.inference.kvcache` — per-context KV cache management on
-  top of the pager, with prefix sharing [54].
+  top of the pager.
 - :mod:`~repro.inference.batching` — continuous (iteration-level)
   batching with admission control by free KV pages.
 - :mod:`~repro.inference.engine` — one accelerator's serving loop as a
@@ -50,7 +50,6 @@ from repro.inference.power import (
     OperatingPoint,
     PowerModel,
     best_frequency_under_cap,
-    power_capped_throughput,
 )
 from repro.inference.deployment import ModelSwapModel, SwapCost
 from repro.inference.analytic import (
@@ -91,7 +90,6 @@ __all__ = [
     "PowerModel",
     "RooflineModel",
     "best_frequency_under_cap",
-    "power_capped_throughput",
     "RunningContext",
     "SERVE_MODES",
     "SplitReport",

@@ -103,15 +103,8 @@ class AcceleratorConfig:
         return tuple(t.name for t in self.tiers)
 
     @property
-    def total_memory_bytes(self) -> int:
-        return sum(t.capacity_bytes for t in self.tiers)
-
-    @property
     def effective_flops(self) -> float:
         return self.peak_flops * self.compute_efficiency
-
-    def effective_read_bandwidth(self, tier_name: str) -> float:
-        return self.tier(tier_name).read_bandwidth * self.bandwidth_efficiency
 
     def with_tiers(self, tiers: Tuple[MemoryTierSpec, ...]) -> "AcceleratorConfig":
         """Copy of this accelerator with a different tier set (the knob

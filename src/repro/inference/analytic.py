@@ -40,10 +40,10 @@ through the realized batch factors.
 
 Scenarios the fluid replay cannot express raise
 :class:`UnsupportedScenario` (a ``ValueError``, so the CLI reports it as
-one line and exits 2): prefix sharing, fault-injection arms, KV pools
-too small for a request, offered loads outside the stability envelope,
-and workloads whose realized concurrency spills over the admission cap
-(where DES queueing dynamics dominate).  See ``docs/PERFORMANCE.md`` for
+one line and exits 2): fault-injection arms, KV pools too small for a
+request, offered loads outside the stability envelope, and workloads
+whose realized concurrency spills over the admission cap (where DES
+queueing dynamics dominate).  See ``docs/PERFORMANCE.md`` for
 the validity envelope and the measured DES-vs-analytic error table.
 """
 
@@ -56,8 +56,10 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.inference.accelerator import AcceleratorConfig
+from repro.inference.batching import ADMISSION_HEADROOM_TOKENS
 from repro.inference.cluster import DEFAULT_SLA_THRESHOLDS, ClusterReport
-from repro.inference.engine import KVRecoveryConfig, resolve_placement
+from repro.inference.engine import kv_pool_bytes, resolve_placement
+from repro.inference.kvcache import TOKENS_PER_PAGE
 from repro.workload.model import ModelConfig
 from repro.workload.requests import InferenceRequest, SLAClass
 
@@ -113,25 +115,16 @@ def analytic_cluster_report(
     num_engines: int = 1,
     placement: Optional[Mapping[str, str]] = None,
     max_batch_size: int = 16,
-    tokens_per_page: int = 16,
-    enable_prefix_sharing: bool = False,
-    kv_recovery: Optional[KVRecoveryConfig] = None,
 ) -> ClusterReport:
     """Evaluate a serving scenario in closed form.
 
     Mirrors ``Cluster(...).run(requests)`` — same argument meanings,
     same :class:`ClusterReport` shape — without building a simulator.
-    ``kv_recovery`` is accepted for signature parity; with no fault
-    injection (the only analytic regime) it never acts.
     """
     if num_engines < 1:
         raise ValueError("need at least one engine")
     if max_batch_size < 1:
         raise ValueError("max batch size must be >= 1")
-    if enable_prefix_sharing:
-        raise UnsupportedScenario(
-            "analytic mode does not support prefix sharing; use mode=des"
-        )
     placement = resolve_placement(accelerator, placement)
 
     requests = list(requests)
@@ -148,10 +141,7 @@ def analytic_cluster_report(
     count = len(requests)
     total_tokens = int(output.sum())
 
-    _check_kv_pool(
-        accelerator, model, placement, prompt, max_batch_size,
-        tokens_per_page=tokens_per_page,
-    )
+    _check_kv_pool(accelerator, model, placement, prompt, max_batch_size)
 
     # ------------------------------------------------------------------
     # Hardware constants (identical to RooflineModel.time_step)
@@ -598,26 +588,18 @@ def _check_kv_pool(
     placement: Mapping[str, str],
     prompt: np.ndarray,
     max_batch_size: int,
-    admission_headroom_tokens: int = 128,
-    tokens_per_page: int = 16,
 ) -> None:
     """Reject workloads the engine could never admit (it would raise)."""
-    kv_tier = accelerator.tier(placement["kv"])
-    reserved = 0
-    if placement["weights"] == placement["kv"]:
-        reserved += model.weights_bytes
-    if placement["activations"] == placement["kv"]:
-        reserved += model.activation_bytes(max_batch_size)
-    capacity = kv_tier.capacity_bytes - reserved
-    page_bytes = model.kv_bytes_per_token * tokens_per_page
+    capacity = kv_pool_bytes(accelerator, model, placement, max_batch_size)
+    page_bytes = model.kv_bytes_per_token * TOKENS_PER_PAGE
     if capacity < page_bytes:
         raise UnsupportedScenario(
-            f"no KV capacity on tier {kv_tier.name!r} after "
+            f"no KV capacity on tier {placement['kv']!r} after "
             f"weights/activations reservation"
         )
     total_pages = capacity // page_bytes
-    need_tokens = int(prompt.max()) + admission_headroom_tokens
-    need_pages = -(-need_tokens // tokens_per_page)
+    need_tokens = int(prompt.max()) + ADMISSION_HEADROOM_TOKENS
+    need_pages = -(-need_tokens // TOKENS_PER_PAGE)
     if need_pages > total_pages:
         raise UnsupportedScenario(
             f"largest prompt ({int(prompt.max())} tokens) cannot fit the "

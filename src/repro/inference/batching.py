@@ -25,6 +25,10 @@ from typing import Dict, List, Optional
 from repro.inference.kvcache import KVCacheManager
 from repro.workload.requests import InferenceRequest, SLAClass
 
+#: Tokens of KV space a request must fit *beyond* its prompt before
+#: admission (guards against immediate out-of-pages during decode).
+ADMISSION_HEADROOM_TOKENS = 128
+
 _SLA_PRIORITY = {
     SLAClass.INTERACTIVE: 0,
     SLAClass.THROUGHPUT: 1,
@@ -64,25 +68,16 @@ class BatchScheduler:
         The KV-cache manager whose free pages gate admission.
     max_batch_size:
         Maximum contexts decoded per iteration.
-    admission_headroom_tokens:
-        Extra tokens of KV space a request must fit *beyond* its prompt
-        before admission (guards against immediate out-of-pages during
-        decode).
+
+    A request is admitted once its prompt plus
+    :data:`ADMISSION_HEADROOM_TOKENS` fit the free KV pages.
     """
 
-    def __init__(
-        self,
-        kv: KVCacheManager,
-        max_batch_size: int = 16,
-        admission_headroom_tokens: int = 128,
-    ) -> None:
+    def __init__(self, kv: KVCacheManager, max_batch_size: int = 16) -> None:
         if max_batch_size < 1:
             raise ValueError("max batch size must be >= 1")
-        if admission_headroom_tokens < 0:
-            raise ValueError("headroom must be >= 0")
         self.kv = kv
         self.max_batch_size = max_batch_size
-        self.admission_headroom_tokens = admission_headroom_tokens
         self._pending: List[InferenceRequest] = []
         self.running: Dict[int, RunningContext] = {}
         self.admitted = 0
@@ -145,7 +140,7 @@ class BatchScheduler:
             if blocked_priority is not None and priority == blocked_priority:
                 continue
             if self.kv.can_admit(
-                request.prompt_tokens, self.admission_headroom_tokens
+                request.prompt_tokens, ADMISSION_HEADROOM_TOKENS
             ):
                 self._pending.pop(index)
                 self.admitted += 1

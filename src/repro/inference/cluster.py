@@ -161,7 +161,6 @@ class Cluster:
         num_engines: int = 1,
         placement: Optional[Mapping[str, str]] = None,
         max_batch_size: int = 16,
-        enable_prefix_sharing: bool = False,
         kv_recovery: Optional[KVRecoveryConfig] = None,
         resilience: Optional[ResiliencePolicy] = None,
         obs=None,
@@ -180,7 +179,6 @@ class Cluster:
                 model,
                 placement=placement,
                 max_batch_size=max_batch_size,
-                enable_prefix_sharing=enable_prefix_sharing,
                 kv_recovery=kv_recovery,
                 name=f"engine-{i}",
                 obs=obs,

@@ -27,7 +27,6 @@ once-per-second bound, which the same bench also shows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
 
 from repro.tiering.tiers import MemoryTier
 from repro.units import YEAR
@@ -57,9 +56,6 @@ class SwapCost:
         if cycle <= 0:
             return 0.0
         return max(0.0, 1.0 - self.downtime_s / cycle)
-
-    def swaps_over_lifetime(self) -> float:
-        return self.lifetime_s / self.update_interval_s
 
 
 class ModelSwapModel:
@@ -112,14 +108,3 @@ class ModelSwapModel:
         burns (each swap rewrites every weight cell once)."""
         swaps = lifetime_s / update_interval_s
         return swaps / tier.profile.endurance_cycles
-
-    def compare_tiers(
-        self,
-        tiers: Sequence[MemoryTier],
-        update_interval_s: float,
-        lifetime_s: float = 5 * YEAR,
-    ) -> Dict[str, SwapCost]:
-        return {
-            tier.name: self.swap_cost(tier, update_interval_s, lifetime_s)
-            for tier in tiers
-        }

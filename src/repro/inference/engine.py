@@ -71,6 +71,28 @@ def resolve_placement(
     return resolved
 
 
+def kv_pool_bytes(
+    accelerator: AcceleratorConfig,
+    model: ModelConfig,
+    placement: Mapping[str, str],
+    max_batch_size: int,
+) -> int:
+    """Bytes of the KV tier left for KV pages: its capacity less the
+    weights and a full batch's activations when they share the tier.
+
+    ``placement`` is resolved (:func:`resolve_placement`).  The DES
+    engine sizes its pool with it, and the analytic evaluator checks
+    admissibility against the same number.
+    """
+    kv = placement["kv"]
+    reserved = 0
+    if placement["weights"] == kv:
+        reserved += model.weights_bytes
+    if placement["activations"] == kv:
+        reserved += model.activation_bytes(max_batch_size)
+    return accelerator.tier(kv).capacity_bytes - reserved
+
+
 class EngineCrashed(Interrupted):
     """Thrown into a serving loop when its engine crashes.
 
@@ -244,13 +266,6 @@ class EngineMetrics:
     engine_crashes: int = 0
     engine_restarts: int = 0
 
-    @property
-    def memory_bound_fraction(self) -> float:
-        total = self.memory_bound_steps + self.compute_bound_steps
-        if total == 0:
-            return 0.0
-        return self.memory_bound_steps / total
-
 
 class InferenceEngine:
     """Serving loop for one accelerator.
@@ -264,10 +279,11 @@ class InferenceEngine:
     placement:
         Structure -> tier-name map ("weights", "kv", "activations").
     kv_capacity_bytes:
-        KV pool size.  Defaults to the KV tier's capacity minus the
-        weights (when they share a tier) and an activations reserve.
-    max_batch_size / tokens_per_page:
-        Batching and paging knobs.
+        KV pool size.  Defaults to :func:`kv_pool_bytes`: the KV tier's
+        capacity minus the weights (when they share a tier) and an
+        activations reserve.
+    max_batch_size:
+        Maximum contexts decoded per iteration.
     """
 
     def __init__(
@@ -278,8 +294,6 @@ class InferenceEngine:
         placement: Optional[Mapping[str, str]] = None,
         kv_capacity_bytes: Optional[int] = None,
         max_batch_size: int = 16,
-        tokens_per_page: int = 16,
-        enable_prefix_sharing: bool = False,
         kv_recovery: Optional[KVRecoveryConfig] = None,
         name: str = "",
         obs=None,
@@ -296,12 +310,9 @@ class InferenceEngine:
         self._weights_tier = accelerator.tier(self.placement["weights"])
         kv_tier = self._kv_tier = accelerator.tier(self.placement["kv"])
         if kv_capacity_bytes is None:
-            reserved = 0
-            if self.placement["weights"] == self.placement["kv"]:
-                reserved += model.weights_bytes
-            if self.placement["activations"] == self.placement["kv"]:
-                reserved += model.activation_bytes(max_batch_size)
-            kv_capacity_bytes = kv_tier.capacity_bytes - reserved
+            kv_capacity_bytes = kv_pool_bytes(
+                accelerator, model, self.placement, max_batch_size
+            )
         if kv_capacity_bytes <= 0:
             raise ValueError(
                 f"{self.name}: no KV capacity left on tier {kv_tier.name!r} "
@@ -312,12 +323,7 @@ class InferenceEngine:
         # engine label for snapshots and exports.
         self.obs = obs if obs is not None else NULL_REGISTRY
         self.kv = KVCacheManager(
-            model,
-            kv_capacity_bytes,
-            tokens_per_page=tokens_per_page,
-            enable_prefix_sharing=enable_prefix_sharing,
-            obs=self.obs,
-            name=self.name,
+            model, kv_capacity_bytes, obs=self.obs, name=self.name
         )
         self.scheduler = BatchScheduler(self.kv, max_batch_size=max_batch_size)
         self.ttft = Histogram("ttft_s")
@@ -329,7 +335,6 @@ class InferenceEngine:
         self.tier_bytes_read = {tier.name: 0.0 for tier in accelerator.tiers}
         self.tier_bytes_written = {tier.name: 0.0 for tier in accelerator.tiers}
         self.access_energy_j = 0.0
-        self.prefix_tokens_shared = 0
         self.kv_losses = 0
         self.kv_recoveries = 0
         self.kv_recompute_tokens = 0
@@ -345,7 +350,6 @@ class InferenceEngine:
         self._obs_kv_losses = o.counter("engine.kv_losses_total", engine=engine)
         self._obs_kv_recoveries = o.counter("engine.kv_recoveries_total", engine=engine)
         self._obs_recompute = o.counter("engine.kv_recompute_tokens_total", engine=engine)
-        self._obs_prefix_shared = o.counter("engine.prefix_tokens_shared_total", engine=engine)
         self._obs_mem_steps = o.counter("engine.memory_bound_steps_total", engine=engine)
         self._obs_compute_steps = o.counter("engine.compute_bound_steps_total", engine=engine)
         self._obs_ttft = o.histogram("engine.ttft_s", engine=engine)
@@ -446,7 +450,7 @@ class InferenceEngine:
         """
         context_id = context.context_id
         # Pages are untrustworthy, the context cannot decode.
-        self.kv.release(context_id)
+        self.kv.release([context_id])
         self.scheduler.finish(context_id)
         self.kv_losses += 1
         self._obs_kv_losses.add()
@@ -544,7 +548,7 @@ class InferenceEngine:
         context = self.scheduler.running.get(request_id)
         if context is None:
             return False
-        self.kv.release(request_id)
+        self.kv.release([request_id])
         self.scheduler.finish(request_id)
         self.requests_cancelled += 1
         self.wasted_tokens += context.generated
@@ -613,14 +617,7 @@ class InferenceEngine:
     def _start(self, request: InferenceRequest) -> RunningContext:
         """Admit ``request`` into the running set with its prompt's KV."""
         context = self.scheduler.start(request)
-        _allocated, shared_tokens = self.kv.register(
-            context.context_id,
-            request.prompt_tokens,
-            prefix_key=request.prefix_key,
-        )
-        if shared_tokens:
-            self.prefix_tokens_shared += shared_tokens
-            self._obs_prefix_shared.add(shared_tokens)
+        self.kv.register(context.context_id, request.prompt_tokens)
         return context
 
     def _run_prefill(self, request: InferenceRequest) -> Generator:
@@ -651,7 +648,7 @@ class InferenceEngine:
             now = self.sim.now
             for context in finished:
                 context.finished_at = now
-            self.kv.release_batch([c.context_id for c in finished])
+            self.kv.release([c.context_id for c in finished])
             listener = self.request_listener
             for context in finished:
                 self.scheduler.finish(context.context_id)

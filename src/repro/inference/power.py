@@ -15,10 +15,9 @@ technology quantitative:
   technology);
 - :func:`best_frequency_under_cap` — the classic memory-bound DVFS
   insight: decode barely uses the compute die, so clocking it down
-  costs little throughput while freeing real watts;
-- :func:`power_capped_throughput` — tokens/s attainable under a cap for
-  a given tier set.  MRM enters through the refresh term: a refresh-free
-  memory tier leaves more of the cap for useful work.
+  costs little throughput while freeing real watts.  MRM enters through
+  the refresh term: a refresh-free memory tier leaves more of the cap
+  for useful work.
 """
 
 from __future__ import annotations
@@ -106,12 +105,6 @@ class OperatingPoint:
     def total_power_w(self) -> Watts:
         return self.compute_power_w + self.memory_power_w
 
-    @property
-    def tokens_per_joule(self) -> float:
-        if self.total_power_w <= 0:
-            return 0.0
-        return self.tokens_per_s / self.total_power_w
-
 
 def _decode_throughput_at_frequency(
     accelerator: AcceleratorConfig,
@@ -188,15 +181,3 @@ def best_frequency_under_cap(
         if best is None or point.tokens_per_s > best.tokens_per_s:
             best = point
     return best
-
-
-def power_capped_throughput(
-    power_model: PowerModel,
-    model: ModelConfig,
-    tiers: Sequence[MemoryTier],
-    cap_w: Watts,
-    **kwargs,
-) -> float:
-    """Tokens/s under the cap (0.0 when infeasible)."""
-    point = best_frequency_under_cap(power_model, model, tiers, cap_w, **kwargs)
-    return point.tokens_per_s if point is not None else 0.0

@@ -121,7 +121,6 @@ def _fresh_copy(request: InferenceRequest) -> InferenceRequest:
         prompt_tokens=request.prompt_tokens,
         output_tokens=request.output_tokens,
         sla=request.sla,
-        prefix_key=request.prefix_key,
         cached_prompt_tokens=request.cached_prompt_tokens,
     )
 

@@ -56,14 +56,6 @@ class StepTiming:
             return Boundedness.MEMORY
         return Boundedness.COMPUTE
 
-    @property
-    def memory_bound_fraction(self) -> float:
-        """Fraction of the step that is pure memory wait (0 when
-        compute-bound)."""
-        if self.duration_s == 0:
-            return 0.0
-        return max(0.0, self.memory_time_s - self.compute_time_s) / self.duration_s
-
 
 class RooflineModel:
     """Step timing for an accelerator given per-tier byte movement.
@@ -188,14 +180,6 @@ class RooflineModel:
     # ------------------------------------------------------------------
     # Analysis helpers
     # ------------------------------------------------------------------
-    def arithmetic_intensity_breakeven(self) -> float:
-        """FLOPs per byte above which the accelerator is compute-bound
-        (using the first tier's read bandwidth)."""
-        acc = self.accelerator
-        return acc.effective_flops / acc.effective_read_bandwidth(
-            acc.tiers[0].name
-        )
-
     def memory_bound_fraction_of_request(
         self,
         model: ModelConfig,

@@ -33,7 +33,7 @@ class Histogram:
     :meth:`observe_many` bulk path for batched recorders.
     """
 
-    __slots__ = ("name", "_buf", "_n", "_sorted", "_sum", "_sumsq", "_folded")
+    __slots__ = ("name", "_buf", "_n", "_sorted", "_sum", "_folded")
 
     _INITIAL_CAPACITY = 64
 
@@ -46,10 +46,9 @@ class Histogram:
         self._buf = np.empty(self._INITIAL_CAPACITY, dtype=np.float64)
         self._n = 0
         self._sorted = True
-        #: The moments cover the first ``_folded`` samples; the rest fold
-        #: in, in insertion order, when a moment is read or before a sort.
+        #: The sum covers the first ``_folded`` samples; the rest fold in,
+        #: in insertion order, when a moment is read or before a sort.
         self._sum = 0.0
-        self._sumsq = 0.0
         self._folded = 0
 
     def _grow_to(self, need: int) -> None:
@@ -97,24 +96,19 @@ class Histogram:
         self._n = need
 
     def _fold(self) -> None:
-        """Fold the samples observed since the last fold into the moments.
+        """Fold the samples observed since the last fold into the sum.
 
-        Left to right in insertion order (``np.add.accumulate``, never
-        NumPy's pairwise sum), so the moments round exactly as a
-        per-sample ``total += value`` would have.
+        Left to right in insertion order (:func:`fold_sum`, never
+        NumPy's pairwise sum), so it rounds exactly as a per-sample
+        ``total += value`` would have.
         """
         start, n = self._folded, self._n
-        total, sumsq = self._sum, self._sumsq
+        total = self._sum
         while start < n:
             chunk = self._buf[start : min(n, start + self._FOLD_CHUNK)]
-            moments = np.empty((2, chunk.size + 1))
-            moments[0, 0] = total
-            moments[1, 0] = sumsq
-            moments[0, 1:] = chunk
-            np.multiply(chunk, chunk, out=moments[1, 1:])
-            total, sumsq = np.add.accumulate(moments, axis=1)[:, -1].tolist()
+            total = fold_sum(total, chunk)
             start += chunk.size
-        self._sum, self._sumsq, self._folded = total, sumsq, n
+        self._sum, self._folded = total, n
 
     @property
     def count(self) -> int:
@@ -130,15 +124,6 @@ class Histogram:
             return float("nan")
         self._fold()
         return self._sum / self._n
-
-    def stdev(self) -> float:
-        n = self._n
-        if n < 2:
-            return 0.0
-        self._fold()
-        mean = self._sum / n
-        var = max(0.0, self._sumsq / n - mean * mean)
-        return math.sqrt(var)
 
     def _ensure_sorted(self) -> np.ndarray:
         view = self._buf[: self._n]
@@ -174,19 +159,8 @@ class Histogram:
         frac = pos - lo
         return float(samples[lo] * (1 - frac) + samples[hi] * frac)
 
-    def median(self) -> Optional[float]:
-        return self.quantile(0.5)
-
     def max(self) -> float:
         return float(self._ensure_sorted()[-1]) if self._n else float("nan")
 
     def min(self) -> float:
         return float(self._ensure_sorted()[0]) if self._n else float("nan")
-
-    def cdf(self, value: float) -> float:
-        """Fraction of samples <= value."""
-        samples = self._ensure_sorted()
-        if samples.size == 0:
-            return float("nan")
-        rank = int(np.searchsorted(samples, value, side="right"))
-        return rank / samples.size

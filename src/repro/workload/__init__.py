@@ -8,8 +8,8 @@ here, parameterized and testable:
 - :mod:`~repro.workload.distributions` — seeded distributions, including
   prompt/output token-count distributions calibrated to the published
   Splitwise traces [37].
-- :mod:`~repro.workload.requests` — inference request records and
-  arrival-process generators (Poisson, bursty).
+- :mod:`~repro.workload.requests` — inference request records and the
+  Poisson request generator.
 - :mod:`~repro.workload.phases` — the prefill/decode phase traffic
   equations: bytes read/written and FLOPs per phase.
 - :mod:`~repro.workload.traces` — a JSONL trace format, synthetic trace
@@ -26,18 +26,13 @@ from repro.workload.model import (
 )
 from repro.workload.distributions import (
     Distribution,
-    EmpiricalDistribution,
-    ExponentialDistribution,
-    FixedDistribution,
     LogNormalDistribution,
-    ParetoDistribution,
     SPLITWISE_CODE,
     SPLITWISE_CONVERSATION,
     TokenLengthProfile,
 )
 from repro.workload.requests import (
     ArrivalProcess,
-    BurstyArrivals,
     InferenceRequest,
     PoissonArrivals,
     RequestGenerator,
@@ -47,7 +42,6 @@ from repro.workload.phases import PhaseTraffic, decode_step_traffic, prefill_tra
 from repro.workload.speculative import (
     SpeculationConfig,
     speculative_decode_step_traffic,
-    weight_read_bytes_per_token,
 )
 from repro.workload.mitigations import (
     MitigationConfig,
@@ -70,11 +64,7 @@ from repro.workload.traces import (
 
 __all__ = [
     "ArrivalProcess",
-    "BurstyArrivals",
     "Distribution",
-    "EmpiricalDistribution",
-    "ExponentialDistribution",
-    "FixedDistribution",
     "GPT_CLASS_500B",
     "InferenceRequest",
     "LLAMA2_13B",
@@ -84,7 +74,6 @@ __all__ = [
     "MitigationConfig",
     "ModelConfig",
     "PHI_3_MINI",
-    "ParetoDistribution",
     "PhaseTraffic",
     "PoissonArrivals",
     "RequestGenerator",
@@ -106,6 +95,5 @@ __all__ = [
     "read_trace",
     "replay_trace",
     "speculative_decode_step_traffic",
-    "weight_read_bytes_per_token",
     "write_trace",
 ]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -39,34 +39,6 @@ class Distribution:
 
     def mean(self) -> float:
         raise NotImplementedError
-
-
-class FixedDistribution(Distribution):
-    """Degenerate distribution (always the same value)."""
-
-    def __init__(self, value: float) -> None:
-        self.value = float(value)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.value
-
-    def mean(self) -> float:
-        return self.value
-
-
-class ExponentialDistribution(Distribution):
-    """Exponential with the given mean (inter-arrival times)."""
-
-    def __init__(self, mean: float) -> None:
-        if mean <= 0:
-            raise ValueError("mean must be positive")
-        self._mean = float(mean)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.exponential(self._mean))
-
-    def mean(self) -> float:
-        return self._mean
 
 
 class LogNormalDistribution(Distribution):
@@ -90,39 +62,6 @@ class LogNormalDistribution(Distribution):
 
     def mean(self) -> float:
         return math.exp(self._mu + self.sigma**2 / 2.0)
-
-
-class ParetoDistribution(Distribution):
-    """Pareto (heavy tail) with scale ``xm`` and shape ``alpha``."""
-
-    def __init__(self, xm: float, alpha: float) -> None:
-        if xm <= 0 or alpha <= 0:
-            raise ValueError("xm and alpha must be positive")
-        self.xm = float(xm)
-        self.alpha = float(alpha)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self.xm * (1.0 + rng.pareto(self.alpha)))
-
-    def mean(self) -> float:
-        if self.alpha <= 1.0:
-            return float("inf")
-        return self.alpha * self.xm / (self.alpha - 1.0)
-
-
-class EmpiricalDistribution(Distribution):
-    """Resamples from observed values (trace bootstrapping)."""
-
-    def __init__(self, values: Sequence[float]) -> None:
-        if not values:
-            raise ValueError("need at least one value")
-        self.values = np.asarray(values, dtype=float)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.choice(self.values))
-
-    def mean(self) -> float:
-        return float(self.values.mean())
 
 
 @dataclass(frozen=True)

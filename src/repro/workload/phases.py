@@ -51,17 +51,6 @@ class PhaseTraffic:
             return float("inf")
         return self.bytes_read / self.bytes_written
 
-    def __add__(self, other: "PhaseTraffic") -> "PhaseTraffic":
-        return PhaseTraffic(
-            self.bytes_read_weights + other.bytes_read_weights,
-            self.bytes_read_kv + other.bytes_read_kv,
-            self.bytes_written_kv + other.bytes_written_kv,
-            self.flops + other.flops,
-        )
-
-
-ZERO_TRAFFIC = PhaseTraffic(0.0, 0.0, 0.0, 0.0)
-
 
 def prefill_traffic(model: ModelConfig, prompt_tokens: int) -> PhaseTraffic:
     """Traffic of prefilling one prompt.
@@ -198,31 +187,3 @@ def decode_lanes(model: ModelConfig) -> DecodeLanes:
     rebuilds a table rather than keeping each one.
     """
     return DecodeLanes(model)
-
-
-def full_request_traffic(
-    model: ModelConfig, prompt_tokens: int, output_tokens: int, batch_size: int = 1
-) -> PhaseTraffic:
-    """Aggregate traffic of serving one request end to end.
-
-    Decode steps run at growing context lengths (prompt+1 ... prompt+n);
-    weight reads are divided by ``batch_size`` to model amortization over
-    co-batched requests.
-    """
-    if output_tokens < 1:
-        raise ValueError("output must have at least one token")
-    total = prefill_traffic(model, prompt_tokens)
-    kv_read = 0.0
-    flops = 0.0
-    for step in range(output_tokens):
-        context = prompt_tokens + step
-        kv_read += float(model.kv_cache_bytes(context))
-        flops += model.decode_flops_per_token(context)
-    weights_read = float(model.weights_bytes) * output_tokens / batch_size
-    decode = PhaseTraffic(
-        bytes_read_weights=weights_read,
-        bytes_read_kv=kv_read,
-        bytes_written_kv=float(model.kv_bytes_per_token * output_tokens),
-        flops=flops,
-    )
-    return total + decode

@@ -6,12 +6,8 @@ hungry and heavily use batching, others are background best-effort jobs".
 :class:`SLAClass` encodes those three tiers; the tiering scheduler uses
 them to decide which contexts may ride slower tiers.
 
-Arrival processes:
-
-- :class:`PoissonArrivals` — memoryless baseline.
-- :class:`BurstyArrivals` — a two-state Markov-modulated Poisson process
-  (quiet/burst), matching the diurnal/bursty behaviour production LLM
-  traffic exhibits.
+:class:`PoissonArrivals` is the memoryless arrival process; the fleet's
+quiet/burst traffic has its own generator (:mod:`repro.fleet.arrivals`).
 """
 
 from __future__ import annotations
@@ -46,10 +42,6 @@ class InferenceRequest:
     generate — simulations know it up front (oracle), schedulers must not
     peek unless the policy explicitly allows it.
 
-    ``prefix_key`` identifies a shared prompt prefix (e.g. a system
-    prompt): requests with the same key can share KV pages when prefix
-    caching [54] is enabled.
-
     ``cached_prompt_tokens`` models a multi-turn follow-up whose
     conversation history's KV is already resident (kept hot, restored
     from an offload tier, or carried by MRM retention): prefill only
@@ -60,7 +52,6 @@ class InferenceRequest:
     prompt_tokens: int
     output_tokens: int
     sla: SLAClass = SLAClass.INTERACTIVE
-    prefix_key: Optional[str] = None
     cached_prompt_tokens: int = 0
     request_id: int = field(default_factory=lambda: next(_request_ids))
 
@@ -75,14 +66,6 @@ class InferenceRequest:
             raise ValueError(
                 "cached tokens must be in [0, prompt_tokens)"
             )
-
-    @property
-    def total_tokens(self) -> int:
-        return self.prompt_tokens + self.output_tokens
-
-    def kv_cache_bytes_final(self, model: ModelConfig) -> int:
-        """KV-cache size once the context is fully generated."""
-        return model.kv_cache_bytes(self.total_tokens)
 
 
 class ArrivalProcess:
@@ -102,55 +85,6 @@ class PoissonArrivals(ArrivalProcess):
 
     def next_gap(self, rng: np.random.Generator) -> float:
         return float(rng.exponential(1.0 / self.rate_per_s))
-
-
-class BurstyArrivals(ArrivalProcess):
-    """Two-state MMPP: alternating quiet and burst phases.
-
-    Parameters
-    ----------
-    base_rate_per_s / burst_rate_per_s:
-        Arrival rates in each state.
-    mean_quiet_s / mean_burst_s:
-        Mean sojourn time in each state (exponential).
-    """
-
-    def __init__(
-        self,
-        base_rate_per_s: float,
-        burst_rate_per_s: float,
-        mean_quiet_s: float = 60.0,
-        mean_burst_s: float = 10.0,
-    ) -> None:
-        if base_rate_per_s <= 0 or burst_rate_per_s <= 0:
-            raise ValueError("rates must be positive")
-        if burst_rate_per_s < base_rate_per_s:
-            raise ValueError("burst rate should be >= base rate")
-        if mean_quiet_s <= 0 or mean_burst_s <= 0:
-            raise ValueError("sojourn times must be positive")
-        self.base_rate_per_s = base_rate_per_s
-        self.burst_rate_per_s = burst_rate_per_s
-        self.mean_quiet_s = mean_quiet_s
-        self.mean_burst_s = mean_burst_s
-        self._in_burst = False
-        self._state_time_left = 0.0
-
-    def next_gap(self, rng: np.random.Generator) -> float:
-        gap = 0.0
-        while True:
-            if self._state_time_left <= 0.0:
-                self._in_burst = not self._in_burst
-                mean = self.mean_burst_s if self._in_burst else self.mean_quiet_s
-                self._state_time_left = float(rng.exponential(mean))
-            rate = self.burst_rate_per_s if self._in_burst else self.base_rate_per_s
-            candidate = float(rng.exponential(1.0 / rate))
-            if candidate <= self._state_time_left:
-                self._state_time_left -= candidate
-                return gap + candidate
-            # State flips before the next arrival: consume the remainder
-            # and resample in the new state (thinning).
-            gap += self._state_time_left
-            self._state_time_left = 0.0
 
 
 class RequestGenerator:
@@ -176,8 +110,6 @@ class RequestGenerator:
         arrivals: ArrivalProcess,
         model: ModelConfig,
         sla_mix: Optional[dict] = None,
-        prefix_keys: Optional[list] = None,
-        prefix_probability: float = 0.0,
         seed: int = 0,
     ) -> None:
         self.profile = profile
@@ -187,12 +119,6 @@ class RequestGenerator:
         total = sum(self.sla_mix.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"SLA mix must sum to 1, got {total}")
-        if not 0.0 <= prefix_probability <= 1.0:
-            raise ValueError("prefix probability in [0, 1]")
-        if prefix_probability > 0 and not prefix_keys:
-            raise ValueError("prefix_probability > 0 needs prefix_keys")
-        self.prefix_keys = list(prefix_keys or [])
-        self.prefix_probability = prefix_probability
         self.rng = np.random.default_rng(seed)
         # Precomputed once: rebuilding these per request dominated the
         # generator's profile on long traces.  Same draws, same stream.
@@ -224,16 +150,10 @@ class RequestGenerator:
             prompt, output = self.profile.sample(
                 self.rng, self.model.context_limit_tokens
             )
-            prefix_key = None
-            if self.prefix_keys and self.rng.random() < self.prefix_probability:
-                prefix_key = self.prefix_keys[
-                    int(self.rng.integers(len(self.prefix_keys)))
-                ]
             yield InferenceRequest(
                 arrival_time=now,
                 prompt_tokens=prompt,
                 output_tokens=output,
                 sla=self._draw_sla(),
-                prefix_key=prefix_key,
             )
             emitted += 1

@@ -26,7 +26,6 @@ before — see ``benchmarks/bench_a1_mitigations.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.workload.model import ModelConfig
 from repro.workload.phases import PhaseTraffic
@@ -114,20 +113,3 @@ def speculative_decode_step_traffic(
         bytes_written_kv=float(target.kv_bytes_per_token) * emitted * batch_size,
         flops=flops,
     )
-
-
-def weight_read_bytes_per_token(
-    target: ModelConfig,
-    speculation: Optional[SpeculationConfig],
-    context_tokens: int,
-    batch_size: int = 1,
-) -> float:
-    """Target+draft weight bytes read per emitted token — the quantity
-    speculation improves (divides by ``E[tokens] * batch``)."""
-    if speculation is None:
-        return float(target.weights_bytes) / batch_size
-    traffic = speculative_decode_step_traffic(
-        target, speculation, context_tokens, batch_size
-    )
-    emitted = speculation.expected_tokens_per_step() * batch_size
-    return traffic.bytes_read_weights / emitted

@@ -46,7 +46,6 @@ class TraceRecord:
     prompt_tokens: int
     output_tokens: int
     sla: str = SLAClass.INTERACTIVE.value
-    prefix_key: Optional[str] = None
 
     def to_request(self) -> InferenceRequest:
         return InferenceRequest(
@@ -54,7 +53,6 @@ class TraceRecord:
             prompt_tokens=self.prompt_tokens,
             output_tokens=self.output_tokens,
             sla=SLAClass(self.sla),
-            prefix_key=self.prefix_key,
         )
 
 
@@ -65,8 +63,6 @@ def generate_trace(
     duration_s: Optional[float] = 60.0,
     count: Optional[int] = None,
     sla_mix: Optional[dict] = None,
-    prefix_keys: Optional[list] = None,
-    prefix_probability: float = 0.0,
     seed: int = 0,
 ) -> List[TraceRecord]:
     """Synthesize a trace (Splitwise-conversation shape by default)."""
@@ -75,8 +71,6 @@ def generate_trace(
         arrivals=arrivals or PoissonArrivals(rate_per_s=1.0),
         model=model,
         sla_mix=sla_mix,
-        prefix_keys=prefix_keys,
-        prefix_probability=prefix_probability,
         seed=seed,
     )
     return [
@@ -85,7 +79,6 @@ def generate_trace(
             prompt_tokens=req.prompt_tokens,
             output_tokens=req.output_tokens,
             sla=req.sla.value,
-            prefix_key=req.prefix_key,
         )
         for req in generator.generate(duration_s=duration_s, count=count)
     ]

@@ -9,7 +9,6 @@ from repro.faults import (
     FaultTopology,
     cluster_topology,
     generate_correlated_schedule,
-    parse_fault_kind,
     validate_domain_rates,
 )
 from repro.faults.domains import spread_magnitude
@@ -26,11 +25,15 @@ def small_topology() -> FaultTopology:
     )
 
 
+def _domain(topology: FaultTopology, name: str) -> FaultDomain:
+    return next(d for d in topology.domains if d.name == name)
+
+
 class TestTopologyValidation:
     def test_valid_topology_roundtrips(self):
         topology = small_topology().validate()
-        assert topology.engines() == ["engine-0", "engine-1"]
-        assert topology.domain("pd0").level == "power"
+        assert [d.name for d in topology.domains] == ["engine-0", "engine-1", "pd0"]
+        assert _domain(topology, "pd0").level == "power"
 
     def test_no_domains_rejected(self):
         with pytest.raises(ValueError, match="no fault domains"):
@@ -63,23 +66,18 @@ class TestTopologyValidation:
                 domains=(FaultDomain("d", "engine", ("e0", "e0")),)
             ).validate()
 
-    def test_unknown_domain_lookup_raises(self):
-        with pytest.raises(KeyError):
-            small_topology().domain("nope")
-
 
 class TestClusterTopology:
     def test_shape(self):
         topology = cluster_topology(3, engines_per_domain=2)
         names = [d.name for d in topology.domains]
         assert names == ["engine-0", "engine-1", "engine-2", "pd0", "pd1"]
-        assert topology.domain("pd0").members == ("engine-0", "engine-1")
-        assert topology.domain("pd1").members == ("engine-2",)
-        assert topology.engines() == ["engine-0", "engine-1", "engine-2"]
+        assert _domain(topology, "pd0").members == ("engine-0", "engine-1")
+        assert _domain(topology, "pd1").members == ("engine-2",)
 
     def test_bank_groups_optional(self):
         topology = cluster_topology(2, banks_per_group=4)
-        bank = topology.domain("bg0")
+        bank = _domain(topology, "bg0")
         assert bank.level == "bank-group"
         assert bank.member_kind() is FaultKind.BANK_FAILURE
         assert len(bank.members) == 4
@@ -87,11 +85,11 @@ class TestClusterTopology:
     def test_member_kinds(self):
         topology = cluster_topology(2)
         assert (
-            topology.domain("engine-0").member_kind()
+            _domain(topology, "engine-0").member_kind()
             is FaultKind.ENGINE_CRASH
         )
         assert (
-            topology.domain("pd0").member_kind() is FaultKind.ENGINE_CRASH
+            _domain(topology, "pd0").member_kind() is FaultKind.ENGINE_CRASH
         )
 
 
@@ -196,16 +194,3 @@ class TestCorrelatedSchedule:
     def test_nan_rate_rejected(self):
         with pytest.raises(ValueError, match="non-finite strike rate"):
             self._schedule(rates={"engine-0": float("nan")})
-
-
-class TestParseFaultKind:
-    def test_roundtrip(self):
-        assert parse_fault_kind("engine-crash") is FaultKind.ENGINE_CRASH
-        assert (
-            parse_fault_kind("domain-power-loss")
-            is FaultKind.DOMAIN_POWER_LOSS
-        )
-
-    def test_unknown_is_one_line_value_error(self):
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            parse_fault_kind("gamma-ray")

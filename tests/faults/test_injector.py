@@ -20,6 +20,11 @@ from repro.units import MiB
 CODE = BCHCode(n=32768, k=32648, t=8)
 
 
+def outcomes(log):
+    """Each applied event's outcome, in timeline order."""
+    return [entry["outcome"] for entry in log.entries]
+
+
 def make_device() -> MRMDevice:
     return MRMDevice(
         MRMConfig(
@@ -176,8 +181,8 @@ class TestControllerFaultInjector:
             controller, schedule_of(event(FaultKind.BIT_ERROR_BURST))
         )
         assert injector.apply_until(2.0) == 1
-        assert injector.log.count("burst") == 1
-        assert injector.exhausted
+        assert outcomes(injector.log).count("burst") == 1
+        assert injector.next_event_time() is None
 
     def test_apply_until_respects_time(self):
         controller = make_controller()
@@ -190,7 +195,7 @@ class TestControllerFaultInjector:
             ),
         )
         assert injector.apply_until(2.0) == 1
-        assert not injector.exhausted
+        assert injector.next_event_time() == 5.0
         assert injector.apply_until(10.0) == 1
 
     def test_retention_event_ages_victim(self):
@@ -201,7 +206,7 @@ class TestControllerFaultInjector:
             schedule_of(event(FaultKind.RETENTION_VIOLATION, magnitude=0.9)),
         )
         injector.apply_until(2.0)
-        assert injector.log.count("aged") == 1
+        assert outcomes(injector.log).count("aged") == 1
         aged = [b for b in blocks if b.written_at < 0]
         assert len(aged) == 1
 
@@ -214,7 +219,7 @@ class TestControllerFaultInjector:
             schedule_of(event(FaultKind.BANK_FAILURE, magnitude=0.1)),
         )
         injector.apply_until(2.0)
-        assert injector.log.count("bank-failed") == 1
+        assert outcomes(injector.log).count("bank-failed") == 1
         assert controller.stats.remapped_zones == 1
         assert controller.stats.data_loss_blocks > 0
 
@@ -225,7 +230,7 @@ class TestControllerFaultInjector:
             controller, schedule_of(event(FaultKind.DEVICE_FAILURE))
         )
         injector.apply_until(2.0)
-        assert injector.log.count("drained") == 1
+        assert outcomes(injector.log).count("drained") == 1
         assert len(controller.migration_queue) == len(blocks)
         assert controller.stats.data_loss_blocks == 0
 
@@ -236,7 +241,7 @@ class TestControllerFaultInjector:
             controller, schedule_of(event(FaultKind.DEVICE_FAILURE))
         )
         injector.apply_until(2.0)
-        assert injector.log.count("device-lost") == 1
+        assert outcomes(injector.log).count("device-lost") == 1
         assert controller.stats.data_loss_blocks == len(blocks)
         assert controller.migration_queue == []
 
@@ -251,7 +256,7 @@ class TestControllerFaultInjector:
             ),
         )
         injector.apply_until(5.0)
-        assert injector.log.count("device-already-dead") == 1
+        assert outcomes(injector.log).count("device-already-dead") == 1
 
     def test_kv_events_ignored_by_controller_injector(self):
         controller = make_controller()

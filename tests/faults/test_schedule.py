@@ -9,7 +9,6 @@ from repro.faults import (
     FaultEvent,
     FaultKind,
     generate_schedule,
-    merge_schedules,
     rates_for,
     timeline_fingerprint,
 )
@@ -87,7 +86,8 @@ class TestGenerateSchedule:
         def draws(schedule):
             return [
                 (e.time_s, e.magnitude)
-                for e in schedule.of_kind(FaultKind.RETENTION_VIOLATION)
+                for e in schedule.events
+                if e.kind is FaultKind.RETENTION_VIOLATION
             ]
 
         assert draws(only) == draws(both)
@@ -102,22 +102,6 @@ class TestGenerateSchedule:
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             generate_schedule({}, -1.0, 0)
-
-
-class TestMergeSchedules:
-    def test_merge_orders_and_renumbers(self):
-        a = generate_schedule(soft_rates(0.05), 1000.0, 1, device="dev-a")
-        b = generate_schedule(soft_rates(0.05), 1000.0, 2, device="dev-b")
-        merged = merge_schedules([a, b])
-        assert len(merged) == len(a) + len(b)
-        times = [e.time_s for e in merged]
-        assert times == sorted(times)
-        assert [e.seq for e in merged] == list(range(len(merged)))
-        assert {e.device for e in merged} == {"dev-a", "dev-b"}
-
-    def test_merge_empty(self):
-        merged = merge_schedules([])
-        assert len(merged) == 0 and merged.duration_s == 0.0
 
 
 class TestFingerprint:

@@ -10,7 +10,6 @@ from repro.fleet import (
     generate_fleet_traces,
     generate_tenant_trace,
     merge_arrivals,
-    offered_rate_per_s,
 )
 from repro.fleet.arrivals import _BurstState
 from repro.units import DAY
@@ -137,8 +136,7 @@ class TestTenantTrace:
             burst_multiplier=1.0,
         )
         trace = generate_tenant_trace(flat, 2000.0, _seed(1))
-        rate = offered_rate_per_s(trace, 2000.0)
-        assert rate == pytest.approx(4.0, rel=0.1)
+        assert len(trace) / 2000.0 == pytest.approx(4.0, rel=0.1)
 
     def test_sla_mix_respected(self):
         mixed = TenantConfig(
@@ -193,7 +191,3 @@ class TestFleetTraces:
     def test_merge_tolerates_missing_tenant(self):
         # A zero-traffic tenant may be absent from the traces dict.
         assert merge_arrivals({}, ["chat"]) == []
-
-    def test_offered_rate_guards_horizon(self):
-        with pytest.raises(ValueError, match="duration"):
-            offered_rate_per_s([], 0.0)

@@ -35,7 +35,7 @@ class TestAcceleratorConfig:
         lpddr = MemoryTierSpec("lpddr", 480 * GiB, 0.5e12, 0.5e12, LPDDR5X)
         modified = B200.with_tiers(B200.tiers + (lpddr,))
         assert set(modified.tier_names) == {"hbm", "lpddr"}
-        assert modified.total_memory_bytes == (192 + 480) * GiB
+        assert sum(t.capacity_bytes for t in modified.tiers) == (192 + 480) * GiB
 
     def test_efficiency_bounds(self):
         with pytest.raises(ValueError):
@@ -56,7 +56,7 @@ class TestRooflineTiming:
         roofline = RooflineModel(B200)
         timing = roofline.time_step(1.0, {"hbm": 1e12})
         assert timing.boundedness is Boundedness.MEMORY
-        assert timing.memory_bound_fraction > 0.9
+        assert timing.compute_time_s < 0.1 * timing.duration_s
 
     def test_unknown_tier_rejected(self):
         roofline = RooflineModel(B200)
@@ -137,8 +137,3 @@ class TestPhaseBoundedness:
             LLAMA2_70B, prompt_tokens=1020, output_tokens=129
         )
         assert fraction > 0.5
-
-    def test_breakeven_intensity(self):
-        roofline = RooflineModel(H100_80G)
-        breakeven = roofline.arithmetic_intensity_breakeven()
-        assert 100 < breakeven < 1000  # FLOPs/byte, H100-class

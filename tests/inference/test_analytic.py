@@ -3,8 +3,7 @@
 Covers three layers of the analytic-mode contract:
 
 - **Guards**: scenarios the fluid replay cannot express raise
-  :class:`UnsupportedScenario` (prefix sharing, overload, KV pools too
-  small) instead of returning silently wrong numbers.
+  :class:`UnsupportedScenario` (overload, KV pools too small) instead of returning silently wrong numbers.
 - **Exactness**: interleaving-independent quantities (request/token
   counts, KV byte traffic) match the DES bit-for-bit.
 - **Cross-validation**: on the pinned tiny grid every metric in
@@ -52,15 +51,6 @@ def _tiny_requests():
 
 
 class TestGuards:
-    def test_prefix_sharing_unsupported(self):
-        with pytest.raises(UnsupportedScenario, match="prefix sharing"):
-            analytic_cluster_report(
-                tensor_parallel_group(H100_80G, 4),
-                LLAMA2_70B,
-                _tiny_requests(),
-                enable_prefix_sharing=True,
-            )
-
     def test_overload_unsupported(self):
         # 400 large requests in 0.4 simulated seconds on one engine is
         # far outside any stability envelope.

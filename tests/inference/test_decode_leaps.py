@@ -5,12 +5,12 @@ kernel event, one roofline evaluation and one round of bookkeeping per
 decode iteration.  Both engines run the same scenarios through
 :class:`~repro.inference.cluster.Cluster` — fractional-parameter models,
 split and shared weight/KV tiers, batch caps 1-16, arrivals and mid-run
-``summarize()`` probes placed exactly on step boundaries, prefix
-sharing, decode-only (``prefilled``) submissions, KV losses, engine
-crashes and a hedging, timing-out resilience policy — and everything
-they produce must be bit-identical: reports, tallies, histogram samples
-and moments, context timestamps, the allocator's free list and page
-reference counts, and the obs snapshot.  The one exception is a call
+``summarize()`` probes placed exactly on step boundaries, decode-only
+(``prefilled``) submissions, KV losses, engine crashes and a hedging,
+timing-out resilience policy — and everything they produce must be
+bit-identical: reports, tallies, histogram samples and moments, context
+timestamps, the allocator's free list and per-page allocated flags, and
+the obs snapshot.  The one exception is a call
 between engines at an instant both wake at, which the oracle detects
 (:func:`same_instant_calls`) and :class:`TestSameInstantOrder` pins.
 """
@@ -135,7 +135,7 @@ class PerStepEngine(InferenceEngine):
             self.tokens_generated += len(batch)
             self._obs_tokens.add(len(batch))
         if finished:
-            self.kv.release_batch([c.context_id for c in finished])
+            self.kv.release([c.context_id for c in finished])
             listener = self.request_listener
             for context in finished:
                 self.scheduler.finish(context.context_id)
@@ -164,13 +164,13 @@ def _requests(specs, extra_times=()):
     dispatcher makes mid-run, so no explicit id can collide with one.
     """
     requests = [
-        InferenceRequest(arrival, prompt, output, sla=sla, prefix_key=key)
-        for arrival, prompt, output, sla, key in specs
+        InferenceRequest(arrival, prompt, output, sla=sla)
+        for arrival, prompt, output, sla in specs
     ]
     for j, time in enumerate(extra_times):
-        _arrival, prompt, output, sla, key = specs[j % len(specs)]
+        _arrival, prompt, output, sla = specs[j % len(specs)]
         requests.append(
-            InferenceRequest(time, prompt, output, sla=sla, prefix_key=key)
+            InferenceRequest(time, prompt, output, sla=sla)
         )
     return requests
 
@@ -254,7 +254,7 @@ def _serve(engine_cls, scenario, extra_times=(), probe_times=()):
     """Run one scenario; returns ``(state, pools, cluster)``: ``state``
     is the repr of everything else the run produced (a repr, so NaN
     fields compare equal), ``pools`` each engine's KV page free list and
-    per-page reference counts."""
+    per-page allocated flags."""
     accelerator, placement = _hardware(scenario["memory"])
     obs = MetricsRegistry()
     sim = Simulator(obs=obs)
@@ -266,7 +266,6 @@ def _serve(engine_cls, scenario, extra_times=(), probe_times=()):
             num_engines=scenario["engines"],
             placement=placement,
             max_batch_size=scenario["batch"],
-            enable_prefix_sharing=scenario["prefix_sharing"],
             kv_recovery=KVRecoveryConfig(enabled=scenario["recovery"]),
             resilience=scenario["resilience"],
             obs=obs,
@@ -313,7 +312,7 @@ def _serve(engine_cls, scenario, extra_times=(), probe_times=()):
     engines = []
     for engine in cluster.engines:
         histograms = [
-            (h.samples().tolist(), h.count, h.total, h._sumsq, h.mean(), h.stdev())
+            (h.samples().tolist(), h.count, h.total, h.mean())
             for h in (engine.ttft, engine.tbt)
         ]
         contexts = [
@@ -351,7 +350,7 @@ def _serve(engine_cls, scenario, extra_times=(), probe_times=()):
         )
     )
     pools = [
-        (engine.kv.allocator._free, engine.kv.allocator._refcount)
+        (engine.kv.allocator._free, engine.kv.allocator._allocated)
         for engine in cluster.engines
     ]
     return state, pools, cluster
@@ -384,7 +383,6 @@ def scenarios(draw):
                 draw(st.integers(1, 400)),
                 draw(st.integers(1, 48)),
                 draw(st.sampled_from(list(SLAClass))),
-                draw(st.sampled_from([None, "system-a", "system-b"])),
             )
         )
     resilience = None
@@ -409,7 +407,6 @@ def scenarios(draw):
         "memory": draw(st.sampled_from(["hbm", "mrm", "mrm-both"])),
         "engines": draw(st.integers(1, 3)),
         "batch": draw(st.integers(1, 16)),
-        "prefix_sharing": draw(st.booleans()),
         "specs": specs,
         "prefilled": prefilled,
         "recovery": draw(st.booleans()),
@@ -458,11 +455,10 @@ def _single_engine_scenario(**overrides):
         "memory": "mrm",
         "engines": 1,
         "batch": 4,
-        "prefix_sharing": False,
         "specs": [
-            (0.0, 300, 20, SLAClass.INTERACTIVE, None),
-            (0.05, 120, 9, SLAClass.THROUGHPUT, None),
-            (0.07, 40, 31, SLAClass.INTERACTIVE, None),
+            (0.0, 300, 20, SLAClass.INTERACTIVE),
+            (0.05, 120, 9, SLAClass.THROUGHPUT),
+            (0.07, 40, 31, SLAClass.INTERACTIVE),
         ],
         "recovery": True,
         "resilience": None,
@@ -475,7 +471,7 @@ def _single_engine_scenario(**overrides):
 class TestSettleRules:
     def test_call_at_a_boundary_sees_that_step_in_flight(self):
         scenario = _single_engine_scenario(
-            memory="hbm", specs=[(0.0, 64, 12, SLAClass.INTERACTIVE, None)]
+            memory="hbm", specs=[(0.0, 64, 12, SLAClass.INTERACTIVE)]
         )
         *_, first = _serve(PerStepEngine, scenario)
         boundaries = first.engines[0].boundaries
@@ -534,13 +530,13 @@ class TestSettleRules:
             fault_seed=10,
             horizon=2.29,
             specs=[
-                (0.01, 276, 28, SLAClass.THROUGHPUT, None),
-                (0.02, 280, 1, SLAClass.BEST_EFFORT, None),
-                (0.03, 253, 28, SLAClass.THROUGHPUT, None),
-                (0.04, 184, 18, SLAClass.INTERACTIVE, None),
-                (0.24, 17, 26, SLAClass.BEST_EFFORT, None),
-                (0.29, 195, 32, SLAClass.BEST_EFFORT, None),
-                (0.29, 141, 25, SLAClass.BEST_EFFORT, None),
+                (0.01, 276, 28, SLAClass.THROUGHPUT),
+                (0.02, 280, 1, SLAClass.BEST_EFFORT),
+                (0.03, 253, 28, SLAClass.THROUGHPUT),
+                (0.04, 184, 18, SLAClass.INTERACTIVE),
+                (0.24, 17, 26, SLAClass.BEST_EFFORT),
+                (0.29, 195, 32, SLAClass.BEST_EFFORT),
+                (0.29, 141, 25, SLAClass.BEST_EFFORT),
             ],
         )
         *expected, per_step = _serve(PerStepEngine, scenario)
@@ -593,12 +589,11 @@ class TestSameInstantOrder:
         "memory": "mrm",
         "engines": 3,
         "batch": 1,
-        "prefix_sharing": False,
         "specs": [
-            (0.01, 109, 45, SLAClass.INTERACTIVE, "system-a"),
-            (0.21, 373, 34, SLAClass.THROUGHPUT, "system-b"),
-            (0.81, 45, 21, SLAClass.INTERACTIVE, "system-b"),
-            (0.82, 50, 21, SLAClass.INTERACTIVE, "system-a"),
+            (0.01, 109, 45, SLAClass.INTERACTIVE),
+            (0.21, 373, 34, SLAClass.THROUGHPUT),
+            (0.81, 45, 21, SLAClass.INTERACTIVE),
+            (0.82, 50, 21, SLAClass.INTERACTIVE),
         ],
         "recovery": False,
         "resilience": ResiliencePolicy(hedge_delay_s=0.05, max_queue_depth=3),

@@ -4,7 +4,7 @@ import pytest
 
 from repro.inference.deployment import ModelSwapModel, SwapCost
 from repro.tiering.tiers import hbm_tier, mrm_tier
-from repro.units import DAY, GiB, HOUR, YEAR
+from repro.units import DAY, GiB, HOUR
 from repro.workload.model import LLAMA2_70B
 
 
@@ -58,10 +58,6 @@ class TestSwapCost:
         ]
         assert values == sorted(values)
 
-    def test_swaps_over_lifetime(self, swap_model, tiers):
-        cost = swap_model.swap_cost(tiers[0], HOUR, lifetime_s=YEAR)
-        assert cost.swaps_over_lifetime() == pytest.approx(YEAR / HOUR)
-
     def test_validation(self, swap_model, tiers):
         with pytest.raises(ValueError):
             swap_model.swap_cost(tiers[0], update_interval_s=0.0)
@@ -83,7 +79,3 @@ class TestEnduranceBudget:
         hourly = swap_model.endurance_consumed(mrm, HOUR)
         daily = swap_model.endurance_consumed(mrm, DAY)
         assert hourly == pytest.approx(24 * daily)
-
-    def test_compare_tiers_covers_all(self, swap_model, tiers):
-        costs = swap_model.compare_tiers(tiers, HOUR)
-        assert set(costs) == {"hbm", "mrm"}

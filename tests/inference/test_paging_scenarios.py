@@ -2,9 +2,9 @@
 
 The paged allocator itself is deliberately uninstrumented (pure
 mechanism); :class:`KVCacheManager` is the policy layer that owns the
-registry.  These scenarios drive allocator behaviour — sharing,
-rejection, batch appends, release ordering — and assert the metric
-stream matches physical page movements exactly.
+registry.  These scenarios drive allocator behaviour — rejection,
+batch appends, releases — and assert the metric stream matches
+physical page movements exactly.
 """
 
 import pytest
@@ -12,17 +12,14 @@ import pytest
 from repro.inference.kvcache import KVCacheManager
 from repro.inference.paging import OutOfPages
 from repro.obs import MetricsRegistry
-from repro.units import MiB
 from repro.workload.model import LLAMA2_13B
 
 
-def make_kv(pages=20, sharing=True, reg=None):
+def make_kv(pages=20, reg=None):
     """A manager with exactly ``pages`` physical pages."""
     kv = KVCacheManager(
         LLAMA2_13B,
         capacity_bytes=pages * LLAMA2_13B.kv_bytes_per_token * 16,
-        tokens_per_page=16,
-        enable_prefix_sharing=sharing,
         obs=reg,
     )
     assert kv.allocator.total_pages == pages
@@ -54,8 +51,8 @@ class TestAllocationMetrics:
         appended_after_register = counters(reg)[
             "kv.bytes_appended_total{pool=kv0}"
         ]
-        assert kv.append(0, tokens=6) == 0  # fills page 1, no allocation
-        assert kv.append(0, tokens=1) == 1  # token 17 opens page 2
+        assert kv.append_batch([0], steps=6) == 0  # fills page 1
+        assert kv.append_batch([0]) == 1  # token 17 opens page 2
         assert (
             counters(reg)["kv.bytes_appended_total{pool=kv0}"]
             == appended_after_register + kv.page_bytes
@@ -73,53 +70,9 @@ class TestAllocationMetrics:
                     kv.append_batch([0, 1, 2])
                 else:
                     for cid in range(3):
-                        kv.append(cid)
+                        kv.append_batch([cid])
             results.append(counters(reg))
         assert results[0] == results[1]
-
-
-class TestSharingMetrics:
-    def test_prefix_hit_moves_no_physical_pages(self):
-        reg = MetricsRegistry()
-        kv = make_kv(reg=reg)
-        kv.register(0, 32, prefix_key="sys")  # anchor: 2 pages
-        before = counters(reg)["kv.bytes_appended_total{pool=kv0}"]
-        kv.register(1, 32, prefix_key="sys")  # whole-page hit
-        after = counters(reg)
-        assert after["kv.bytes_appended_total{pool=kv0}"] == before
-        assert after["kv.bytes_shared_total{pool=kv0}"] == 2 * kv.page_bytes
-        assert kv.prefix_hits == 1
-        assert kv.allocator.used_pages == 2
-
-    def test_release_order_independent_byte_balance(self):
-        for order in ((0, 1), (1, 0)):
-            reg = MetricsRegistry()
-            kv = make_kv(reg=reg)
-            kv.register(0, 32, prefix_key="sys")
-            kv.register(1, 48, prefix_key="sys")  # 2 shared + 1 private
-            for cid in order:
-                kv.release(cid)
-            snap = counters(reg)
-            assert (
-                snap["kv.bytes_appended_total{pool=kv0}"]
-                == snap["kv.bytes_released_total{pool=kv0}"]
-            )
-            assert kv.allocator.used_pages == 0
-
-    def test_shared_page_release_frees_only_at_zero_refcount(self):
-        reg = MetricsRegistry()
-        kv = make_kv(reg=reg)
-        kv.register(0, 32, prefix_key="sys")
-        kv.register(1, 32, prefix_key="sys")
-        kv.release(0)  # ctx 1 still maps both pages
-        assert kv.allocator.used_pages == 2
-        assert counters(reg)["kv.bytes_released_total{pool=kv0}"] == 0
-        kv.release(1)
-        assert kv.allocator.used_pages == 0
-        assert (
-            counters(reg)["kv.bytes_released_total{pool=kv0}"]
-            == 2 * kv.page_bytes
-        )
 
 
 class TestRejectionMetrics:
@@ -138,27 +91,12 @@ class TestRejectionMetrics:
         )
         assert after["kv.contexts_registered_total{pool=kv0}"] == 1.0
 
-    def test_rejected_shared_prefix_rolls_back_refcounts(self):
-        reg = MetricsRegistry()
-        kv = make_kv(pages=4, reg=reg)
-        kv.register(0, 32, prefix_key="sys")  # 2 pages
-        kv.register(1, 32)                    # pool now full
-        with pytest.raises(OutOfPages):
-            # Shares 2 pages then needs a 5th physical page: rolled back.
-            kv.register(2, 48, prefix_key="sys")
-        assert kv.allocator.used_pages == 4
-        assert kv.allocator.refcount(kv._tables[0].pages[0]) == 1
-        snap = counters(reg)
-        assert snap["kv.out_of_pages_total{pool=kv0}"] == 1.0
-        # The aborted share never reached the shared-bytes counter.
-        assert snap["kv.bytes_shared_total{pool=kv0}"] == 0.0
-
 
 class TestUninstrumentedDefault:
     def test_runs_without_registry(self):
         kv = make_kv()  # NULL_REGISTRY path
-        kv.register(0, 40, prefix_key="sys")
-        kv.append(0, tokens=20)
-        kv.release(0)
+        kv.register(0, 40)
+        kv.append_batch([0], steps=20)
+        kv.release([0])
         assert kv.allocator.used_pages == 0
         assert kv.obs.enabled is False

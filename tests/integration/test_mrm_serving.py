@@ -41,7 +41,9 @@ def serve_trace_on_mrm(controller, model, requests, context_lifetime_s=120.0):
         # Reclaim whatever expired while we were between requests.
         controller.tick(now=now)
         # Prefill: the prompt's KV, retention = expected context lifetime.
-        kv_bytes = model.kv_cache_bytes(request.total_tokens)
+        kv_bytes = model.kv_cache_bytes(
+            request.prompt_tokens + request.output_tokens
+        )
         blocks = controller.write(kv_bytes, context_lifetime_s, now=now)
         # Decode: each step reads the cache sequentially.
         for _step in range(min(request.output_tokens, 30)):

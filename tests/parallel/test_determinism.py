@@ -36,7 +36,6 @@ def queueing_point(config, seed):
         "jobs": jobs,
         "mean_latency_s": latency.mean(),
         "p99_latency_s": latency.quantile(0.99),
-        "stdev_latency_s": latency.stdev(),
         "end_time_s": sim.now,
     }
 

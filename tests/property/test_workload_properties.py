@@ -11,11 +11,7 @@ from repro.workload.conversations import (
 )
 from repro.workload.mitigations import MitigationConfig, mitigated_decode_traffic
 from repro.workload.model import LLAMA2_13B, LLAMA2_70B
-from repro.workload.phases import (
-    decode_step_traffic,
-    full_request_traffic,
-    prefill_traffic,
-)
+from repro.workload.phases import decode_step_traffic, prefill_traffic
 
 
 class TestPhaseProperties:
@@ -27,18 +23,6 @@ class TestPhaseProperties:
         traffic = decode_step_traffic(LLAMA2_70B, context, batch)
         assert traffic.bytes_read > traffic.bytes_written
         assert traffic.read_write_ratio > 100
-
-    @given(
-        prompt=st.integers(min_value=1, max_value=2048),
-        output=st.integers(min_value=1, max_value=512),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_full_request_kv_writes_exact(self, prompt, output):
-        """Every token (prompt + generated) writes exactly one vector."""
-        traffic = full_request_traffic(LLAMA2_13B, prompt, output)
-        assert traffic.bytes_written_kv == (
-            (prompt + output) * LLAMA2_13B.kv_bytes_per_token
-        )
 
     @given(prompt=st.integers(min_value=1, max_value=4096))
     def test_prefill_writes_scale_linearly(self, prompt):

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.workload.distributions import (
-    EmpiricalDistribution,
-    ExponentialDistribution,
-    FixedDistribution,
     LogNormalDistribution,
-    ParetoDistribution,
     SPLITWISE_CODE,
     SPLITWISE_CONVERSATION,
     TokenLengthProfile,
@@ -21,45 +17,17 @@ def rng():
 
 
 class TestBasicDistributions:
-    def test_fixed(self, rng):
-        assert FixedDistribution(7.0).sample(rng) == 7.0
-        assert FixedDistribution(7.0).mean() == 7.0
-
-    def test_exponential_mean(self, rng):
-        dist = ExponentialDistribution(mean=4.0)
-        samples = [dist.sample(rng) for _ in range(20000)]
-        assert np.mean(samples) == pytest.approx(4.0, rel=0.05)
-
     def test_lognormal_median(self, rng):
         dist = LogNormalDistribution(median=100.0, sigma=1.0)
         samples = [dist.sample(rng) for _ in range(20000)]
         assert np.median(samples) == pytest.approx(100.0, rel=0.05)
         assert dist.mean() > 100.0  # right-skewed
 
-    def test_pareto_heavy_tail(self, rng):
-        dist = ParetoDistribution(xm=1.0, alpha=1.5)
-        samples = [dist.sample(rng) for _ in range(20000)]
-        assert min(samples) >= 1.0
-        assert max(samples) > 20.0
-        assert dist.mean() == pytest.approx(3.0)
-
-    def test_pareto_infinite_mean(self):
-        assert ParetoDistribution(1.0, 0.9).mean() == float("inf")
-
-    def test_empirical_resamples_observed(self, rng):
-        dist = EmpiricalDistribution([1.0, 2.0, 3.0])
-        assert all(dist.sample(rng) in (1.0, 2.0, 3.0) for _ in range(100))
-        assert dist.mean() == 2.0
-
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ExponentialDistribution(0.0)
         with pytest.raises(ValueError):
             LogNormalDistribution(-1.0, 1.0)
         with pytest.raises(ValueError):
-            ParetoDistribution(0.0, 1.0)
-        with pytest.raises(ValueError):
-            EmpiricalDistribution([])
+            LogNormalDistribution(1.0, -0.5)
 
     def test_seeded_reproducibility(self):
         dist = LogNormalDistribution(100.0, 1.0)
@@ -97,8 +65,8 @@ class TestSplitwiseProfiles:
     def test_minimums_respected(self, rng):
         profile = TokenLengthProfile(
             name="tiny",
-            prompt=FixedDistribution(0.1),
-            output=FixedDistribution(0.1),
+            prompt=LogNormalDistribution(median=0.1, sigma=0.0),
+            output=LogNormalDistribution(median=0.1, sigma=0.0),
         )
         prompt, output = profile.sample(rng)
         assert prompt == 1 and output == 1

@@ -13,7 +13,6 @@ from repro.workload.phases import (
     decode_lanes,
     decode_step_traffic,
     decode_step_traffic_batch,
-    full_request_traffic,
     prefill_traffic,
 )
 
@@ -163,23 +162,6 @@ class TestDecodeLanes:
 
 
 class TestFullRequest:
-    def test_aggregates_phases(self):
-        traffic = full_request_traffic(LLAMA2_70B, 100, 10)
-        assert traffic.bytes_written_kv == 110 * LLAMA2_70B.kv_bytes_per_token
-        assert traffic.bytes_read_weights >= LLAMA2_70B.weights_bytes * 11
-
-    def test_batch_amortizes_decode_weights(self):
-        solo = full_request_traffic(LLAMA2_70B, 100, 10, batch_size=1)
-        shared = full_request_traffic(LLAMA2_70B, 100, 10, batch_size=10)
-        assert shared.bytes_read_weights < solo.bytes_read_weights
-
-    def test_traffic_addition(self):
-        a = PhaseTraffic(1.0, 2.0, 3.0, 4.0)
-        b = PhaseTraffic(10.0, 20.0, 30.0, 40.0)
-        c = a + b
-        assert (c.bytes_read_weights, c.bytes_read_kv) == (11.0, 22.0)
-        assert (c.bytes_written_kv, c.flops) == (33.0, 44.0)
-
     def test_infinite_ratio_for_pure_reads(self):
         t = PhaseTraffic(100.0, 0.0, 0.0, 0.0)
         assert t.read_write_ratio == float("inf")

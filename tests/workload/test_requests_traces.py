@@ -6,7 +6,6 @@ import pytest
 from repro.workload.distributions import SPLITWISE_CONVERSATION
 from repro.workload.model import LLAMA2_70B
 from repro.workload.requests import (
-    BurstyArrivals,
     InferenceRequest,
     PoissonArrivals,
     RequestGenerator,
@@ -28,11 +27,6 @@ class TestInferenceRequest:
         with pytest.raises(ValueError):
             InferenceRequest(arrival_time=-1.0, prompt_tokens=1, output_tokens=1)
 
-    def test_totals_and_kv(self):
-        req = InferenceRequest(0.0, prompt_tokens=100, output_tokens=28)
-        assert req.total_tokens == 128
-        assert req.kv_cache_bytes_final(LLAMA2_70B) == 128 * LLAMA2_70B.kv_bytes_per_token
-
     def test_ids_unique(self):
         a = InferenceRequest(0.0, 1, 1)
         b = InferenceRequest(0.0, 1, 1)
@@ -45,20 +39,6 @@ class TestArrivals:
         arrivals = PoissonArrivals(rate_per_s=10.0)
         gaps = [arrivals.next_gap(rng) for _ in range(20000)]
         assert np.mean(gaps) == pytest.approx(0.1, rel=0.05)
-
-    def test_bursty_rate_between_base_and_burst(self):
-        rng = np.random.default_rng(1)
-        arrivals = BurstyArrivals(
-            base_rate_per_s=1.0, burst_rate_per_s=50.0,
-            mean_quiet_s=10.0, mean_burst_s=10.0,
-        )
-        gaps = [arrivals.next_gap(rng) for _ in range(20000)]
-        rate = 1.0 / np.mean(gaps)
-        assert 1.0 < rate < 50.0
-
-    def test_bursty_validation(self):
-        with pytest.raises(ValueError):
-            BurstyArrivals(base_rate_per_s=10.0, burst_rate_per_s=1.0)
 
     def test_poisson_validation(self):
         with pytest.raises(ValueError):
@@ -97,7 +77,10 @@ class TestRequestGenerator:
 
     def test_context_limit_respected(self):
         for request in self.make().generate(count=200):
-            assert request.total_tokens <= LLAMA2_70B.context_limit_tokens
+            assert (
+                request.prompt_tokens + request.output_tokens
+                <= LLAMA2_70B.context_limit_tokens
+            )
 
     def test_sla_mix(self):
         generator = self.make(

@@ -12,7 +12,6 @@ from repro.workload.phases import decode_step_traffic
 from repro.workload.speculative import (
     SpeculationConfig,
     speculative_decode_step_traffic,
-    weight_read_bytes_per_token,
 )
 
 
@@ -46,9 +45,10 @@ class TestSpeculationArithmetic:
 
 class TestSpeculativeTraffic:
     def test_weight_reads_per_token_improve(self):
-        baseline = weight_read_bytes_per_token(LLAMA2_70B, None, 2048)
-        speculated = weight_read_bytes_per_token(LLAMA2_70B, spec(), 2048)
-        assert speculated < baseline
+        s = spec()
+        traffic = speculative_decode_step_traffic(LLAMA2_70B, s, 2048)
+        speculated = traffic.bytes_read_weights / s.expected_tokens_per_step()
+        assert speculated < LLAMA2_70B.weights_bytes
 
     def test_writes_per_token_unchanged(self):
         """Speculation emits more tokens per step but still writes one
