@@ -28,7 +28,6 @@ def run_churn(retention_affinity: bool, rounds=60):
             capacity_bytes=256 * MiB,
             block_bytes=MiB,
             blocks_per_zone=8,
-            min_retention_s=1.0,
         )
     )
     controller = MRMController(device, retention_affinity=retention_affinity)

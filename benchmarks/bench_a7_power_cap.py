@@ -24,7 +24,7 @@ from repro.inference.cluster import tensor_parallel_group
 from repro.inference.power import PowerModel, best_frequency_under_cap
 from repro.parallel import run_sweep
 from repro.tiering.tiers import hbm_tier, mrm_tier
-from repro.units import GiB, HOUR
+from repro.units import GiB
 from repro.workload.model import LLAMA2_70B
 
 CAPS = (4000.0, 3000.0, 2500.0, 2200.0, 2000.0)
@@ -36,7 +36,7 @@ def _tier_set(name):
     if name == "hbm+mrm (320G+512G)":
         return [
             hbm_tier(320 * GiB),
-            mrm_tier(512 * GiB, retention_s=6 * HOUR),
+            mrm_tier(512 * GiB),
         ]
     raise KeyError(name)
 

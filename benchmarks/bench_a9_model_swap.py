@@ -27,7 +27,7 @@ CADENCES = (7 * DAY, DAY, HOUR, 60.0, 1.0)
 
 def run_swap_sweep():
     swap_model = ModelSwapModel(LLAMA2_70B)
-    tiers = [hbm_tier(320 * GiB), mrm_tier(512 * GiB, retention_s=6 * HOUR)]
+    tiers = [hbm_tier(320 * GiB), mrm_tier(512 * GiB)]
     rows = []
     for cadence in CADENCES:
         for tier in tiers:

@@ -18,7 +18,7 @@ work.
 from repro.analysis.figures import format_table
 from repro.core.retention import RetentionModel
 from repro.devices.catalog import RRAM_POTENTIAL
-from repro.energy.tco import TCOModel
+from repro.energy.tco import tco_report
 from repro.inference.accelerator import H100_80G, MemoryTierSpec
 from repro.inference.cluster import Cluster, tensor_parallel_group
 from repro.sim import Simulator
@@ -55,10 +55,10 @@ def run_config(placement, with_mrm):
     # framing): every configuration provides 832 GiB of memory — either
     # all HBM, or 320 GiB HBM plus 512 GiB of cheaper, denser MRM.
     if with_mrm:
-        tiers = [hbm_tier(320 * GiB), mrm_tier(512 * GiB, retention_s=6 * HOUR)]
+        tiers = [hbm_tier(320 * GiB), mrm_tier(512 * GiB)]
     else:
         tiers = [hbm_tier(832 * GiB)]
-    tco = TCOModel().report(
+    tco = tco_report(
         name="config",
         num_accelerators=4,
         tiers=tiers,

@@ -48,7 +48,7 @@ def run_housekeeping(rounds=30, working_set=48 * MiB, capacity=64 * MiB):
     # (c) MRM: retention == lifetime; zones recycle, nothing is copied.
     mrm = MRMDevice(
         MRMConfig(capacity_bytes=capacity, block_bytes=MiB,
-                  blocks_per_zone=8, min_retention_s=1.0)
+                  blocks_per_zone=8)
     )
     controller = MRMController(mrm)
     now = 0.0

@@ -31,7 +31,7 @@ def build_objects(n=300, seed=1):
     for i in range(n):
         if rng.random() < 0.05:
             objects.append(
-                weights_object(512 * MiB, 1e12, redeploy_interval_s=7 * DAY)
+                weights_object(512 * MiB, 1e12)
             )
         else:
             lifetime = float(rng.choice([MINUTE, 10 * MINUTE, HOUR, 6 * HOUR]))

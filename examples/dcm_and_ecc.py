@@ -41,7 +41,7 @@ def build_stream(n=200):
             objects.append(
                 weights_object(
                     256 * MiB, read_bytes_per_s=1e12,
-                    redeploy_interval_s=7 * DAY, name=f"weights-shard-{i}",
+                    name=f"weights-shard-{i}",
                 )
             )
         else:

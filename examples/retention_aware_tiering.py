@@ -40,7 +40,7 @@ def build_objects(num_contexts=16):
     objects = [
         weights_object(
             model.weights_bytes, read_bytes_per_s=6e12,
-            redeploy_interval_s=7 * DAY, name="weights",
+            name="weights",
         ),
         activations_object(
             model.activation_bytes(batch_size=16),
@@ -77,7 +77,7 @@ def compare_policies() -> None:
     for policy in policies:
         tiers = [
             hbm_tier(192 * GiB),
-            mrm_tier(512 * GiB, retention_s=6 * HOUR),
+            mrm_tier(512 * GiB),
             lpddr_tier(512 * GiB),
         ]
         try:
@@ -113,7 +113,7 @@ def run_tier_manager() -> None:
     print("=" * 72)
     tiers = [
         hbm_tier(192 * GiB),
-        mrm_tier(768 * GiB, retention_s=1 * HOUR),
+        mrm_tier(768 * GiB),
         lpddr_tier(512 * GiB),
     ]
     manager = TierManager(tiers)
@@ -123,7 +123,7 @@ def run_tier_manager() -> None:
     # Weights live on MRM for the whole day.
     weights = weights_object(model.weights_bytes, 6e12, name="weights")
     manager.admit(weights, "mrm", now=0.0)
-    manager.touch(weights, now=0.0, extend_s=7 * DAY)
+    manager.touch(weights, now=0.0)
 
     # Contexts arrive through the day; most are short, some go cold.
     now, step = 0.0, 60.0
@@ -132,7 +132,7 @@ def run_tier_manager() -> None:
     while now < DAY:
         if rng.random() < 0.5:
             tokens = int(rng.integers(512, 4096))
-            lifetime = float(rng.choice([5 * MINUTE, 30 * MINUTE, 6 * HOUR]))
+            lifetime = float(rng.choice([5 * MINUTE, 30 * MINUTE, DAY]))
             # Long-lifetime contexts are parked sessions: the user may
             # come back, but nothing is reading the cache meanwhile.
             read_rate = 3e11 if lifetime < HOUR else 1e4

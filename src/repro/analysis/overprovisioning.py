@@ -15,10 +15,10 @@ provisioning ratio with a verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.devices.catalog import HBM3E
-from repro.endurance.requirements import SplitwiseCalibration, kv_cache_requirement
+from repro.endurance.requirements import kv_cache_requirement
 from repro.inference.accelerator import AcceleratorConfig, B200
 from repro.units import MiB, YEAR
 from repro.workload.model import LLAMA2_70B, ModelConfig
@@ -60,7 +60,6 @@ def hbm_provisioning_table(
     context_tokens: int = 2048,
     desired_context_tokens: int = 32768,
     lifetime_s: float = 5 * YEAR,
-    calibration: Optional[SplitwiseCalibration] = None,
 ) -> List[ProvisioningRow]:
     """Build the table at a representative decode operating point.
 
@@ -69,7 +68,6 @@ def hbm_provisioning_table(
     of memory available": capacity demand is sized for the contexts
     operators *want*, not the clamped ones they get.
     """
-    calibration = calibration or SplitwiseCalibration()
     hbm = accelerator.tier("hbm")
     traffic = decode_step_traffic(model, context_tokens, batch_size)
     # Demand rates at full device utilization: scale traffic by the
@@ -78,9 +76,7 @@ def hbm_provisioning_table(
     read_demand = traffic.bytes_read / step_time  # = read bandwidth, by construction
     write_demand = traffic.bytes_written / step_time
 
-    kv_requirement = kv_cache_requirement(
-        model, lifetime_s=lifetime_s, calibration=calibration
-    )
+    kv_requirement = kv_cache_requirement(model, lifetime_s=lifetime_s)
     rows = [
         ProvisioningRow(
             property="read bandwidth",

@@ -95,11 +95,7 @@ def sweep_kv_requirement(
             )
         )
     for years in lifetimes_years:
-        requirement = kv_cache_requirement(
-            LLAMA2_70B,
-            lifetime_s=years * YEAR,
-            calibration=calibration,
-        )
+        requirement = kv_cache_requirement(LLAMA2_70B, lifetime_s=years * YEAR)
         points.append(
             SensitivityPoint(
                 "lifetime (years)", f"{years:.0f}", requirement.writes_per_cell

@@ -59,37 +59,11 @@ class ControllerStats:
     blocks_recovered: int = 0
 
 
-@dataclass(frozen=True)
-class RecoveryConfig:
-    """How the control plane responds to detected read failures.
-
-    The three mitigation paths Section 4's software control plane can
-    take, each with an explicit cost model:
-
-    - **retry with backoff** — a re-read at exponentially growing delay;
-      recovers transient bursts (the noise source is gone on re-read).
-    - **refresh escalation** — after retries are exhausted, restore the
-      block from its durable upstream copy by rewriting it in place
-      (MRM data "is durable elsewhere or is soft state", Section 4);
-      costs a full block write.
-    - **remap** — a failed bank's zone is retired from allocation so
-      new writes stop landing on dead cells.
-
-    ``enabled=False`` gives the no-mitigation baseline: a detected
-    uncorrectable read is immediately reported as data loss.
-    """
-
-    enabled: bool = True
-    max_read_retries: int = 2
-    retry_backoff_s: float = 100e-6  # first re-read delay; doubles per try
-    refresh_escalation: bool = True
-    remap_on_bank_failure: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_read_retries < 0:
-            raise ValueError("max_read_retries must be >= 0")
-        if self.retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s must be >= 0")
+#: Re-reads a detected-uncorrectable block gets before refresh
+#: escalation.
+MAX_READ_RETRIES = 2
+#: First re-read delay; it doubles per retry.
+RETRY_BACKOFF_S = 100e-6
 
 
 @dataclass
@@ -108,10 +82,6 @@ class RecoveredRead:
         if self.lost_blocks is None:
             self.lost_blocks = []
 
-    @property
-    def ok(self) -> bool:
-        return not self.lost_blocks
-
 
 class MRMController:
     """Software control plane over one :class:`~repro.core.mrm.MRMDevice`.
@@ -120,28 +90,36 @@ class MRMController:
     ----------
     device:
         The managed device.
-    wear_policy:
-        Zone-allocation policy name (see :class:`WearLeveler`).
-    guard_band:
-        Refresh scheduler guard band.
     retention_affinity:
         If True (default), writes are bucketed into zones by
         log2(retention) so zone contents expire together.
+    ecc_code:
+        The code reads decode against (None: reads are assumed clean).
+    recovery:
+        How the control plane responds to a detected read failure.
+        True (default) walks the three mitigation paths Section 4's
+        software control plane can take: **retry with backoff**
+        (:data:`MAX_READ_RETRIES` re-reads from :data:`RETRY_BACKOFF_S`,
+        doubling; a transient burst is gone on re-read), then **refresh
+        escalation** (restore the block from its durable upstream copy
+        by rewriting it in place, at the cost of a block write: MRM data
+        "is durable elsewhere or is soft state"), and **remap** (a
+        failed bank's zone is retired from allocation).  False is the
+        no-mitigation baseline: a detected uncorrectable read is data
+        loss at once.
     """
 
     def __init__(
         self,
         device: MRMDevice,
-        wear_policy: str = "least-worn",
-        guard_band: float = 0.1,
         retention_affinity: bool = True,
         ecc_code: Optional[BCHCode] = None,
-        recovery: Optional[RecoveryConfig] = None,
+        recovery: bool = True,
         obs=None,
     ) -> None:
         self.device = device
-        self.wear = WearLeveler(device, policy=wear_policy)
-        self.scheduler = RefreshScheduler(device, guard_band=guard_band)
+        self.wear = WearLeveler(device)
+        self.scheduler = RefreshScheduler(device)
         self.retention_affinity = retention_affinity
         self.stats = ControllerStats()
         #: observability registry; ControllerStats stays authoritative,
@@ -164,10 +142,8 @@ class MRMController:
         self._obs_refreshes = o.counter("ctrl.refreshes_total")
         self._obs_expiries = o.counter("ctrl.expiries_total")
         self._obs_read_latency = o.histogram("ctrl.read_latency_s")
-        #: the code the recovery path decodes against (None: reads are
-        #: assumed clean — the pre-fault-framework behaviour).
         self.ecc_code = ecc_code
-        self.recovery = recovery or RecoveryConfig()
+        self.recovery = recovery
         # retention-class bucket -> zone currently open for that class
         self._open_zones: Dict[int, Zone] = {}
         #: blocks handed to the caller for migration (device too worn)
@@ -281,17 +257,16 @@ class MRMController:
 
         Per block: read, count the raw errors the worst codeword sees
         (:meth:`_codeword_bit_errors`), decode against
-        :attr:`ecc_code`.  A DETECTED (uncorrectable) outcome
-        walks the mitigation ladder of :class:`RecoveryConfig` —
-        retry-with-backoff, then refresh escalation — before being
-        reported as data loss.  A bank failure loses the block (and
-        remaps the zone when enabled).  ``rng`` feeds only the
+        :attr:`ecc_code`.  With :attr:`recovery`, a DETECTED
+        (uncorrectable) outcome walks the mitigation ladder —
+        retry-with-backoff, then refresh escalation — instead of being
+        reported as data loss, and a bank failure, which loses the
+        block, also remaps its zone.  ``rng`` feeds only the
         miscorrection draw; pass the run's seeded generator.
         """
         if self.ecc_code is None:
             latency, energy = self.read(blocks, now)
             return RecoveredRead(latency_s=latency, energy_j=energy)
-        cfg = self.recovery
         code = self.ecc_code
         out = RecoveredRead()
         for block in blocks:
@@ -299,7 +274,7 @@ class MRMController:
                 result = self.device.read_block(block, now)
             except BankFailure:
                 self._lose_block(block, out)
-                if cfg.enabled and cfg.remap_on_bank_failure:
+                if self.recovery:
                     self._remap_zone(block.zone_id)
                 continue
             out.latency_s += result.latency_s
@@ -316,12 +291,12 @@ class MRMController:
             if outcome is DecodeOutcome.CORRECTED:
                 continue
             # DETECTED: uncorrectable — walk the mitigation ladder.
-            if not cfg.enabled:
+            if not self.recovery:
                 self._lose_block(block, out)
                 continue
             recovered = False
-            backoff = cfg.retry_backoff_s
-            for _attempt in range(cfg.max_read_retries):
+            backoff = RETRY_BACKOFF_S
+            for _attempt in range(MAX_READ_RETRIES):
                 self.stats.read_retries += 1
                 self._obs_read_retries.add()
                 # Transient noise is gone on the re-read; decay is not.
@@ -334,7 +309,7 @@ class MRMController:
                 if code.decode_outcome(raw, rng) is not DecodeOutcome.DETECTED:
                     recovered = True
                     break
-            if not recovered and cfg.refresh_escalation:
+            if not recovered:
                 # Restore from the durable upstream copy by rewriting in
                 # place (costs a block write; resets age and deadline).
                 refresh = self.device.refresh_block(block, now)
@@ -342,12 +317,8 @@ class MRMController:
                 out.energy_j += refresh.energy_j
                 self.stats.escalated_refreshes += 1
                 self._obs_escalations.add()
-                recovered = True
-            if recovered:
-                self.stats.blocks_recovered += 1
-                self._obs_recovered.add()
-            else:
-                self._lose_block(block, out)
+            self.stats.blocks_recovered += 1
+            self._obs_recovered.add()
         self.stats.reads += 1
         self._obs_reads.add()
         self._obs_read_latency.observe(out.latency_s)
@@ -450,13 +421,14 @@ class MRMController:
         """React to a bank failure already applied to the device via
         :meth:`~repro.core.mrm.MRMDevice.fail_bank` (which returns the
         ``lost_blocks``): deregister the lost data from the refresh
-        scheduler, account the loss, and (when enabled) remap the zone
-        out of allocation so new writes stop landing on dead cells."""
+        scheduler, account the loss, and (with :attr:`recovery`) remap
+        the zone out of allocation so new writes stop landing on dead
+        cells."""
         for block in lost_blocks:
             self.scheduler.deregister(block)
         self.stats.data_loss_blocks += len(lost_blocks)
         self._obs_data_loss.add(len(lost_blocks))
-        if self.recovery.enabled and self.recovery.remap_on_bank_failure:
+        if self.recovery:
             self._remap_zone(zone_id)
 
     def delete(self, blocks: List[Block]) -> None:

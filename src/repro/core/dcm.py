@@ -35,15 +35,16 @@ from repro.core.placement import DataObject
 from repro.units import DAY, HOUR, MINUTE
 
 
+#: Safety factor on a data object's lifetime: the retention a policy
+#: must cover.
+MARGIN = 1.2
+
+
 class DCMPolicy:
     """Base: map a data object's lifetime to a programmed retention."""
 
     def retention_for(self, obj: DataObject) -> float:
         raise NotImplementedError
-
-    @property
-    def name(self) -> str:
-        return type(self).__name__
 
 
 class FixedRetentionPolicy(DCMPolicy):
@@ -63,25 +64,22 @@ class FixedRetentionPolicy(DCMPolicy):
 
 
 class RetentionClassPolicy(DCMPolicy):
-    """A small menu of retention classes; cheapest class covering the
-    lifetime wins.  Lifetimes longer than the top class get the top class
-    (the scheduler will refresh)."""
+    """A small menu of retention classes; the cheapest class covering the
+    lifetime times :data:`MARGIN` wins.  Lifetimes longer than the top
+    class get the top class (the scheduler will refresh)."""
 
     DEFAULT_CLASSES = (1 * MINUTE, 10 * MINUTE, 1 * HOUR, 6 * HOUR, 1 * DAY, 7 * DAY)
 
-    def __init__(self, classes: Optional[Sequence[float]] = None, margin: float = 1.2) -> None:
+    def __init__(self, classes: Optional[Sequence[float]] = None) -> None:
         if classes is None:
             classes = self.DEFAULT_CLASSES
         classes = tuple(sorted(classes))
         if not classes or any(c <= 0 for c in classes):
             raise ValueError("retention classes must be positive")
-        if margin < 1.0:
-            raise ValueError("margin must be >= 1.0")
         self.classes = classes
-        self.margin = margin
 
     def retention_for(self, obj: DataObject) -> float:
-        needed = obj.lifetime_s * self.margin
+        needed = obj.lifetime_s * MARGIN
         for cls in self.classes:
             if cls >= needed:
                 return cls
@@ -93,20 +91,15 @@ class RetentionClassPolicy(DCMPolicy):
 
 
 class LifetimeMatchedPolicy(DCMPolicy):
-    """Fully-flexible DCM: retention = lifetime × margin, clamped to the
-    device envelope by the caller."""
-
-    def __init__(self, margin: float = 1.2) -> None:
-        if margin < 1.0:
-            raise ValueError("margin must be >= 1.0")
-        self.margin = margin
+    """Fully-flexible DCM: retention = lifetime × :data:`MARGIN`,
+    clamped to the device envelope by the caller."""
 
     def retention_for(self, obj: DataObject) -> float:
-        return obj.lifetime_s * self.margin
+        return obj.lifetime_s * MARGIN
 
     @property
     def name(self) -> str:
-        return f"matched(x{self.margin})"
+        return f"matched(x{MARGIN})"
 
 
 @dataclass

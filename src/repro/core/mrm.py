@@ -22,11 +22,11 @@ product-vs-potential endurance gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.errors import RetentionErrorModel
-from repro.core.retention import RetentionModel, RetentionParams
+from repro.core.retention import RetentionModel
 from repro.core.zones import Block, BlockState, ZonedAddressSpace
 from repro.devices.base import (
     AccessKind,
@@ -34,10 +34,15 @@ from repro.devices.base import (
     BankFailure,
     DeviceFailure,
     MemoryDevice,
-    TechnologyProfile,
 )
 from repro.devices.catalog import RRAM_POTENTIAL
 from repro.units import DAY, GiB, MiB
+
+#: The 10-year-retention technology the MRM cell derives from.
+REFERENCE = RRAM_POTENTIAL
+#: In-package temperature; writes are derated (programmed stronger) so
+#: the *target* retention holds at this temperature.
+OPERATING_TEMPERATURE_C = 85.0
 
 
 @dataclass(frozen=True)
@@ -53,17 +58,9 @@ class MRMConfig:
         MBs to 10s of MBs" and read sequentially, so blocks are large.
     blocks_per_zone:
         Zone size in blocks (a zone resets as a unit).
-    reference:
-        The 10-year-retention technology the MRM cell derives from.
-    retention_params:
-        Shape of the retention trade-off (see
-        :class:`~repro.core.retention.RetentionParams`).
     min_retention_s / max_retention_s:
         The managed-retention envelope.  ``max`` is deliberately days,
         not years: MRM refuses to be storage.
-    operating_temperature_c:
-        In-package temperature; writes are derated (programmed stronger)
-        so the *target* retention holds at this temperature.
     bits_per_cell:
         Multi-level encoding (Section 3: cells "have already
         demonstrated potential for multi-level encoding [10]").  Extra
@@ -76,12 +73,8 @@ class MRMConfig:
     capacity_bytes: int = 32 * GiB
     block_bytes: int = 8 * MiB
     blocks_per_zone: int = 32
-    reference: TechnologyProfile = RRAM_POTENTIAL
-    retention_params: RetentionParams = field(default_factory=RetentionParams)
-    error_model: RetentionErrorModel = field(default_factory=RetentionErrorModel)
     min_retention_s: float = 1.0
     max_retention_s: float = 30 * DAY
-    operating_temperature_c: float = 85.0
     bits_per_cell: int = 1
 
     #: Each extra bit per cell narrows level windows: the cell must be
@@ -133,16 +126,16 @@ class MRMDevice(MemoryDevice):
     def __init__(self, config: Optional[MRMConfig] = None, name: str = "") -> None:
         self.config = config or MRMConfig()
         cfg = self.config
-        self.retention_model = RetentionModel(cfg.reference, cfg.retention_params)
-        self.error_model = cfg.error_model
+        self.retention_model = RetentionModel(REFERENCE)
+        self.error_model = RetentionErrorModel()
         self.space = ZonedAddressSpace(
             cfg.num_zones, cfg.blocks_per_zone, cfg.block_bytes
         )
         super().__init__(
-            profile=cfg.reference,
+            profile=REFERENCE,
             capacity_bytes=self.space.capacity_bytes,
             wear_block_bytes=cfg.block_bytes,
-            name=name or f"mrm-{cfg.reference.name}",
+            name=name or f"mrm-{REFERENCE.name}",
         )
         # Damage fraction per physical slot (zone_id, index) in [0, inf).
         self._damage: Dict[Tuple[int, int], float] = {}
@@ -174,7 +167,7 @@ class MRMDevice(MemoryDevice):
             self.config.bits_per_cell - 1
         )
         return self.retention_model.required_retention_for_temperature(
-            target_retention_s * mlc_margin, self.config.operating_temperature_c
+            target_retention_s * mlc_margin, OPERATING_TEMPERATURE_C
         )
 
     def _mlc_write_cost(self) -> float:

@@ -127,21 +127,27 @@ class DataObject:
 # ---------------------------------------------------------------------------
 # Factories for the three inference data structures
 # ---------------------------------------------------------------------------
+#: How long a weights copy lives: a new model version deploys weekly.
+REDEPLOY_INTERVAL_S = 7 * DAY
+#: How long activations live: one forward pass.
+FORWARD_PASS_S = 0.05
+
+
 def weights_object(
     size_bytes: int,
     read_bytes_per_s: float,
-    redeploy_interval_s: float = 7 * DAY,
     name: str = "",
 ) -> DataObject:
     """Model weights: immutable, read every token, replaced wholesale
-    when a new model version deploys."""
+    when a new model version deploys (every
+    :data:`REDEPLOY_INTERVAL_S`)."""
     return DataObject(
         kind=DataKind.WEIGHTS,
         size_bytes=size_bytes,
-        lifetime_s=redeploy_interval_s,
+        lifetime_s=REDEPLOY_INTERVAL_S,
         access=AccessProfile(
             read_bytes_per_s=read_bytes_per_s,
-            write_bytes_per_s=size_bytes / redeploy_interval_s,
+            write_bytes_per_s=size_bytes / REDEPLOY_INTERVAL_S,
             sequential_reads=True,
             sequential_writes=True,
             in_place_updates=False,
@@ -181,15 +187,15 @@ def kv_cache_object(
 def activations_object(
     size_bytes: int,
     bandwidth_bytes_per_s: float,
-    forward_pass_s: float = 0.05,
     name: str = "",
 ) -> DataObject:
     """Layer activations: transient, write-heavy, alive for one forward
-    pass only — the structure that genuinely wants DRAM/HBM."""
+    pass only (:data:`FORWARD_PASS_S`) — the structure that genuinely
+    wants DRAM/HBM."""
     return DataObject(
         kind=DataKind.ACTIVATIONS,
         size_bytes=size_bytes,
-        lifetime_s=forward_pass_s,
+        lifetime_s=FORWARD_PASS_S,
         access=AccessProfile(
             read_bytes_per_s=bandwidth_bytes_per_s,
             write_bytes_per_s=bandwidth_bytes_per_s,

@@ -19,27 +19,11 @@ from repro.core.zones import Zone
 
 
 class WearLeveler:
-    """Zone-allocation wear-leveling policy over one MRM device.
+    """Zone-allocation wear-leveling over one MRM device: open the empty
+    zone with the lowest peak damage."""
 
-    Policies
-    --------
-    ``"least-worn"`` (default)
-        Open the empty zone with the lowest peak damage.
-    ``"round-robin"``
-        Cycle through zones in order (the naive baseline; skews badly
-        when streams have different retention strengths).
-    ``"first-fit"``
-        Always the lowest-numbered empty zone (the no-leveling baseline).
-    """
-
-    POLICIES = ("least-worn", "round-robin", "first-fit")
-
-    def __init__(self, device: MRMDevice, policy: str = "least-worn") -> None:
-        if policy not in self.POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; choose from {self.POLICIES}")
+    def __init__(self, device: MRMDevice) -> None:
         self.device = device
-        self.policy = policy
-        self._rr_cursor = 0
 
     def pick_zone(self) -> Zone:
         """Choose the next zone to open for a new write stream.
@@ -54,19 +38,7 @@ class WearLeveler:
         ]
         if not empty:
             raise RuntimeError("no empty zones available; reset expired zones first")
-        if self.policy == "least-worn":
-            return min(empty, key=lambda z: self.device.zone_damage(z.zone_id))
-        if self.policy == "round-robin":
-            empty_ids = {z.zone_id for z in empty}
-            n = self.device.space.num_zones
-            for offset in range(n):
-                candidate = (self._rr_cursor + offset) % n
-                if candidate in empty_ids:
-                    self._rr_cursor = (candidate + 1) % n
-                    return self.device.space.zone(candidate)
-            raise AssertionError("unreachable: empty list was non-empty")
-        # first-fit
-        return min(empty, key=lambda z: z.zone_id)
+        return min(empty, key=lambda z: self.device.zone_damage(z.zone_id))
 
     # ------------------------------------------------------------------
     # Evaluation metrics

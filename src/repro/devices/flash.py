@@ -30,6 +30,9 @@ from repro.devices.base import MemoryDevice, TechnologyProfile
 from repro.devices.catalog import NAND_SLC
 from repro.units import GiB
 
+#: GC starts when free blocks drop to this count.
+GC_LOW_WATERMARK = 2
+
 
 @dataclass
 class _PhysicalBlock:
@@ -66,8 +69,6 @@ class FlashTranslationLayer:
     overprovision:
         Fraction of physical capacity hidden from the logical space
         (industry-typical 7-28%).  More OP means lower write amplification.
-    gc_low_watermark:
-        GC starts when free blocks drop to this count.
     """
 
     def __init__(
@@ -75,7 +76,6 @@ class FlashTranslationLayer:
         num_blocks: int,
         pages_per_block: int,
         overprovision: float = 0.07,
-        gc_low_watermark: int = 2,
     ) -> None:
         if num_blocks < 4:
             raise ValueError("FTL needs at least 4 blocks")
@@ -83,7 +83,6 @@ class FlashTranslationLayer:
             raise ValueError(f"overprovision {overprovision} unreasonable")
         self.num_blocks = num_blocks
         self.pages_per_block = pages_per_block
-        self.gc_low_watermark = max(1, gc_low_watermark)
         self.blocks = [_PhysicalBlock(i, pages_per_block) for i in range(num_blocks)]
         logical_blocks = int(num_blocks * (1.0 - overprovision))
         self.logical_pages = max(1, logical_blocks * pages_per_block)
@@ -159,7 +158,7 @@ class FlashTranslationLayer:
     # Garbage collection
     # ------------------------------------------------------------------
     def _maybe_gc(self) -> None:
-        while len(self._free) < self.gc_low_watermark:
+        while len(self._free) < GC_LOW_WATERMARK:
             if not self._gc_once():
                 break
 

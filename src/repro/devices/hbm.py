@@ -15,12 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.devices.catalog import HBM3E
-from repro.devices.base import TechnologyProfile
 from repro.devices.dram import DRAMDevice
 from repro.units import GiB
+
+#: Probability that one layer (die + bond) is good.
+PER_LAYER_YIELD = 0.97
+#: Probability that the base logic die is good.
+BASE_YIELD = 0.95
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,7 @@ HBM_ROADMAP: List[HBMGeneration] = [
 
 
 class HBMStack(DRAMDevice):
-    """One HBM stack: ``layers`` DRAM dies bonded over a base logic die.
+    """One HBM3e stack: ``layers`` DRAM dies bonded over a base logic die.
 
     Capacity and bandwidth scale with layer count; yield decays
     geometrically with it.  Cost per GiB is derived from the yield model,
@@ -63,43 +67,33 @@ class HBMStack(DRAMDevice):
         DRAM die count in the stack (8-16 for current products).
     capacity_per_layer_bytes:
         Die capacity (3 GiB for HBM3e).
-    per_layer_yield:
-        Probability that one layer (die + bond) is good.  Stack yield is
-        ``per_layer_yield ** layers`` times ``base_yield``.
     """
 
     def __init__(
         self,
         layers: int = 8,
         capacity_per_layer_bytes: int = 3 * GiB,
-        profile: Optional[TechnologyProfile] = None,
-        per_layer_yield: float = 0.97,
-        base_yield: float = 0.95,
         temperature_c: float = 95.0,  # in-package next to an accelerator
         name: str = "",
     ) -> None:
         if layers < 1:
             raise ValueError("an HBM stack needs at least one layer")
-        if not 0 < per_layer_yield <= 1 or not 0 < base_yield <= 1:
-            raise ValueError("yields must be in (0, 1]")
-        profile = profile or HBM3E
         super().__init__(
-            profile=profile,
+            profile=HBM3E,
             capacity_bytes=layers * capacity_per_layer_bytes,
             temperature_c=temperature_c,
-            name=name or f"{profile.name}-{layers}hi",
+            name=name or f"{HBM3E.name}-{layers}hi",
         )
         self.layers = layers
         self.capacity_per_layer_bytes = capacity_per_layer_bytes
-        self.per_layer_yield = per_layer_yield
-        self.base_yield = base_yield
 
     # ------------------------------------------------------------------
     # Yield / cost model
     # ------------------------------------------------------------------
     def stack_yield(self) -> float:
-        """Probability the whole stack is good."""
-        return self.base_yield * self.per_layer_yield**self.layers
+        """Probability the whole stack is good:
+        ``BASE_YIELD * PER_LAYER_YIELD ** layers``."""
+        return BASE_YIELD * PER_LAYER_YIELD**self.layers
 
     def cost_multiplier_vs_planar(self) -> float:
         """Cost-per-bit multiplier relative to planar DRAM dies.

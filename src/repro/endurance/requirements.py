@@ -103,7 +103,6 @@ def kv_cache_requirement(
     token_rate_per_s: Optional[float] = None,
     capacity_bytes: Optional[int] = None,
     lifetime_s: float = 5 * YEAR,
-    calibration: Optional[SplitwiseCalibration] = None,
     name: str = "KV cache",
 ) -> EnduranceRequirement:
     """Writes per cell implied by the KV append stream.
@@ -112,7 +111,7 @@ def kv_cache_requirement(
     rate on a 640 GB machine, writes spread across the machine's KV
     pool (capacity minus the weights replica).
     """
-    calibration = calibration or SplitwiseCalibration()
+    calibration = SplitwiseCalibration()
     if token_rate_per_s is None:
         token_rate_per_s = calibration.mixed_tokens_per_s
     if capacity_bytes is None:
@@ -132,12 +131,9 @@ def kv_cache_requirement(
     )
 
 
-def figure1_data(
-    model: ModelConfig = LLAMA2_70B,
-    lifetime_s: float = 5 * YEAR,
-    calibration: Optional[SplitwiseCalibration] = None,
-) -> Dict[str, object]:
-    """Everything Figure 1 plots.
+def figure1_data(lifetime_s: float = 5 * YEAR) -> Dict[str, object]:
+    """Everything Figure 1 plots, for Llama2-70B at the Splitwise
+    calibration.
 
     Returns a dict with:
 
@@ -147,13 +143,12 @@ def figure1_data(
     - ``products`` / ``potentials``: endurance of shipped devices and of
       the underlying technologies (writes per cell).
     """
-    calibration = calibration or SplitwiseCalibration()
+    model = LLAMA2_70B
+    calibration = SplitwiseCalibration()
     requirements = [
         weight_update_requirement(HOUR, lifetime_s, name="weights (hourly)"),
         weight_update_requirement(1.0, lifetime_s, name="weights (every 1s)"),
-        kv_cache_requirement(
-            model, lifetime_s=lifetime_s, calibration=calibration
-        ),
+        kv_cache_requirement(model, lifetime_s=lifetime_s),
     ]
     capacity = calibration.machine_hbm_bytes - model.weights_bytes
     kv_low = kv_cache_requirement(

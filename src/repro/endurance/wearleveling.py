@@ -9,8 +9,9 @@ fixed physical block pool under three policies:
 - ``"dynamic"`` — remap each write to the least-worn free block
   (what the MRM controller's zone allocation achieves);
 - ``"static"`` — dynamic plus periodic cold-data rotation: the
-  coldest-resident block is forcibly remapped when imbalance exceeds a
-  threshold (classic static wear-leveling [7]).
+  coldest-resident block is forcibly remapped when imbalance (max/mean
+  wear) reaches :data:`ROTATION_THRESHOLD` (classic static
+  wear-leveling [7]).
 
 Metric: wear imbalance (max/mean) and effective lifetime multiplier
 versus the no-leveling baseline.
@@ -22,6 +23,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
+
+#: Wear imbalance at which the static policy forces a rotation.
+ROTATION_THRESHOLD = 2.0
 
 
 @dataclass(frozen=True)
@@ -45,15 +49,11 @@ class WearLevelingSimulator:
 
     POLICIES = ("none", "dynamic", "static")
 
-    def __init__(
-        self, config: WearStreamConfig, policy: str = "dynamic",
-        rotation_threshold: float = 2.0,
-    ) -> None:
+    def __init__(self, config: WearStreamConfig, policy: str = "dynamic") -> None:
         if policy not in self.POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
         self.config = config
         self.policy = policy
-        self.rotation_threshold = rotation_threshold
         self.wear = np.zeros(config.num_blocks, dtype=np.int64)
         #: logical -> physical mapping (identity to start)
         self.mapping = np.arange(config.num_blocks)
@@ -99,7 +99,7 @@ class WearLevelingSimulator:
         mean = self.wear.mean()
         if mean <= 0:
             return
-        if self.wear.max() / mean < self.rotation_threshold:
+        if self.wear.max() / mean < ROTATION_THRESHOLD:
             self._remap_to_coolest(logical)
             return
         # Forced rotation: move the hottest logical block onto the

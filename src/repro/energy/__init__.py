@@ -18,13 +18,13 @@ from repro.energy.model import (
     accelerator_energy_split,
     memory_energy,
 )
-from repro.energy.tco import TCOModel, TCOReport
+from repro.energy.tco import TCOReport, tco_report
 
 __all__ = [
     "AcceleratorEnergyBreakdown",
     "MemoryEnergyBreakdown",
-    "TCOModel",
     "TCOReport",
     "accelerator_energy_split",
     "memory_energy",
+    "tco_report",
 ]

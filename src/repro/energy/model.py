@@ -39,14 +39,6 @@ class MemoryEnergyBreakdown:
         return self.access_read_j + self.access_write_j + self.refresh_j + self.static_j
 
     @property
-    def housekeeping_fraction(self) -> Ratio:
-        """Fraction of energy not spent moving useful bytes."""
-        total = self.total_j
-        if total == 0:
-            return 0.0
-        return (self.refresh_j + self.static_j) / total
-
-    @property
     def mean_power_w(self) -> Watts:
         if self.duration_s <= 0:
             return 0.0
@@ -118,13 +110,11 @@ def accelerator_energy_split(
     memory_breakdowns: Mapping[str, MemoryEnergyBreakdown],
     compute_power_w: Watts,
     duration_s: Seconds,
-    compute_utilization: Ratio = 1.0,
 ) -> AcceleratorEnergyBreakdown:
-    """Combine tier energies with compute-die energy over an interval."""
+    """Combine tier energies with compute-die energy (the die at full
+    power) over an interval."""
     if compute_power_w < 0 or duration_s < 0:
         raise ValueError("power and duration must be >= 0")
-    if not 0.0 <= compute_utilization <= 1.0:
-        raise ValueError("utilization outside [0, 1]")
     memory_j = sum(b.total_j for b in memory_breakdowns.values())
-    compute_j = compute_power_w * compute_utilization * duration_s
+    compute_j = compute_power_w * duration_s
     return AcceleratorEnergyBreakdown(compute_j=compute_j, memory_j=memory_j)

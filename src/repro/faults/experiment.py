@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.controller import MRMController, RecoveryConfig
+from repro.core.controller import MRMController
 from repro.core.mrm import MRMConfig, MRMDevice
 from repro.core.zones import Block, BlockState
 from repro.ecc.bch import BCHCode
@@ -56,7 +56,6 @@ from repro.faults.schedule import (
 )
 from repro.inference.accelerator import H100_80G
 from repro.inference.cluster import Cluster, tensor_parallel_group
-from repro.inference.engine import KVRecoveryConfig
 from repro.inference.resilience import ResiliencePolicy
 from repro.obs import MetricsRegistry
 from repro.parallel.sweep import run_sweep
@@ -265,7 +264,7 @@ def _controller_arm(
     controller = MRMController(
         device,
         ecc_code=BCHCode(n=32768, k=32648, t=8),
-        recovery=RecoveryConfig(enabled=mitigated),
+        recovery=mitigated,
         obs=obs,
     )
     injector = ControllerFaultInjector(controller, schedule, obs=obs)
@@ -357,7 +356,7 @@ def _serving_arm(
         LLAMA2_13B,
         num_engines=2,
         max_batch_size=8,
-        kv_recovery=KVRecoveryConfig(enabled=mitigated),
+        kv_recovery=mitigated,
         obs=obs,
     )
     _process, log = spawn_kv_faults(sim, cluster.engines, schedule, obs=obs)
@@ -436,7 +435,7 @@ def _chaos_arm(
         LLAMA2_13B,
         num_engines=num_engines,
         max_batch_size=8,
-        kv_recovery=KVRecoveryConfig(enabled=mitigated),
+        kv_recovery=mitigated,
         resilience=CHAOS_POLICY if mitigated else None,
         obs=obs,
     )

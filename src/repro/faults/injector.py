@@ -95,31 +95,27 @@ class ControllerFaultInjector:
     Parameters
     ----------
     controller:
-        The control plane under test (its :attr:`recovery` config
-        decides mitigated vs baseline behaviour).
+        The control plane under test, with an ECC code (its
+        :attr:`recovery` flag decides mitigated vs baseline behaviour).
+        Burst sizes are ``1 + magnitude * burst_scale_bits`` raw bit
+        errors, where ``burst_scale_bits`` is ``4 * (t + 1)`` for the
+        code's correction capability ``t``, so bursts straddle the
+        correctable/uncorrectable boundary.
     schedule:
         The frozen fault timeline (KV-loss events are ignored here —
         they belong to the serving layer).
-    burst_scale_bits:
-        Burst sizes are ``1 + magnitude * burst_scale_bits`` raw bit
-        errors; defaults to four times the ECC correction capability so
-        bursts straddle the correctable/uncorrectable boundary.
     """
 
     def __init__(
         self,
         controller: MRMController,
         schedule: FaultSchedule,
-        burst_scale_bits: Optional[int] = None,
         obs=None,
     ) -> None:
         self.controller = controller
         self.schedule = schedule
         self.log = FaultLog(obs=obs)
-        if burst_scale_bits is None:
-            t = controller.ecc_code.t if controller.ecc_code else 16
-            burst_scale_bits = 4 * (t + 1)
-        self.burst_scale_bits = burst_scale_bits
+        self.burst_scale_bits = 4 * (controller.ecc_code.t + 1)
         self._cursor = 0
 
     def next_event_time(self) -> Optional[float]:
@@ -220,7 +216,7 @@ class ControllerFaultInjector:
         for block in lost:
             controller.scheduler.deregister(block)
             block.state = BlockState.EXPIRED
-        if controller.recovery.enabled:
+        if controller.recovery:
             # Graceful degradation: the failure was detected as
             # progressive degradation and the control plane drained the
             # device in time — data moves instead of dying.

@@ -26,7 +26,6 @@ from repro.inference.accelerator import AcceleratorConfig, MemoryTierSpec
 from repro.inference.batching import RunningContext
 from repro.inference.engine import (
     InferenceEngine,
-    KVRecoveryConfig,
     _quantile_or_nan,
 )
 from repro.inference.resilience import ResiliencePolicy, ResilientDispatcher
@@ -161,7 +160,7 @@ class Cluster:
         num_engines: int = 1,
         placement: Optional[Mapping[str, str]] = None,
         max_batch_size: int = 16,
-        kv_recovery: Optional[KVRecoveryConfig] = None,
+        kv_recovery: bool = True,
         resilience: Optional[ResiliencePolicy] = None,
         obs=None,
     ) -> None:

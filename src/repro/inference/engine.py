@@ -108,29 +108,10 @@ class EngineCrashed(Interrupted):
         self.restart_delay_s = restart_delay_s
 
 
-@dataclass(frozen=True)
-class KVRecoveryConfig:
-    """How an engine responds to losing a running request's KV cache.
-
-    KV pages on MRM are soft state: "data stored in MRM either is
-    durable elsewhere or is soft state that can be recomputed" (Section
-    4).  Losing them mid-request is therefore recoverable — the prompt
-    is still known, so the engine can *recompute from the prefix*:
-    re-enqueue the request, re-run prefill, regenerate.  The budget
-    bounds how often one request may be recovered before it is failed
-    (a retry/timeout guard against a request that keeps landing on bad
-    pages).
-
-    ``enabled=False`` is the no-mitigation baseline: any KV loss fails
-    the request outright.
-    """
-
-    enabled: bool = True
-    max_recoveries_per_request: int = 2
-
-    def __post_init__(self) -> None:
-        if self.max_recoveries_per_request < 0:
-            raise ValueError("recovery budget must be >= 0")
+#: Times one request may be recomputed from its prefix after losing its
+#: KV cache before it is failed: a retry guard against a request that
+#: keeps landing on bad pages.
+MAX_RECOVERIES_PER_REQUEST = 2
 
 
 def _quantile_or_nan(histogram: Histogram, quantile: float) -> float:
@@ -278,12 +259,20 @@ class InferenceEngine:
         Hardware and model configs.
     placement:
         Structure -> tier-name map ("weights", "kv", "activations").
-    kv_capacity_bytes:
-        KV pool size.  Defaults to :func:`kv_pool_bytes`: the KV tier's
-        capacity minus the weights (when they share a tier) and an
-        activations reserve.
     max_batch_size:
         Maximum contexts decoded per iteration.
+    kv_recovery:
+        How the engine responds to losing a running request's KV cache.
+        KV pages on MRM are soft state: "data stored in MRM either is
+        durable elsewhere or is soft state that can be recomputed"
+        (Section 4).  With True (default) the engine *recomputes from
+        the prefix*: the prompt is still known, so the request is
+        re-enqueued, prefilled again and regenerated, at most
+        :data:`MAX_RECOVERIES_PER_REQUEST` times.  False is the
+        no-mitigation baseline: any KV loss fails the request.
+
+    The KV pool is :func:`kv_pool_bytes`: the KV tier's capacity minus
+    the weights (when they share a tier) and an activations reserve.
     """
 
     def __init__(
@@ -292,9 +281,8 @@ class InferenceEngine:
         accelerator: AcceleratorConfig,
         model: ModelConfig,
         placement: Optional[Mapping[str, str]] = None,
-        kv_capacity_bytes: Optional[int] = None,
         max_batch_size: int = 16,
-        kv_recovery: Optional[KVRecoveryConfig] = None,
+        kv_recovery: bool = True,
         name: str = "",
         obs=None,
     ) -> None:
@@ -309,10 +297,9 @@ class InferenceEngine:
         # tiers once so per-step accounting does no lookup.
         self._weights_tier = accelerator.tier(self.placement["weights"])
         kv_tier = self._kv_tier = accelerator.tier(self.placement["kv"])
-        if kv_capacity_bytes is None:
-            kv_capacity_bytes = kv_pool_bytes(
-                accelerator, model, self.placement, max_batch_size
-            )
+        kv_capacity_bytes = kv_pool_bytes(
+            accelerator, model, self.placement, max_batch_size
+        )
         if kv_capacity_bytes <= 0:
             raise ValueError(
                 f"{self.name}: no KV capacity left on tier {kv_tier.name!r} "
@@ -356,7 +343,7 @@ class InferenceEngine:
         self._obs_tbt = o.histogram("engine.tbt_s", engine=engine)
         self._obs_crashes = o.counter("engine.crashes_total", engine=engine)
         self.completed: List[RunningContext] = []
-        self.kv_recovery = kv_recovery or KVRecoveryConfig()
+        self.kv_recovery = kv_recovery
         #: requests dropped after exhausting their recovery budget (or
         #: any KV loss when recovery is disabled).
         self.failed: List[RunningContext] = []
@@ -455,8 +442,7 @@ class InferenceEngine:
         self.kv_losses += 1
         self._obs_kv_losses.add()
         used = self._recoveries_used.get(context_id, 0)
-        cfg = self.kv_recovery
-        if cfg.enabled and used < cfg.max_recoveries_per_request:
+        if self.kv_recovery and used < MAX_RECOVERIES_PER_REQUEST:
             self._recoveries_used[context_id] = used + 1
             self.kv_recoveries += 1
             self.kv_recompute_tokens += context.context_tokens

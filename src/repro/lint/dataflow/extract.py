@@ -2,7 +2,7 @@
 
 Extraction is deliberately file-local: the only inputs are the source
 text and the module's dotted name.  Name resolution uses the file's
-own imports (``from repro.workload.requests import ArrivalProcess``
+own imports (``from repro.workload.requests import PoissonArrivals``
 makes the bare name resolvable here); chasing re-export chains across
 files is the linker's job.
 

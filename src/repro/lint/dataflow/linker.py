@@ -2,8 +2,8 @@
 
 The linker owns everything extraction could not know file-locally:
 
-- **alias chasing** — ``repro.workload.ArrivalProcess`` (a package
-  re-export) resolves to ``repro.workload.requests.ArrivalProcess``
+- **alias chasing** — ``repro.workload.PoissonArrivals`` (a package
+  re-export) resolves to ``repro.workload.requests.PoissonArrivals``
   by following each file's import-alias edges to a real definition;
 - **the call graph** — resolved call edges between function summaries,
   with forward/backward reachability used for RL014's scope and

@@ -202,7 +202,7 @@ class FileSummary:
     #: Dotted module name, or "" outside a repro package root.
     module: str = ""
     #: Local name -> fully qualified target for imports/aliases
-    #: (``{"ArrivalProcess": "repro.workload.requests.ArrivalProcess"}``).
+    #: (``{"PoissonArrivals": "repro.workload.requests.PoissonArrivals"}``).
     aliases: Dict[str, str] = field(default_factory=dict)
     functions: List[FunctionSummary] = field(default_factory=list)
     classes: List[ClassSummary] = field(default_factory=list)

@@ -253,9 +253,6 @@ class _NullMetric:
     def observe_many(self, values: Sequence[float]) -> None:
         pass
 
-    def summary(self) -> Dict[str, object]:
-        return {}
-
 
 _NULL_METRIC = _NullMetric()
 
@@ -276,9 +273,6 @@ class NullRegistry:
         return _NULL_METRIC
 
     def histogram(self, name: str, **labels: object) -> _NullMetric:
-        return _NULL_METRIC
-
-    def info(self, name: str, **labels: object) -> _NullMetric:
         return _NULL_METRIC
 
     def __contains__(self, full_name: str) -> bool:

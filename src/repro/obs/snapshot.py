@@ -32,7 +32,7 @@ import json
 import math
 import os
 import tempfile
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.obs.registry import HISTOGRAM_QUANTILES, format_metric_name, parse_metric_name
 
@@ -182,20 +182,20 @@ def _round_sig(value: float, sig_digits: int) -> float:
     return round(value, sig_digits - 1 - int(math.floor(math.log10(abs(value)))))
 
 
-def normalize_snapshot(
-    snap: Dict[str, object], sig_digits: Optional[int] = 12
-) -> Dict[str, object]:
-    """A golden-file-ready copy: floats rounded to ``sig_digits``
-    significant digits (pass ``None`` to skip rounding), sections
-    sorted.  Rounding absorbs last-ulp platform noise while still
-    failing loudly on any real (single-count) perturbation."""
+#: Significant digits :func:`normalize_snapshot` keeps.
+SIG_DIGITS = 12
+
+
+def normalize_snapshot(snap: Dict[str, object]) -> Dict[str, object]:
+    """A golden-file-ready copy: floats rounded to :data:`SIG_DIGITS`
+    significant digits, sections sorted.  Rounding absorbs last-ulp
+    platform noise while still failing loudly on any real (single-count)
+    perturbation."""
     _check_schema(snap)
 
     def norm(value: object) -> object:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return value
-        if isinstance(value, float) and sig_digits is not None:
-            return _round_sig(value, sig_digits)
+        if isinstance(value, float):
+            return _round_sig(value, SIG_DIGITS)
         return value
 
     out = empty_snapshot()

@@ -7,7 +7,7 @@ understanding of lifetime and access patterns of the data will be
 required to lay out the data."
 
 - :mod:`~repro.tiering.tiers` — cluster-level tier descriptions and
-  builders (HBM, MRM at a chosen retention point, LPDDR, Flash).
+  builders (HBM, MRM, LPDDR, Flash).
 - :mod:`~repro.tiering.policy` — placement policies mapping
   :class:`~repro.core.placement.DataObject` to tiers: all-HBM baseline,
   static kind-based, lifetime/access-aware, cost-greedy.

@@ -37,6 +37,10 @@ from repro.inference.roofline import RooflineModel
 from repro.workload.model import ModelConfig
 from repro.workload.phases import prefill_traffic
 
+#: Fast<->slow tier transfer bandwidth for the ``offload`` policy
+#: (PCIe/CXL-class, ~50 GB/s).
+OFFLOAD_BANDWIDTH = 50e9
+
 
 @dataclass(frozen=True)
 class ConversationShape:
@@ -76,8 +80,6 @@ class OffloadSimulator:
     ----------
     model / accelerator:
         For KV sizing and prefill recompute timing.
-    offload_bandwidth:
-        Fast<->slow tier transfer bandwidth (PCIe/CXL-class, ~50 GB/s).
     """
 
     POLICIES = ("keep", "offload", "drop", "mrm")
@@ -86,14 +88,10 @@ class OffloadSimulator:
         self,
         model: ModelConfig,
         accelerator: AcceleratorConfig,
-        offload_bandwidth: float = 50e9,
         seed: int = 0,
     ) -> None:
-        if offload_bandwidth <= 0:
-            raise ValueError("offload bandwidth must be positive")
         self.model = model
         self.roofline = RooflineModel(accelerator)
-        self.offload_bandwidth = offload_bandwidth
         self.seed = seed
 
     def _conversations(
@@ -128,7 +126,7 @@ class OffloadSimulator:
                 if policy == "keep":
                     score.fast_tier_byte_seconds += kv_bytes * think_s
                 elif policy == "offload":
-                    transfer = kv_bytes / self.offload_bandwidth
+                    transfer = kv_bytes / OFFLOAD_BANDWIDTH
                     # out at turn end, back at resume
                     score.resume_latency_total_s += transfer
                 elif policy == "drop":

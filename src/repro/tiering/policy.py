@@ -111,9 +111,6 @@ class Placement:
         everything whether used or not)."""
         return sum(tier.refresh_power_w() for tier in self.tiers)
 
-    def hardware_cost_usd(self) -> float:
-        return sum(tier.cost_usd for tier in self.tiers)
-
 
 class PlacementPolicy:
     """Base: place a set of objects across tiers."""
@@ -184,24 +181,18 @@ class KindBasedPolicy(PlacementPolicy):
 class LifetimeAwarePolicy(PlacementPolicy):
     """The general retention-aware rule.
 
-    An object goes to MRM when its lifetime clears ``min_mrm_lifetime_s``
-    (retention management must be worth it) and its read:write ratio
-    clears ``min_read_write_ratio`` (MRM's slow writes must not hurt);
-    write-heavy or ephemeral data stays on HBM; data whose read demand is
-    under ``cold_read_bw`` may fall to LPDDR.
+    An object goes to MRM when its lifetime clears
+    :attr:`MIN_MRM_LIFETIME_S` (retention management must be worth it)
+    and its read:write ratio clears :attr:`MIN_READ_WRITE_RATIO` (MRM's
+    slow writes must not hurt); write-heavy or ephemeral data stays on
+    HBM; data whose read demand is under :attr:`COLD_READ_BW` (bytes/s)
+    may fall to LPDDR.
     """
 
     name = "lifetime-aware"
-
-    def __init__(
-        self,
-        min_mrm_lifetime_s: float = 60.0,
-        min_read_write_ratio: float = 100.0,
-        cold_read_bw: float = 1e9,
-    ) -> None:
-        self.min_mrm_lifetime_s = min_mrm_lifetime_s
-        self.min_read_write_ratio = min_read_write_ratio
-        self.cold_read_bw = cold_read_bw
+    MIN_MRM_LIFETIME_S = 60.0
+    MIN_READ_WRITE_RATIO = 100.0
+    COLD_READ_BW = 1e9
 
     def place(self, objects, tiers) -> Placement:
         placement = Placement(tuple(tiers))
@@ -212,10 +203,10 @@ class LifetimeAwarePolicy(PlacementPolicy):
 
         for obj in objects:
             mrm_worthy = (
-                obj.lifetime_s >= self.min_mrm_lifetime_s
-                and obj.access.read_write_ratio >= self.min_read_write_ratio
+                obj.lifetime_s >= self.MIN_MRM_LIFETIME_S
+                and obj.access.read_write_ratio >= self.MIN_READ_WRITE_RATIO
             )
-            cold = obj.access.read_bytes_per_s < self.cold_read_bw
+            cold = obj.access.read_bytes_per_s < self.COLD_READ_BW
             if mrm_worthy and not cold:
                 preferred = chain("mrm", "hbm", "lpddr", "flash")
             elif cold:

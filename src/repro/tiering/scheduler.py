@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.placement import DataObject
 from repro.obs import NULL_REGISTRY
@@ -69,27 +69,17 @@ class TierManager:
     ----------
     tiers:
         The tier set; an MRM tier is recognized by
-        ``supports_managed_retention``.
-    demotion_tier:
-        Tier name cold data migrates to (default ``"lpddr"`` if present).
+        ``supports_managed_retention``.  Cold data migrates to the
+        ``"lpddr"`` tier, if the set has one.
     """
 
-    def __init__(
-        self,
-        tiers: List[MemoryTier],
-        demotion_tier: Optional[str] = None,
-        obs=None,
-    ) -> None:
+    def __init__(self, tiers: List[MemoryTier], obs=None) -> None:
         if not tiers:
             raise ValueError("need at least one tier")
         self.tiers = {t.name: t for t in tiers}
         if len(self.tiers) != len(tiers):
             raise ValueError("duplicate tier names")
-        if demotion_tier is None and "lpddr" in self.tiers:
-            demotion_tier = "lpddr"
-        if demotion_tier is not None and demotion_tier not in self.tiers:
-            raise KeyError(f"demotion tier {demotion_tier!r} not in tier set")
-        self.demotion_tier = demotion_tier
+        self.demotion_tier = "lpddr" if "lpddr" in self.tiers else None
         self.stats = TierManagerStats()
         self._residents: Dict[int, _Resident] = {}
         self._used: Dict[str, int] = {name: 0 for name in self.tiers}
@@ -149,11 +139,12 @@ class TierManager:
         self.stats.admitted += 1
         self._obs_admitted.add()
 
-    def touch(self, obj: DataObject, now: float, extend_s: Optional[float] = None) -> None:
-        """The object is still in use: extend its needed-until horizon."""
+    def touch(self, obj: DataObject, now: float) -> None:
+        """The object is still in use: extend its needed-until horizon
+        to one more lifetime from ``now``."""
         resident = self._resident(obj)
         resident.needed_until = max(
-            resident.needed_until, now + (extend_s or obj.lifetime_s)
+            resident.needed_until, now + obj.lifetime_s
         )
 
     def remove(self, obj: DataObject) -> None:

@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.retention import RetentionModel, RetentionParams
+from repro.core.retention import RetentionModel
 from repro.devices.base import TechnologyProfile
 from repro.devices.catalog import HBM3E, LPDDR5X, NAND_SLC, RRAM_POTENTIAL
-from repro.units import Bytes, GiB, HOUR, Joules, Ratio, TiB, Watts
+from repro.units import Bytes, GiB, HOUR, Joules, TiB, Watts
 
 
 @dataclass(frozen=True)
@@ -55,31 +55,25 @@ class MemoryTier:
         if self.read_bandwidth <= 0 or self.write_bandwidth <= 0:
             raise ValueError(f"tier {self.name}: bandwidth must be positive")
 
-    @property
-    def cost_per_gib(self) -> float:
-        return self.cost_usd / (self.capacity_bytes / GiB)
-
     def read_energy_j(self, size_bytes: Bytes) -> Joules:
         return size_bytes * self.profile.read_energy_j_per_byte
 
     def write_energy_j(self, size_bytes: Bytes) -> Joules:
         return size_bytes * self.profile.write_energy_j_per_byte
 
-    def refresh_power_w(self, occupancy: Ratio = 1.0) -> Watts:
-        """Steady-state refresh power (0 for non-volatile tiers)."""
+    def refresh_power_w(self) -> Watts:
+        """Steady-state refresh power of the whole tier (0 for
+        non-volatile tiers)."""
         if not self.profile.volatile:
             return 0.0
-        per_interval = (
-            self.capacity_bytes * occupancy * self.profile.write_energy_j_per_byte
-        )
+        per_interval = self.capacity_bytes * self.profile.write_energy_j_per_byte
         return per_interval / self.profile.refresh_interval_s
 
 
-def hbm_tier(capacity_bytes: int, stacks: Optional[int] = None) -> MemoryTier:
-    """An HBM3e pool; bandwidth scales with stack count (default: sized
-    from capacity at 24 GiB/stack)."""
-    if stacks is None:
-        stacks = max(1, round(capacity_bytes / (24 * GiB)))
+def hbm_tier(capacity_bytes: int) -> MemoryTier:
+    """An HBM3e pool; bandwidth scales with stack count, sized from
+    capacity at 24 GiB/stack."""
+    stacks = max(1, round(capacity_bytes / (24 * GiB)))
     bandwidth = stacks * HBM3E.read_bandwidth
     return MemoryTier(
         name="hbm",
@@ -91,22 +85,23 @@ def hbm_tier(capacity_bytes: int, stacks: Optional[int] = None) -> MemoryTier:
     )
 
 
-def mrm_tier(
-    capacity_bytes: int,
-    retention_s: float = 6 * HOUR,
-    reference: TechnologyProfile = RRAM_POTENTIAL,
-    params: Optional[RetentionParams] = None,
-    cost_discount_vs_hbm: float = 0.4,
-) -> MemoryTier:
-    """An MRM pool derived from ``reference`` at ``retention_s``.
+#: MRM's assumed $/GiB as a fraction of HBM's.  The paper argues MRM
+#: improves TCO/TB via density (stacking without capacitors, crossbar,
+#: MLC) and simpler manufacturing than HBM.
+MRM_COST_DISCOUNT_VS_HBM = 0.4
+#: The retention an MRM tier's cells are programmed for.
+MRM_TIER_RETENTION_S = 6 * HOUR
 
-    Cost: the paper argues MRM improves TCO/TB via density (stacking
-    without capacitors, crossbar, MLC) and simpler manufacturing than
-    HBM; ``cost_discount_vs_hbm`` expresses the assumed $/GiB ratio
-    (default: MRM at 40% of HBM's cost per bit).  Read bandwidth is the
-    derived profile's, scaled to the pool size like HBM stacks.
+
+def mrm_tier(capacity_bytes: int) -> MemoryTier:
+    """An MRM pool derived from RRAM's potential profile at
+    :data:`MRM_TIER_RETENTION_S`, priced at
+    :data:`MRM_COST_DISCOUNT_VS_HBM` of HBM's cost per bit.  Read
+    bandwidth is the derived profile's, scaled to the pool size like HBM
+    stacks.
     """
-    model = RetentionModel(reference, params)
+    retention_s = MRM_TIER_RETENTION_S
+    model = RetentionModel(RRAM_POTENTIAL)
     profile = model.profile_at(retention_s, name=f"mrm@{retention_s:.0f}s")
     # Pool bandwidth: one MRM "stack-equivalent" per 24 GiB, like HBM.
     # Reads stream from all 12 stacked dies in parallel (the metric MRM
@@ -121,15 +116,15 @@ def mrm_tier(
         write_bandwidth=units * profile.write_bandwidth * 2,
         cost_usd=(capacity_bytes / GiB)
         * HBM3E.cost_usd_per_gib
-        * cost_discount_vs_hbm,
+        * MRM_COST_DISCOUNT_VS_HBM,
         supports_managed_retention=True,
     )
 
 
-def lpddr_tier(capacity_bytes: int, packages: Optional[int] = None) -> MemoryTier:
-    """An LPDDR5X pool (GB200-style capacity tier [35])."""
-    if packages is None:
-        packages = max(1, round(capacity_bytes / (32 * GiB)))
+def lpddr_tier(capacity_bytes: int) -> MemoryTier:
+    """An LPDDR5X pool (GB200-style capacity tier [35]), sized at
+    32 GiB/package."""
+    packages = max(1, round(capacity_bytes / (32 * GiB)))
     bandwidth = packages * LPDDR5X.read_bandwidth
     return MemoryTier(
         name="lpddr",

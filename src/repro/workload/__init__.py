@@ -25,14 +25,12 @@ from repro.workload.model import (
     ModelConfig,
 )
 from repro.workload.distributions import (
-    Distribution,
     LogNormalDistribution,
     SPLITWISE_CODE,
     SPLITWISE_CONVERSATION,
     TokenLengthProfile,
 )
 from repro.workload.requests import (
-    ArrivalProcess,
     InferenceRequest,
     PoissonArrivals,
     RequestGenerator,
@@ -63,8 +61,6 @@ from repro.workload.traces import (
 )
 
 __all__ = [
-    "ArrivalProcess",
-    "Distribution",
     "GPT_CLASS_500B",
     "InferenceRequest",
     "LLAMA2_13B",

@@ -31,17 +31,7 @@ from typing import Optional
 import numpy as np
 
 
-class Distribution:
-    """Base: a seeded scalar distribution."""
-
-    def sample(self, rng: np.random.Generator) -> float:
-        raise NotImplementedError
-
-    def mean(self) -> float:
-        raise NotImplementedError
-
-
-class LogNormalDistribution(Distribution):
+class LogNormalDistribution:
     """Log-normal parameterized by its *median* and shape sigma.
 
     ``median = exp(mu)`` so parameterizing by median keeps calibration
@@ -73,8 +63,8 @@ class TokenLengthProfile:
     """
 
     name: str
-    prompt: Distribution
-    output: Distribution
+    prompt: LogNormalDistribution
+    output: LogNormalDistribution
     min_prompt: int = 1
     min_output: int = 1
 

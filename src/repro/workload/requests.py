@@ -68,14 +68,7 @@ class InferenceRequest:
             )
 
 
-class ArrivalProcess:
-    """Base: generates inter-arrival gaps."""
-
-    def next_gap(self, rng: np.random.Generator) -> float:
-        raise NotImplementedError
-
-
-class PoissonArrivals(ArrivalProcess):
+class PoissonArrivals:
     """Memoryless arrivals at ``rate_per_s``."""
 
     def __init__(self, rate_per_s: float) -> None:
@@ -107,7 +100,7 @@ class RequestGenerator:
     def __init__(
         self,
         profile: TokenLengthProfile,
-        arrivals: ArrivalProcess,
+        arrivals: PoissonArrivals,
         model: ModelConfig,
         sla_mix: Optional[dict] = None,
         seed: int = 0,

@@ -29,7 +29,6 @@ from typing import Iterable, Iterator, List, Optional, Union
 
 from repro.workload.model import ModelConfig
 from repro.workload.requests import (
-    ArrivalProcess,
     InferenceRequest,
     PoissonArrivals,
     RequestGenerator,
@@ -59,7 +58,7 @@ class TraceRecord:
 def generate_trace(
     model: ModelConfig,
     profile: Optional[TokenLengthProfile] = None,
-    arrivals: Optional[ArrivalProcess] = None,
+    arrivals: Optional[PoissonArrivals] = None,
     duration_s: Optional[float] = 60.0,
     count: Optional[int] = None,
     sla_mix: Optional[dict] = None,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.mrm import MRMConfig, MRMDevice
-from repro.devices.catalog import RRAM_POTENTIAL, RRAM_WEEBIT
+from repro.devices.catalog import RRAM_WEEBIT
 from repro.sim import Simulator
 from repro.units import MiB
 from repro.workload.model import LLAMA2_13B, LLAMA2_70B
@@ -44,7 +44,6 @@ def small_mrm() -> MRMDevice:
         capacity_bytes=32 * MiB,
         block_bytes=1 * MiB,
         blocks_per_zone=8,
-        reference=RRAM_POTENTIAL,
     )
     return MRMDevice(config)
 

@@ -9,6 +9,7 @@ from repro.core.dcm import (
     evaluate_policy,
 )
 from repro.core.placement import (
+    REDEPLOY_INTERVAL_S,
     AccessProfile,
     DataKind,
     DataObject,
@@ -63,11 +64,10 @@ class TestDataObject:
 
 class TestFactories:
     def test_weights_object(self):
-        obj = weights_object(100 * MiB, read_bytes_per_s=1e12,
-                             redeploy_interval_s=DAY)
+        obj = weights_object(100 * MiB, read_bytes_per_s=1e12)
         assert obj.kind is DataKind.WEIGHTS
         assert obj.durable_elsewhere
-        assert obj.lifetime_s == DAY
+        assert obj.lifetime_s == REDEPLOY_INTERVAL_S == 7 * DAY
         assert not obj.access.in_place_updates
         assert obj.access.read_write_ratio > 1000
 
@@ -93,17 +93,22 @@ class TestPolicies:
         assert policy.retention_for(long) == DAY
 
     def test_matched_scales_with_lifetime(self):
-        policy = LifetimeMatchedPolicy(margin=1.5)
+        policy = LifetimeMatchedPolicy()
         obj = make_objects(1, HOUR)[0]
-        assert policy.retention_for(obj) == pytest.approx(1.5 * HOUR)
+        assert policy.retention_for(obj) == pytest.approx(1.2 * HOUR)
 
     def test_class_policy_picks_covering_class(self):
-        policy = RetentionClassPolicy(classes=[MINUTE, HOUR, DAY], margin=1.0)
+        policy = RetentionClassPolicy(classes=[MINUTE, HOUR, DAY])
         obj = make_objects(1, lifetime_s=30 * MINUTE)[0]
         assert policy.retention_for(obj) == HOUR
 
+    def test_class_policy_covers_the_margin(self):
+        policy = RetentionClassPolicy(classes=[MINUTE, HOUR, DAY])
+        obj = make_objects(1, lifetime_s=55 * MINUTE)[0]  # x1.2 > 1 h
+        assert policy.retention_for(obj) == DAY
+
     def test_class_policy_tops_out(self):
-        policy = RetentionClassPolicy(classes=[MINUTE, HOUR], margin=1.0)
+        policy = RetentionClassPolicy(classes=[MINUTE, HOUR])
         obj = make_objects(1, lifetime_s=DAY)[0]
         assert policy.retention_for(obj) == HOUR
 
@@ -115,8 +120,6 @@ class TestPolicies:
     def test_validation(self):
         with pytest.raises(ValueError):
             FixedRetentionPolicy(0.0)
-        with pytest.raises(ValueError):
-            LifetimeMatchedPolicy(margin=0.5)
         with pytest.raises(ValueError):
             RetentionClassPolicy(classes=[])
 

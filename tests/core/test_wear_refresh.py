@@ -8,28 +8,14 @@ from repro.units import HOUR, MiB
 
 
 class TestWearLeveler:
-    def test_unknown_policy_rejected(self, small_mrm):
-        with pytest.raises(ValueError):
-            WearLeveler(small_mrm, policy="nonsense")
-
     def test_least_worn_avoids_damaged_zone(self, small_mrm):
         # Damage zone 0 heavily, then reset it so it is empty again.
         for _ in range(8):
             small_mrm.append(0, MiB, 60.0, now=0.0)
         small_mrm.reset_zone(0)
-        leveler = WearLeveler(small_mrm, policy="least-worn")
+        leveler = WearLeveler(small_mrm)
         picked = leveler.pick_zone()
         assert picked.zone_id != 0
-
-    def test_first_fit_always_lowest(self, small_mrm):
-        leveler = WearLeveler(small_mrm, policy="first-fit")
-        assert leveler.pick_zone().zone_id == 0
-
-    def test_round_robin_cycles(self, small_mrm):
-        leveler = WearLeveler(small_mrm, policy="round-robin")
-        first = leveler.pick_zone().zone_id
-        second = leveler.pick_zone().zone_id
-        assert second != first
 
     def test_no_empty_zone_raises(self, small_mrm):
         leveler = WearLeveler(small_mrm)

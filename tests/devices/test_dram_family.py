@@ -71,8 +71,6 @@ class TestHBMStack:
     def test_layer_validation(self):
         with pytest.raises(ValueError):
             HBMStack(layers=0)
-        with pytest.raises(ValueError):
-            HBMStack(per_layer_yield=0.0)
 
     def test_roadmap_capacity_monotone(self):
         caps = [g.max_stack_capacity() for g in HBM_ROADMAP]

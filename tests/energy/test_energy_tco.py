@@ -3,7 +3,7 @@
 import pytest
 
 from repro.energy.model import accelerator_energy_split, memory_energy
-from repro.energy.tco import TCOModel
+from repro.energy.tco import tco_report
 from repro.tiering.tiers import hbm_tier, lpddr_tier, mrm_tier
 from repro.units import GiB, HOUR, KWH, YEAR
 
@@ -15,7 +15,7 @@ class TestMemoryEnergy:
         breakdown = memory_energy(tier, duration_s=HOUR,
                                   bytes_read=0, bytes_written=0)
         assert breakdown.refresh_j > 0
-        assert breakdown.housekeeping_fraction == 1.0
+        assert breakdown.access_read_j == breakdown.access_write_j == 0.0
 
     def test_mrm_idle_is_nearly_free(self):
         tier = mrm_tier(192 * GiB)
@@ -75,17 +75,8 @@ class TestAcceleratorSplit:
 
 
 class TestTCO:
-    def make_model(self):
-        return TCOModel(
-            accelerator_cost_usd=25_000.0,
-            electricity_usd_per_kwh=0.08,
-            pue=1.2,
-            lifetime_s=5 * YEAR,
-        )
-
     def test_report_totals(self):
-        model = self.make_model()
-        report = model.report(
+        report = tco_report(
             name="baseline",
             num_accelerators=8,
             tiers=[hbm_tier(8 * 192 * GiB)],
@@ -99,13 +90,11 @@ class TestTCO:
         assert report.tokens_served == pytest.approx(1000.0 * 5 * YEAR)
         assert report.tokens_per_dollar > 0
         assert report.cost_per_million_tokens > 0
-        assert 0 < report.memory_capex_fraction < 1
 
     def test_cheaper_memory_raises_tokens_per_dollar(self):
-        model = self.make_model()
         same = dict(num_accelerators=8, mean_power_w=8000.0, tokens_per_s=1000.0)
-        hbm_only = model.report("hbm", tiers=[hbm_tier(704 * GiB)], **same)
-        hybrid = model.report(
+        hbm_only = tco_report("hbm", tiers=[hbm_tier(704 * GiB)], **same)
+        hybrid = tco_report(
             "hybrid",
             tiers=[hbm_tier(192 * GiB), mrm_tier(512 * GiB)],
             **same,
@@ -114,7 +103,4 @@ class TestTCO:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TCOModel(pue=0.9)
-        model = self.make_model()
-        with pytest.raises(ValueError):
-            model.report("x", 0, [hbm_tier(GiB)], 100.0, 1.0)
+            tco_report("x", 0, [hbm_tier(GiB)], 100.0, 1.0)

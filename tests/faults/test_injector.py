@@ -4,7 +4,7 @@ injector, and the recovery (graceful-degradation) paths."""
 import numpy as np
 import pytest
 
-from repro.core.controller import MRMController, RecoveryConfig
+from repro.core.controller import MAX_READ_RETRIES, RETRY_BACKOFF_S, MRMController
 from repro.core.mrm import MRMConfig, MRMDevice
 from repro.core.zones import BlockState
 from repro.devices.base import BankFailure, DeviceFailure
@@ -37,7 +37,7 @@ def make_controller(mitigated=True, device=None) -> MRMController:
     return MRMController(
         device or make_device(),
         ecc_code=CODE,
-        recovery=RecoveryConfig(enabled=mitigated),
+        recovery=mitigated,
     )
 
 
@@ -122,7 +122,7 @@ class TestReadWithRecovery:
         controller = make_controller()
         blocks = write_blocks(controller, count=2)
         result = controller.read_with_recovery(blocks, 1.0)
-        assert result.ok and not result.lost_blocks
+        assert not result.lost_blocks
 
     def test_burst_recovered_by_retry(self):
         """A transient burst clears on re-read: retry recovers it."""
@@ -130,7 +130,7 @@ class TestReadWithRecovery:
         block = write_blocks(controller, count=1)[0]
         controller.device.inject_bit_errors(block, CODE.t + 10)
         result = controller.read_with_recovery([block], 1.0)
-        assert result.ok
+        assert not result.lost_blocks
         assert controller.stats.read_retries >= 1
         assert controller.stats.blocks_recovered == 1
         assert controller.stats.data_loss_blocks == 0
@@ -140,7 +140,7 @@ class TestReadWithRecovery:
         block = write_blocks(controller, count=1)[0]
         controller.device.inject_bit_errors(block, CODE.t + 10)
         result = controller.read_with_recovery([block], 1.0)
-        assert not result.ok
+        assert result.lost_blocks
         assert controller.stats.data_loss_blocks == 1
         assert controller.stats.read_retries == 0
         assert block.state is BlockState.EXPIRED
@@ -152,9 +152,9 @@ class TestReadWithRecovery:
         block = write_blocks(controller, count=1)[0]
         controller.device.inject_retention_violation(block, 100.0, severity=6.0)
         result = controller.read_with_recovery([block], 100.0)
-        assert result.ok
+        assert not result.lost_blocks
         assert controller.stats.escalated_refreshes == 1
-        assert controller.stats.read_retries == RecoveryConfig().max_read_retries
+        assert controller.stats.read_retries == MAX_READ_RETRIES
         # the refresh reset the block's age
         assert block.written_at == 100.0
 
@@ -164,13 +164,13 @@ class TestReadWithRecovery:
         clean = controller.read_with_recovery([block], 1.0).latency_s
         controller.device.inject_bit_errors(block, CODE.t + 10)
         noisy = controller.read_with_recovery([block], 1.0)
-        assert noisy.latency_s > clean + RecoveryConfig().retry_backoff_s
+        assert noisy.latency_s > clean + RETRY_BACKOFF_S
 
     def test_no_ecc_code_falls_back_to_plain_read(self):
         controller = MRMController(make_device())
         blocks = write_blocks(controller, count=1)
         result = controller.read_with_recovery(blocks, 1.0)
-        assert result.ok and result.latency_s > 0
+        assert not result.lost_blocks and result.latency_s > 0
 
 
 class TestControllerFaultInjector:
@@ -325,11 +325,11 @@ class TestConcurrentFaultCohort:
         live = [b for b in blocks if b.state is BlockState.VALID]
         assert live, "bank failure took out more than its own zone"
         result = controller.read_with_recovery(live, 5.0)
-        assert result.ok
+        assert not result.lost_blocks
         assert controller.stats.escalated_refreshes == 1
         assert (
             controller.stats.read_retries
-            == RecoveryConfig().max_read_retries
+            == MAX_READ_RETRIES
         )
 
     def test_unmitigated_cohort_loses_data(self):
@@ -341,7 +341,7 @@ class TestConcurrentFaultCohort:
         live = [b for b in blocks if b.state is BlockState.VALID]
         result = controller.read_with_recovery(live, 5.0)
         # No escalation rung: the severely aged block stays lost.
-        assert not result.ok
+        assert result.lost_blocks
         assert controller.stats.escalated_refreshes == 0
         assert len(result.lost_blocks) == 1
 

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.controller import MRMController, RecoveryConfig
+from repro.core.controller import MRMController
 from repro.core.errors import RetentionErrorModel
 from repro.core.mrm import MRMConfig, MRMDevice
 from repro.core.zones import Block, BlockState
@@ -279,7 +279,7 @@ def _direct(loop, name: str, mitigated: bool):
     controller = MRMController(
         device,
         ecc_code=BCHCode(n=32768, k=32648, t=8),
-        recovery=RecoveryConfig(enabled=mitigated),
+        recovery=mitigated,
         obs=obs,
     )
     injector = ControllerFaultInjector(

@@ -5,7 +5,7 @@ import pytest
 from repro.faults import FaultEvent, FaultKind, FaultSchedule, spawn_kv_faults
 from repro.inference.accelerator import H100_80G
 from repro.inference.cluster import Cluster, tensor_parallel_group
-from repro.inference.engine import InferenceEngine, KVRecoveryConfig
+from repro.inference.engine import MAX_RECOVERIES_PER_REQUEST, InferenceEngine
 from repro.sim import Simulator
 from repro.workload.model import LLAMA2_13B
 from repro.workload.requests import InferenceRequest
@@ -16,15 +16,13 @@ def outcomes(log):
     return [entry["outcome"] for entry in log.entries]
 
 
-def make_engine(sim, mitigated=True, max_recoveries=2) -> InferenceEngine:
+def make_engine(sim, mitigated=True) -> InferenceEngine:
     return InferenceEngine(
         sim,
         tensor_parallel_group(H100_80G, 2),
         LLAMA2_13B,
         max_batch_size=4,
-        kv_recovery=KVRecoveryConfig(
-            enabled=mitigated, max_recoveries_per_request=max_recoveries
-        ),
+        kv_recovery=mitigated,
     )
 
 
@@ -38,9 +36,9 @@ def kv_event(time_s, magnitude=0.0, seq=0) -> FaultEvent:
     )
 
 
-def run_with_faults(requests, events, mitigated=True, max_recoveries=2):
+def run_with_faults(requests, events, mitigated=True):
     sim = Simulator()
-    engine = make_engine(sim, mitigated, max_recoveries)
+    engine = make_engine(sim, mitigated)
     schedule = FaultSchedule(
         events=tuple(events),
         duration_s=max((e.time_s for e in events), default=0.0) + 1.0,
@@ -84,9 +82,9 @@ class TestKVLossRecovery:
         budget and the request finally fails."""
         requests = [InferenceRequest(0.0, 256, 64)]
         events = [kv_event(0.05 * (i + 1), seq=i) for i in range(4)]
-        engine, log = run_with_faults(requests, events, max_recoveries=2)
+        engine, log = run_with_faults(requests, events)
         summary = engine.summarize()
-        assert outcomes(log).count("recovered") == 2
+        assert outcomes(log).count("recovered") == MAX_RECOVERIES_PER_REQUEST
         assert outcomes(log).count("failed") == 1
         assert summary.requests_failed == 1
 
@@ -122,7 +120,7 @@ class TestClusterReport:
             LLAMA2_13B,
             num_engines=2,
             max_batch_size=4,
-            kv_recovery=KVRecoveryConfig(enabled=mitigated),
+            kv_recovery=mitigated,
         )
         schedule = FaultSchedule(
             events=tuple(events),

@@ -123,10 +123,9 @@ class TestEngine:
     def test_impossible_request_fails_loud(self):
         sim = Simulator()
         acc = tensor_parallel_group(H100_80G, 2)
-        engine = InferenceEngine(
-            sim, acc, LLAMA2_13B, kv_capacity_bytes=64 * MiB, max_batch_size=4
-        )
-        engine.submit(InferenceRequest(0.0, 4000, 5))
+        engine = InferenceEngine(sim, acc, LLAMA2_13B, max_batch_size=4)
+        # The default pool holds about 178k tokens of LLAMA2_13B KV.
+        engine.submit(InferenceRequest(0.0, 200_000, 5))
         engine.drain()
         with pytest.raises(RuntimeError, match="cannot ever be admitted"):
             sim.run()
@@ -152,8 +151,7 @@ class TestEngine:
     def test_no_kv_room_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError, match="no KV capacity"):
-            InferenceEngine(sim, H100_80G, LLAMA2_70B, max_batch_size=4,
-                            kv_capacity_bytes=None)
+            InferenceEngine(sim, H100_80G, LLAMA2_70B, max_batch_size=4)
             # 70B weights (130 GiB) exceed one H100's 80 GiB
 
 

@@ -37,7 +37,7 @@ from repro.inference import cluster as cluster_module
 from repro.inference.accelerator import H100_80G
 from repro.inference.batching import RunningContext
 from repro.inference.cluster import Cluster, tensor_parallel_group
-from repro.inference.engine import InferenceEngine, KVRecoveryConfig, _accumulate
+from repro.inference.engine import InferenceEngine, _accumulate
 from repro.inference.resilience import ResiliencePolicy, ResilientDispatcher
 from repro.obs import MetricsRegistry
 from repro.sim import Simulator, Timeout
@@ -266,7 +266,7 @@ def _serve(engine_cls, scenario, extra_times=(), probe_times=()):
             num_engines=scenario["engines"],
             placement=placement,
             max_batch_size=scenario["batch"],
-            kv_recovery=KVRecoveryConfig(enabled=scenario["recovery"]),
+            kv_recovery=scenario["recovery"],
             resilience=scenario["resilience"],
             obs=obs,
         )

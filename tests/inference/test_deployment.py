@@ -15,7 +15,7 @@ def swap_model() -> ModelSwapModel:
 
 @pytest.fixture
 def tiers():
-    return [hbm_tier(320 * GiB), mrm_tier(512 * GiB, retention_s=6 * HOUR)]
+    return [hbm_tier(320 * GiB), mrm_tier(512 * GiB)]
 
 
 class TestSwapCost:

@@ -13,7 +13,6 @@ import pytest
 
 from repro.inference.accelerator import H100_80G
 from repro.inference.cluster import Cluster, tensor_parallel_group
-from repro.inference.engine import KVRecoveryConfig
 from repro.inference.resilience import ResiliencePolicy
 from repro.sim import Simulator
 from repro.workload.model import LLAMA2_13B
@@ -27,7 +26,6 @@ def make_cluster(sim, policy, num_engines=2, max_batch_size=4):
         LLAMA2_13B,
         num_engines=num_engines,
         max_batch_size=max_batch_size,
-        kv_recovery=KVRecoveryConfig(enabled=True),
         resilience=policy,
     )
 

@@ -40,7 +40,6 @@ from repro.fleet.arrivals import generate_fleet_traces, merge_arrivals
 from repro.fleet.tenant import DEFAULT_TENANTS
 from repro.inference.accelerator import H100_80G
 from repro.inference.cluster import Cluster, tensor_parallel_group
-from repro.inference.engine import KVRecoveryConfig
 from repro.inference.resilience import ResiliencePolicy
 from repro.sim import Simulator
 from repro.sim.events import EventQueue
@@ -59,7 +58,6 @@ def make_cluster(sim, num_engines=3, resilience=None):
         LLAMA2_13B,
         num_engines=num_engines,
         max_batch_size=4,
-        kv_recovery=KVRecoveryConfig(enabled=True),
         resilience=resilience,
     )
 

@@ -34,7 +34,7 @@ class TestHousekeepingComparison:
         duration = HOUR
         dram = DRAMDevice(capacity_bytes=16 * GiB)
         mrm = MRMDevice(
-            MRMConfig(capacity_bytes=16 * GiB, reference=RRAM_POTENTIAL)
+            MRMConfig(capacity_bytes=16 * GiB)
         )
         dram_refresh = dram.accrue_refresh_energy(duration)
         mrm_refresh = mrm.accrue_refresh_energy(duration)

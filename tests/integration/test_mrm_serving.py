@@ -12,7 +12,6 @@ import pytest
 
 from repro.core.controller import MRMController
 from repro.core.mrm import MRMConfig, MRMDevice
-from repro.devices.catalog import RRAM_POTENTIAL
 from repro.units import GiB, MiB
 from repro.workload.model import LLAMA2_13B
 from repro.workload.traces import generate_trace, replay_trace
@@ -24,7 +23,6 @@ def setup():
         capacity_bytes=8 * GiB,
         block_bytes=8 * MiB,
         blocks_per_zone=16,
-        reference=RRAM_POTENTIAL,
         min_retention_s=1.0,
     )
     device = MRMDevice(config)

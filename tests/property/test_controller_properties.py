@@ -9,7 +9,7 @@ from repro.core.mrm import MRMConfig, MRMDevice
 from repro.core.placement import kv_cache_object
 from repro.core.zones import BlockState
 from repro.tiering.scheduler import TierManager
-from repro.tiering.tiers import hbm_tier, lpddr_tier, mrm_tier
+from repro.tiering.tiers import MRM_TIER_RETENTION_S, hbm_tier, lpddr_tier, mrm_tier
 from repro.units import GiB, MiB
 
 
@@ -88,8 +88,7 @@ class TestTierManagerConservation:
     @settings(max_examples=30, deadline=None)
     def test_bytes_conserved(self, ops):
         manager = TierManager(
-            [hbm_tier(64 * GiB), mrm_tier(64 * GiB, retention_s=3600.0),
-             lpddr_tier(64 * GiB)]
+            [hbm_tier(64 * GiB), mrm_tier(64 * GiB), lpddr_tier(64 * GiB)]
         )
         now = 0.0
         resident = []
@@ -110,7 +109,9 @@ class TestTierManagerConservation:
                 except KeyError:
                     pass  # already dropped by a deadline tick
             else:
-                now += amount * 1800.0
+                # Half a retention period per step: deadlines fall
+                # between ticks.
+                now += amount * MRM_TIER_RETENTION_S / 2
                 manager.tick(now=now)
             # Conservation: used bytes equal the sum of reported
             # resident objects; nothing negative; nothing over capacity.

@@ -4,16 +4,17 @@ import pytest
 
 from repro.core.placement import kv_cache_object, weights_object
 from repro.tiering.scheduler import TierManager
-from repro.tiering.tiers import hbm_tier, lpddr_tier, mrm_tier
-from repro.units import DAY, GiB, HOUR
+from repro.tiering.tiers import (
+    MRM_TIER_RETENTION_S as RETENTION,
+    hbm_tier,
+    lpddr_tier,
+    mrm_tier,
+)
+from repro.units import DAY, GiB
 
 
 def tiers():
-    return [
-        hbm_tier(192 * GiB),
-        mrm_tier(512 * GiB, retention_s=HOUR),
-        lpddr_tier(512 * GiB),
-    ]
+    return [hbm_tier(192 * GiB), mrm_tier(512 * GiB), lpddr_tier(512 * GiB)]
 
 
 def objects():
@@ -51,7 +52,7 @@ class TestTierManager:
             10 * GiB, 1e11, 1e6, context_lifetime_s=60.0, name="short"
         )
         manager.admit(obj, "mrm", now=0.0)
-        actions = manager.tick(now=2 * HOUR)  # deadline at 1h, needed 60s
+        actions = manager.tick(now=2 * RETENTION)  # needed for 60 s only
         assert actions["dropped"] == 1
         assert manager.resident_count() == 0
         assert manager.used_bytes("mrm") == 0
@@ -59,10 +60,10 @@ class TestTierManager:
     def test_needed_data_refreshes(self):
         manager = TierManager(tiers())
         obj = kv_cache_object(
-            10 * GiB, 1e11, 1e6, context_lifetime_s=90 * 60.0, name="live"
+            10 * GiB, 1e11, 1e6, context_lifetime_s=1.5 * RETENTION, name="live"
         )
         manager.admit(obj, "mrm", now=0.0)
-        actions = manager.tick(now=HOUR + 1.0)
+        actions = manager.tick(now=RETENTION + 1.0)
         assert actions["refreshed"] == 1
         assert manager.stats.refresh_energy_j > 0
         assert manager.tier_of(obj) == "mrm"
@@ -76,7 +77,7 @@ class TestTierManager:
             10 * GiB, 1e3, 1e2, context_lifetime_s=30 * DAY, name="cold"
         )
         manager.admit(obj, "mrm", now=0.0)
-        actions = manager.tick(now=HOUR + 1.0)
+        actions = manager.tick(now=RETENTION + 1.0)
         assert actions["migrated"] == 1
         assert manager.tier_of(obj) == "lpddr"
         assert manager.stats.migration_energy_j > 0
@@ -84,11 +85,11 @@ class TestTierManager:
     def test_touch_extends_horizon(self):
         manager = TierManager(tiers())
         obj = kv_cache_object(
-            10 * GiB, 1e11, 1e6, context_lifetime_s=50 * 60.0, name="kv"
+            10 * GiB, 1e11, 1e6, context_lifetime_s=0.8 * RETENTION, name="kv"
         )
         manager.admit(obj, "mrm", now=0.0)
-        manager.touch(obj, now=45 * 60.0)  # still in use at 45 min
-        actions = manager.tick(now=HOUR + 1.0)
+        manager.touch(obj, now=0.75 * RETENTION)  # still in use
+        actions = manager.tick(now=RETENTION + 1.0)
         # The touch keeps the data alive: it gets refreshed or migrated
         # (whichever is cheaper), never dropped.
         assert actions["dropped"] == 0
@@ -112,12 +113,12 @@ class TestTierManager:
 
     def test_no_demotion_tier_always_refreshes(self):
         manager = TierManager(
-            [hbm_tier(192 * GiB), mrm_tier(512 * GiB, retention_s=HOUR)]
+            [hbm_tier(192 * GiB), mrm_tier(512 * GiB)]
         )
         obj = kv_cache_object(
             10 * GiB, 1e11, 1e6, context_lifetime_s=30 * DAY, name="cold"
         )
         manager.admit(obj, "mrm", now=0.0)
-        actions = manager.tick(now=HOUR + 1.0)
+        actions = manager.tick(now=RETENTION + 1.0)
         assert actions["refreshed"] == 1
         assert actions["migrated"] == 0

@@ -9,19 +9,20 @@ legacy ``stats`` dataclass at every step.
 from repro.core.placement import kv_cache_object
 from repro.obs import MetricsRegistry
 from repro.tiering.scheduler import TierManager
-from repro.tiering.tiers import hbm_tier, lpddr_tier, mrm_tier
-from repro.units import GiB, HOUR
+from repro.tiering.tiers import (
+    MRM_TIER_RETENTION_S as RETENTION,
+    hbm_tier,
+    lpddr_tier,
+    mrm_tier,
+)
+from repro.units import GiB
 
 
 def tiers():
-    return [
-        hbm_tier(192 * GiB),
-        mrm_tier(512 * GiB, retention_s=HOUR),
-        lpddr_tier(512 * GiB),
-    ]
+    return [hbm_tier(192 * GiB), mrm_tier(512 * GiB), lpddr_tier(512 * GiB)]
 
 
-def kv_object(size=20 * GiB, lifetime_s=4 * HOUR, reads=5e11, name="kv"):
+def kv_object(size=20 * GiB, lifetime_s=4 * RETENTION, reads=5e11, name="kv"):
     return kv_cache_object(
         size, read_bytes_per_s=reads, append_bytes_per_s=3e6,
         context_lifetime_s=lifetime_s, name=name,
@@ -61,9 +62,9 @@ class TestDeadlineMetrics:
         manager = TierManager(tiers(), obs=reg)
         # High read rate: migrating to LPDDR would cost more per future
         # read than refreshing in place, so the manager refreshes.
-        obj = kv_object(lifetime_s=10 * HOUR, reads=5e11)
+        obj = kv_object(lifetime_s=10 * RETENTION, reads=5e11)
         manager.admit(obj, "mrm", now=0.0)
-        actions = manager.tick(2 * HOUR)
+        actions = manager.tick(2 * RETENTION)
         assert actions["refreshed"] >= 1
         counters = reg.snapshot()["counters"]
         assert counters["tier.refreshes_total"] == manager.stats.refreshed
@@ -78,9 +79,9 @@ class TestDeadlineMetrics:
         reg = MetricsRegistry()
         manager = TierManager(tiers(), obs=reg)
         # Cold (no reads) but still needed: one move beats refreshing.
-        obj = kv_object(lifetime_s=100 * HOUR, reads=0.0)
+        obj = kv_object(lifetime_s=100 * RETENTION, reads=0.0)
         manager.admit(obj, "mrm", now=0.0)
-        manager.tick(2 * HOUR)
+        manager.tick(2 * RETENTION)
         assert manager.tier_of(obj) == "lpddr"
         counters = reg.snapshot()["counters"]
         assert counters["tier.migrations_total"] == 1.0
@@ -98,9 +99,9 @@ class TestDeadlineMetrics:
     def test_expired_unneeded_data_dropped(self):
         reg = MetricsRegistry()
         manager = TierManager(tiers(), obs=reg)
-        obj = kv_object(lifetime_s=0.5 * HOUR)
+        obj = kv_object(lifetime_s=0.5 * RETENTION)
         manager.admit(obj, "mrm", now=0.0)
-        manager.tick(2 * HOUR)
+        manager.tick(2 * RETENTION)
         counters = reg.snapshot()["counters"]
         assert counters["tier.objects_dropped_total"] == 1.0
         assert counters["tier.bytes_dropped_total"] == obj.size_bytes
@@ -109,13 +110,13 @@ class TestDeadlineMetrics:
     def test_metrics_mirror_stats_through_mixed_scenario(self):
         reg = MetricsRegistry()
         manager = TierManager(tiers(), obs=reg)
-        manager.admit(kv_object(lifetime_s=10 * HOUR, name="hot"), "mrm", 0.0)
+        manager.admit(kv_object(lifetime_s=10 * RETENTION, name="hot"), "mrm", 0.0)
         manager.admit(
-            kv_object(lifetime_s=100 * HOUR, reads=0.0, name="cold"),
+            kv_object(lifetime_s=100 * RETENTION, reads=0.0, name="cold"),
             "mrm", 0.0,
         )
-        manager.admit(kv_object(lifetime_s=0.5 * HOUR, name="done"), "mrm", 0.0)
-        manager.tick(2 * HOUR)
+        manager.admit(kv_object(lifetime_s=0.5 * RETENTION, name="done"), "mrm", 0.0)
+        manager.tick(2 * RETENTION)
         counters = reg.snapshot()["counters"]
         stats = manager.stats
         assert counters["tier.objects_admitted_total"] == stats.admitted == 3

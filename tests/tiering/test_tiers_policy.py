@@ -16,14 +16,19 @@ from repro.tiering.policy import (
     Placement,
     PlacementError,
 )
-from repro.tiering.tiers import flash_tier, hbm_tier, lpddr_tier, mrm_tier
+from repro.tiering.tiers import (
+    MRM_TIER_RETENTION_S,
+    flash_tier,
+    hbm_tier,
+    lpddr_tier,
+    mrm_tier,
+)
 from repro.units import DAY, GiB, HOUR
 
 
 def workload_objects(model_bytes=100 * GiB, kv_count=4):
     objects = [
-        weights_object(model_bytes, read_bytes_per_s=4e12,
-                       redeploy_interval_s=7 * DAY, name="weights"),
+        weights_object(model_bytes, read_bytes_per_s=4e12, name="weights"),
         activations_object(2 * GiB, bandwidth_bytes_per_s=1e12,
                            name="activations"),
     ]
@@ -40,7 +45,7 @@ def workload_objects(model_bytes=100 * GiB, kv_count=4):
 def standard_tiers():
     return [
         hbm_tier(192 * GiB),
-        mrm_tier(512 * GiB, retention_s=6 * HOUR),
+        mrm_tier(512 * GiB),
         lpddr_tier(512 * GiB),
     ]
 
@@ -54,15 +59,15 @@ class TestTierBuilders:
         assert not tier.supports_managed_retention
 
     def test_mrm_tier_derived_from_retention_model(self):
-        tier = mrm_tier(512 * GiB, retention_s=6 * HOUR)
+        tier = mrm_tier(512 * GiB)
         assert tier.supports_managed_retention
-        assert tier.profile.retention_s == 6 * HOUR
+        assert tier.profile.retention_s == MRM_TIER_RETENTION_S == 6 * HOUR
         assert tier.refresh_power_w() == 0.0
 
     def test_mrm_cheaper_per_gib_than_hbm(self):
         hbm = hbm_tier(192 * GiB)
         mrm = mrm_tier(192 * GiB)
-        assert mrm.cost_per_gib < hbm.cost_per_gib
+        assert mrm.cost_usd < hbm.cost_usd
 
     def test_lpddr_and_flash(self):
         assert lpddr_tier(512 * GiB).profile.volatile
@@ -188,4 +193,6 @@ class TestPlacementEconomics:
         all_hbm = AllHBMPolicy().place(
             objects, [hbm_tier(704 * GiB)]
         )
-        assert hybrid.hardware_cost_usd() < all_hbm.hardware_cost_usd()
+        assert sum(t.cost_usd for t in hybrid.tiers) < sum(
+            t.cost_usd for t in all_hbm.tiers
+        )

@@ -9,7 +9,9 @@ child process of its own:
 - the benchmark suite (tiny grids, no ``-x``; ``BENCH_sim.json`` is put
   back as it was);
 - each CLI subcommand, with ``--metrics``/``--trace-out`` outputs and
-  the ``obs`` inspectors over them, and ``python -m repro.lint``;
+  the ``obs`` inspectors over them, every flag of ``fig1``,
+  ``tradeoff``, ``characterize``, ``trace``, ``faults`` and
+  ``obs spans``, and ``python -m repro.lint``;
 - the examples;
 - the three perfbench workloads with ``--tiny --trace 1 --seconds 0``.
 
@@ -23,6 +25,11 @@ tier-1 does) or *never*.  The script prints the three counts for the
 functions outside ``lint/`` (every rule runs on every lint, so a call
 trace cannot judge the linter) and lists the tests-only and never
 functions by module.
+
+:data:`KEEP` names the functions outside ``lint/`` that are tests-only
+or never called on purpose, each with its reason.  The script exits 1
+when such a function is missing from it, or when an entry of it names a
+function that is gone or that the system now reaches.
 
 Forked sweep workers are not traced.  Every entry point runs serial
 except one 2-worker fleet run, and the serial path calls the functions
@@ -56,6 +63,187 @@ Key = Tuple[str, int, str]
 #: The tier-1 suite, as ``pyproject.toml``'s ``testpaths`` selects it.
 TESTS = ["-m", "pytest", "-q", "-p", "no:cacheprovider"]
 
+_REFERENCE = "a reference the tests compare the system's path against"
+_LADDER = "a fault-ladder step that other seeds and fault rates reach"
+_QUEUE = "the event-queue contract the kernel tests pin"
+_REPR = "debug repr"
+_TESTED = "tier-1 tests exercise it; it goes only together with them"
+
+#: Functions outside ``lint/`` that are tests-only or never called on
+#: purpose, keyed on ``(module, qualified name)``, with the reason.
+KEEP: Dict[Tuple[str, str], str] = {
+    # References.
+    ("repro.workload.phases", "decode_step_traffic_batch"): _REFERENCE,
+    ("repro.fleet.arrivals", "diurnal_multiplier"): _REFERENCE,
+    ("repro.ecc.hamming", "HammingCodec.encode"): _REFERENCE,
+    ("repro.ecc.hamming", "HammingCodec.decode"): _REFERENCE,
+    ("repro.ecc.hamming", "HammingCodec._extract"): _REFERENCE,
+    ("repro.ecc.hamming", "HammingCodec.uncorrectable_probability"):
+        "the SEC-DED prediction the codec's simulated decodes check",
+    ("repro.core.retention", "RetentionModel.retention_at_temperature"):
+        "the forward model the temperature-derating property test "
+        "inverts required_retention_for_temperature against",
+    ("repro.core.mrm", "MRMDevice.damage_of"):
+        "read by the refresh scheduler's migrate check and by the "
+        "wear-conservation property test",
+    # The queue contract.
+    ("repro.sim.events", "EventQueue.pop"): _QUEUE,
+    ("repro.sim.events", "EventQueue.peek_time"): _QUEUE,
+    ("repro.sim.events", "EventQueue.__len__"): _QUEUE,
+    ("repro.sim.events", "EventQueue.__bool__"): _QUEUE,
+    ("repro.sim.events", "EventQueue._ensure_front"): _QUEUE,
+    ("repro.sim.kernel", "Simulator.pending_events"): _QUEUE,
+    # Error and fault-ladder paths.
+    ("repro.inference.resilience", "ResilientDispatcher._defer"): _LADDER,
+    ("repro.inference.resilience", "ResilientDispatcher._redispatch_if"):
+        _LADDER,
+    ("repro.inference.resilience", "ResilientDispatcher._cancel_arms"):
+        _LADDER,
+    ("repro.inference.resilience", "ResilientDispatcher._retry_or_fail"):
+        _LADDER,
+    ("repro.faults.injector", "ControllerFaultInjector._apply_bank_failure"):
+        _LADDER,
+    ("repro.faults.injector",
+     "ControllerFaultInjector._apply_device_failure"): _LADDER,
+    ("repro.core.mrm", "MRMDevice.fail_bank"): _LADDER,
+    ("repro.core.mrm", "MRMDevice.fail_device"): _LADDER,
+    ("repro.core.controller", "MRMController.handle_bank_failure"): _LADDER,
+    ("repro.core.controller", "MRMController._remap_zone"): _LADDER,
+    ("repro.devices.base", "BankFailure.__init__"): _LADDER,
+    ("repro.devices.base", "DeviceFailure.__init__"): _LADDER,
+    ("repro.sim.process", "SimProcessError.__init__"):
+        "raised when a simulation process fails",
+    ("repro.inference.analytic", "_empty_report"):
+        "the analytic report of an empty request list",
+    # Vocabulary and interfaces.
+    ("repro.sim.process", "Wait.__init__"):
+        "the kernel's join command, which RL007 also knows",
+    ("repro.sim.process", "Process.done"):
+        "the completion event a Wait joins on",
+    ("repro.obs.tracing", "Tracer.span"):
+        "the scoped-span API that decision receipts build on",
+    ("repro.obs.tracing", "Tracer.instant"):
+        "the point-event API that decision receipts build on",
+    ("repro.obs.tracing", "_SpanScope.__init__"): "Tracer.span's scope",
+    ("repro.obs.tracing", "_SpanScope.__enter__"): "Tracer.span's scope",
+    ("repro.obs.tracing", "_SpanScope.__exit__"): "Tracer.span's scope",
+    ("repro.core.dcm", "DCMPolicy.retention_for"):
+        "the method the three DCM policies implement",
+    ("repro.tiering.policy", "PlacementPolicy.place"):
+        "the method the four placement policies implement",
+    ("repro.workload.traces", "read_trace"):
+        "reads the file `repro trace --out` writes",
+    # Tested API that no system path calls; each goes only together
+    # with the tier-1 tests that exercise it (ROADMAP item 8).
+    ("repro.core.controller", "MRMController.delete"): _TESTED,
+    ("repro.core.controller", "MRMController.free_zones"): _TESTED,
+    ("repro.core.errors", "RetentionErrorModel.spec_retention"): _TESTED,
+    ("repro.core.errors", "RetentionErrorModel.age_for_rber"): _TESTED,
+    ("repro.core.errors", "RetentionErrorModel.expected_bit_errors"): _TESTED,
+    ("repro.core.mrm", "MRMDevice.max_damage"): _TESTED,
+    ("repro.core.mrm", "MRMDevice.mean_damage"): _TESTED,
+    ("repro.core.mrm", "MRMDevice.remaining_lifetime_fraction"): _TESTED,
+    ("repro.core.mrm", "MRMDevice.accrue_refresh_energy"): _TESTED,
+    ("repro.core.placement", "DataObject.needs_persistence"): _TESTED,
+    ("repro.core.refresh", "RefreshScheduler.pending"): _TESTED,
+    ("repro.core.replication", "ReplicaPair.covers_all_subblocks"): _TESTED,
+    ("repro.core.replication", "ReplicationManager.dead_slots"): _TESTED,
+    ("repro.core.replication",
+     "ReplicationManager.write_amplification"): _TESTED,
+    ("repro.core.replication",
+     "ReplicationManager.pairing_success_rate"): _TESTED,
+    ("repro.core.wear", "WearLeveler.damage_imbalance"): _TESTED,
+    ("repro.core.wear", "WearLeveler.projected_lifetime_writes"): _TESTED,
+    ("repro.core.zones", "Block.deadline"): _TESTED,
+    ("repro.core.zones", "Block.expired"): _TESTED,
+    ("repro.core.zones", "Block.remaining"): _TESTED,
+    ("repro.core.zones", "Zone.written_bytes"): _TESTED,
+    ("repro.core.zones", "ZonedAddressSpace.open_zones"): _TESTED,
+    ("repro.core.zones", "ZonedAddressSpace.expired_blocks"): _TESTED,
+    ("repro.devices.base", "TechnologyProfile.non_volatile"): _TESTED,
+    ("repro.devices.base",
+     "TechnologyProfile.read_energy_pj_per_bit"): _TESTED,
+    ("repro.devices.base",
+     "TechnologyProfile.write_energy_pj_per_bit"): _TESTED,
+    ("repro.devices.base", "EnduranceExceeded.__init__"): _TESTED,
+    ("repro.devices.base", "MemoryDevice.num_wear_blocks"): _TESTED,
+    ("repro.devices.base", "MemoryDevice.wear_of"): _TESTED,
+    ("repro.devices.base", "MemoryDevice.worn_blocks"): _TESTED,
+    ("repro.devices.base", "MemoryDevice.max_wear"): _TESTED,
+    ("repro.devices.base", "MemoryDevice.mean_wear"): _TESTED,
+    ("repro.devices.base", "MemoryDevice.wear_imbalance"): _TESTED,
+    ("repro.devices.base",
+     "MemoryDevice.remaining_lifetime_fraction"): _TESTED,
+    ("repro.devices.base", "MemoryDevice.accrue_static_energy"): _TESTED,
+    ("repro.devices.base", "MemoryDevice.accrue_refresh_energy"): _TESTED,
+    ("repro.devices.catalog", "all_profiles"): _TESTED,
+    ("repro.devices.dram", "DRAMDevice.refresh_bandwidth_tax"): _TESTED,
+    ("repro.devices.dram", "DRAMDevice.refresh_power_w"): _TESTED,
+    ("repro.devices.flash", "FlashTranslationLayer.trim"): _TESTED,
+    ("repro.devices.flash", "FlashTranslationLayer.is_mapped"): _TESTED,
+    ("repro.devices.flash",
+     "FlashTranslationLayer.write_amplification"): _TESTED,
+    ("repro.devices.flash", "FlashTranslationLayer.max_erase_count"): _TESTED,
+    ("repro.devices.flash", "FlashTranslationLayer.mean_erase_count"): _TESTED,
+    ("repro.devices.flash", "FlashDevice.read"): _TESTED,
+    ("repro.devices.flash", "FlashDevice.trim"): _TESTED,
+    ("repro.devices.flash", "FlashDevice.write_amplification"): _TESTED,
+    ("repro.devices.flash", "FlashDevice.lifetime_host_writes_bytes"): _TESTED,
+    ("repro.devices.hbm", "HBMStack.heat_flux_w_per_cm2"): _TESTED,
+    ("repro.ecc.bch", "BCHCode.rate"): _TESTED,
+    ("repro.ecc.bch", "BCHCode.uncorrectable_bit_error_rate"): _TESTED,
+    ("repro.ecc.blockcodes", "required_correction_capability"): _TESTED,
+    ("repro.ecc.policy", "DecodeTally.record"): _TESTED,
+    ("repro.ecc.policy", "DecodeTally.reads"): _TESTED,
+    ("repro.ecc.policy", "DecodeTally.uncorrectable"): _TESTED,
+    ("repro.ecc.policy", "DecodeTally.silent_corruption_fraction"): _TESTED,
+    ("repro.ecc.policy", "RetentionAwareECC.decode_read"): _TESTED,
+    ("repro.ecc.policy",
+     "RetentionAwareECC.refresh_deadline_for_code"): _TESTED,
+    ("repro.ecc.policy",
+     "RetentionAwareECC.refresh_deadline_for_code.<locals>.fails"): _TESTED,
+    ("repro.endurance.lifetime", "sustainable_write_rate"): _TESTED,
+    ("repro.endurance.lifetime", "drive_writes_per_day"): _TESTED,
+    ("repro.obs.registry", "ObsGauge.add"): _TESTED,
+    ("repro.obs.registry", "MetricsRegistry.__contains__"): _TESTED,
+    ("repro.obs.registry", "MetricsRegistry.__len__"): _TESTED,
+    ("repro.obs.registry", "MetricsRegistry.names"): _TESTED,
+    ("repro.obs.registry", "NullRegistry.__contains__"): _TESTED,
+    ("repro.obs.registry", "NullRegistry.__len__"): _TESTED,
+    ("repro.obs.registry", "NullRegistry.names"): _TESTED,
+    ("repro.obs.registry", "NullRegistry.snapshot"): _TESTED,
+    ("repro.obs.tracing", "Span.open"): _TESTED,
+    ("repro.obs.tracing", "Span.duration_s"): _TESTED,
+    ("repro.obs.tracing", "Tracer.now"): _TESTED,
+    ("repro.obs.tracing", "Tracer.finish"): _TESTED,
+    ("repro.obs.tracing", "Tracer.__len__"): _TESTED,
+    ("repro.obs.tracing", "_NullScope.__enter__"): _TESTED,
+    ("repro.obs.tracing", "_NullScope.__exit__"): _TESTED,
+    ("repro.obs.tracing", "NullTracer.set_clock"): _TESTED,
+    ("repro.obs.tracing", "NullTracer.now"): _TESTED,
+    ("repro.obs.tracing", "NullTracer.begin"): _TESTED,
+    ("repro.obs.tracing", "NullTracer.end"): _TESTED,
+    ("repro.obs.tracing", "NullTracer.span"): _TESTED,
+    ("repro.obs.tracing", "NullTracer.instant"): _TESTED,
+    ("repro.obs.tracing", "NullTracer.finish"): _TESTED,
+    ("repro.obs.tracing", "NullTracer.__len__"): _TESTED,
+    ("repro.tiering.policy", "Placement.tier_of"): _TESTED,
+    ("repro.tiering.scheduler", "TierManager.used_bytes"): _TESTED,
+    ("repro.tiering.scheduler", "TierManager.remove"): _TESTED,
+    ("repro.tiering.scheduler", "TierManager.tier_of"): _TESTED,
+    ("repro.tiering.tiers", "flash_tier"): _TESTED,
+    ("repro.units", "j_per_byte_to_pj_per_bit"): _TESTED,
+    # Debug identity.
+    ("repro.sim.events", "Event.name"): "the identity __repr__ prints",
+    ("repro.sim.events", "Event.__repr__"): _REPR,
+    ("repro.sim.process", "Timeout.__repr__"): _REPR,
+    ("repro.sim.process", "WakeAt.__repr__"): _REPR,
+    ("repro.sim.process", "Process.__repr__"): _REPR,
+    ("repro.devices.base", "MemoryDevice.__repr__"): _REPR,
+    ("repro.obs.registry", "ObsCounter.__repr__"): _REPR,
+    ("repro.obs.registry", "ObsGauge.__repr__"): _REPR,
+}
+
 
 def _repro(*args: str) -> List[str]:
     return ["-m", "repro", *args]
@@ -69,8 +257,13 @@ def system_runs(work: str) -> List[Tuple[str, List[str]]]:
         ("bench suite", ["-m", "pytest", "benchmarks", "-q",
                          "-p", "no:cacheprovider", "--benchmark-disable"]),
         ("fig1", _repro("fig1")),
+        ("fig1 --years", _repro("fig1", "--years", "10")),
         ("tradeoff", _repro("tradeoff")),
+        ("tradeoff --reference", _repro("tradeoff", "--reference",
+                                        "pcm-optane")),
         ("characterize", _repro("characterize")),
+        ("characterize --requests --seed", _repro(
+            "characterize", "--requests", "4", "--seed", "3")),
         ("provisioning", _repro("provisioning")),
         ("serve", _repro("serve", "--duration", "20", "--engines", "2",
                          "--metrics", out("serve.json"),
@@ -84,12 +277,17 @@ def system_runs(work: str) -> List[Tuple[str, List[str]]]:
         ("obs top gauges", _repro("obs", "top", out("serve.json"),
                                   "--section", "gauges")),
         ("obs spans", _repro("obs", "spans", out("serve.jsonl"))),
+        ("obs spans --limit", _repro("obs", "spans", out("serve.jsonl"),
+                                     "--limit", "5")),
         ("obs diff", _repro("obs", "diff", out("serve.json"),
                             out("serve.json"))),
         ("sensitivity", _repro("sensitivity")),
         ("claims", _repro("claims")),
         ("trace", _repro("trace", "--out", out("trace.jsonl"),
-                         "--profile", "code", "--duration", "20")),
+                         "--duration", "20")),
+        ("trace code", _repro("trace", "--out", out("trace-code.jsonl"),
+                              "--profile", "code", "--duration", "20",
+                              "--seed", "4")),
         ("fleet e13", _repro("fleet", "--experiment", "e13", "--tiny",
                              "--workers", "2",
                              "--metrics", out("fleet.json"))),
@@ -110,6 +308,11 @@ def system_runs(work: str) -> List[Tuple[str, List[str]]]:
             "faults", "--family", family, "--tiny",
             "--metrics", out(f"faults-{family}.json"),
         )))
+    runs.append(("faults --param", _repro(
+        "faults", "--family", "chaos", "--tiny", "--seed", "5",
+        "--param", "num_requests=12", "--param", "horizon_s=10",
+        "--param", "arrival_period_s=0.5", "--workers", "1",
+    )))
     examples = os.path.join(ROOT, "examples")
     for name in sorted(os.listdir(examples)):
         if name.endswith(".py"):
@@ -188,23 +391,35 @@ def _traced(
 # ----------------------------------------------------------------------
 # Parent: every function, then the three classes
 # ----------------------------------------------------------------------
-def defined_functions() -> Dict[Key, int]:
+def defined_functions() -> Dict[Key, Tuple[str, int]]:
     """Every ``def`` under ``src/repro``, keyed as the tracer keys it,
-    with its length in lines."""
-    keys: Dict[Key, int] = {}
+    with its qualified name (as ``__qualname__`` spells it) and its
+    length in lines."""
+    keys: Dict[Key, Tuple[str, int]] = {}
+
+    def visit(node: ast.AST, path: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min(
+                    [child.lineno] + [d.lineno for d in child.decorator_list]
+                )
+                qualname = prefix + child.name
+                keys[(path, first, child.name)] = (
+                    qualname, child.end_lineno - first + 1
+                )
+                visit(child, path, f"{qualname}.<locals>.")
+            else:
+                visit(child, path, prefix)
+
     for directory, _dirs, files in os.walk(PACKAGE):
         for name in files:
             if not name.endswith(".py"):
                 continue
             path = os.path.join(directory, name)
             with open(path) as fh:
-                tree = ast.parse(fh.read(), path)
-            for node in ast.walk(tree):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    first = min(
-                        [node.lineno] + [d.lineno for d in node.decorator_list]
-                    )
-                    keys[(path, first, node.name)] = node.end_lineno - first + 1
+                visit(ast.parse(fh.read(), path), path, "")
     return keys
 
 
@@ -231,7 +446,7 @@ def main(argv: Sequence[str] = None) -> int:
             with open(BENCH_RECORD, "wb") as fh:
                 fh.write(bench_record)
     functions = {
-        key: lines for key, lines in defined_functions().items()
+        key: info for key, info in defined_functions().items()
         if not key[0].startswith(LINT)
     }
     reached = {key for key in functions if key in system}
@@ -241,18 +456,37 @@ def main(argv: Sequence[str] = None) -> int:
           f"{len(reached)} system / {len(tests_only)} tests-only / "
           f"{len(never)} never")
     print(f"tests-only functions span "
-          f"{sum(functions[key] for key in tests_only)} lines")
+          f"{sum(functions[key][1] for key in tests_only)} lines")
+    unkept: List[str] = []
     for title, group in (("tests-only", tests_only), ("never", never)):
         by_module: Dict[str, List[Key]] = defaultdict(list)
         for key in group:
             by_module[_module(key[0])].append(key)
         print(f"\n{title}:")
         for module in sorted(by_module):
-            names = ", ".join(
-                f"{name}:{line}" for _path, line, name in sorted(by_module[module])
-            )
-            print(f"  {module}: {names}")
-    return 0
+            names = []
+            for key in sorted(by_module[module]):
+                qualname = functions[key][0]
+                names.append(f"{qualname}:{key[1]}")
+                if (module, qualname) not in KEEP:
+                    unkept.append(f"{module}:{qualname} ({title})")
+            print(f"  {module}: {', '.join(names)}")
+    unreached = {
+        (_module(key[0]), functions[key][0]) for key in tests_only | never
+    }
+    defined = {(_module(key[0]), info[0]) for key, info in functions.items()}
+    stale = [
+        f"{module}:{qualname} "
+        f"({'system' if (module, qualname) in defined else 'gone'})"
+        for module, qualname in sorted(KEEP)
+        if (module, qualname) not in unreached
+    ]
+    for title, names in (("not in KEEP", unkept), ("stale KEEP entries", stale)):
+        if names:
+            print(f"\n{title}:")
+            for name in names:
+                print(f"  {name}")
+    return 1 if unkept or stale else 0
 
 
 if __name__ == "__main__":
