@@ -16,34 +16,22 @@ work.
 """
 
 from repro.analysis.figures import format_table
-from repro.core.retention import RetentionModel
-from repro.devices.catalog import RRAM_POTENTIAL
 from repro.energy.tco import tco_report
-from repro.inference.accelerator import H100_80G, MemoryTierSpec
+from repro.inference.accelerator import H100_80G
 from repro.inference.cluster import Cluster, tensor_parallel_group
 from repro.sim import Simulator
-from repro.tiering.tiers import hbm_tier, mrm_tier
-from repro.units import GiB, HOUR
+from repro.tiering.tiers import copackaged_mrm_tier, hbm_tier, mrm_tier
+from repro.units import GiB
 from repro.workload.model import LLAMA2_70B
 from repro.workload.traces import generate_trace, replay_trace
-
-
-def make_mrm_tier_spec(hbm_spec) -> MemoryTierSpec:
-    profile = RetentionModel(RRAM_POTENTIAL).profile_at(6 * HOUR)
-    return MemoryTierSpec(
-        name="mrm",
-        capacity_bytes=512 * GiB,
-        read_bandwidth=hbm_spec.read_bandwidth,  # co-packaged target
-        write_bandwidth=hbm_spec.read_bandwidth / 8,
-        profile=profile,
-    )
 
 
 def run_config(placement, with_mrm):
     sim = Simulator()
     acc = tensor_parallel_group(H100_80G, 4)
     if with_mrm:
-        acc = acc.with_tiers((acc.tier("hbm"), make_mrm_tier_spec(acc.tier("hbm"))))
+        hbm = acc.tier("hbm")
+        acc = acc.with_tiers((hbm, copackaged_mrm_tier(hbm, 512 * GiB)))
     cluster = Cluster(
         sim, acc, LLAMA2_70B, num_engines=1, placement=placement,
         max_batch_size=16,

@@ -17,7 +17,8 @@ from repro.core.retention import RetentionModel
 from repro.devices.catalog import RRAM_POTENTIAL
 from repro.devices.hbm import HBM_ROADMAP, HBMStack
 from repro.parallel import run_sweep
-from repro.units import GiB, HOUR
+from repro.tiering.tiers import MRM_TIER_RETENTION_S
+from repro.units import GiB
 from repro.workload.model import GPT_CLASS_500B
 
 _GENERATIONS = {generation.name: generation for generation in HBM_ROADMAP}
@@ -48,7 +49,7 @@ def run_density_wall():
     # Roadmap generations evaluated through repro.parallel (grid order).
     roadmap = run_sweep(e11_point, E11_GRID)
     mrm_density_gain = RetentionModel(RRAM_POTENTIAL).density_multiplier(
-        6 * HOUR
+        MRM_TIER_RETENTION_S
     )
     return roadmap, mrm_density_gain
 

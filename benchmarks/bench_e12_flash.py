@@ -13,26 +13,22 @@ stream on a 640 GB machine:
 """
 
 from repro.analysis.figures import format_table
-from repro.core.retention import RetentionModel
-from repro.devices.catalog import HBM3E, NAND_SLC, NAND_TLC, RRAM_POTENTIAL
+from repro.devices.catalog import HBM3E, NAND_SLC, NAND_TLC
 from repro.endurance.lifetime import device_lifetime_s
-from repro.endurance.requirements import SplitwiseCalibration
-from repro.units import HOUR, YEAR, seconds_to_human
+from repro.endurance.requirements import MACHINE_HBM_BYTES, MIXED_TOKENS_PER_S
+from repro.tiering.tiers import MRM_PROFILE
+from repro.units import YEAR, seconds_to_human
 from repro.workload.model import LLAMA2_70B
 from repro.workload.phases import decode_step_traffic
 
 
 def run_flash_analysis():
-    calib = SplitwiseCalibration()
-    kv_rate = calib.mixed_tokens_per_s * LLAMA2_70B.kv_bytes_per_token
-    capacity = calib.machine_hbm_bytes
-    mrm_profile = RetentionModel(RRAM_POTENTIAL).profile_at(
-        6 * HOUR, name="mrm@6h"
-    )
+    kv_rate = MIXED_TOKENS_PER_S * LLAMA2_70B.kv_bytes_per_token
+    capacity = MACHINE_HBM_BYTES
 
     lifetimes = [
         (profile.name, device_lifetime_s(profile, capacity, kv_rate))
-        for profile in (NAND_TLC, NAND_SLC, mrm_profile, HBM3E)
+        for profile in (NAND_TLC, NAND_SLC, MRM_PROFILE, HBM3E)
     ]
 
     traffic = decode_step_traffic(LLAMA2_70B, context_tokens=2048,
@@ -40,7 +36,7 @@ def run_flash_analysis():
     # Per-device sequential read time for one decode step's bytes
     # (device counts scaled to equal capacity).
     step_reads = []
-    for profile, units in ((NAND_SLC, 8), (HBM3E, 8), (mrm_profile, 8)):
+    for profile, units in ((NAND_SLC, 8), (HBM3E, 8), (MRM_PROFILE, 8)):
         bandwidth = profile.read_bandwidth * units
         step_reads.append(
             (profile.name, traffic.bytes_read / bandwidth,

@@ -10,14 +10,16 @@ classes, and asserts both claims.
 """
 
 from repro.analysis.figures import format_table
-from repro.endurance.requirements import SplitwiseCalibration
+from repro.endurance.requirements import (
+    MEDIAN_OUTPUT_TOKENS,
+    MEDIAN_PROMPT_TOKENS,
+)
 from repro.units import GiB
 from repro.workload.model import GPT_CLASS_500B, LLAMA2_13B, LLAMA2_70B
 
 
 def run_breakdown(batch_size=16):
-    calib = SplitwiseCalibration()
-    context = calib.median_prompt_tokens + calib.median_output_tokens
+    context = MEDIAN_PROMPT_TOKENS + MEDIAN_OUTPUT_TOKENS
     rows = []
     for model in (LLAMA2_13B, LLAMA2_70B, GPT_CLASS_500B):
         weights = model.weights_bytes

@@ -32,6 +32,9 @@ from repro.units import MiB
 from repro.workload.model import ModelConfig
 from repro.workload.requests import InferenceRequest
 
+#: Time one synthesized step (a prefill or a decode iteration) advances.
+STEP_TIME_S = 0.02
+
 
 class AccessType(enum.Enum):
     READ = "read"
@@ -104,7 +107,6 @@ def synthesize_access_stream(
     requests: Sequence[InferenceRequest],
     page_bytes: int = 8 * MiB,
     batch_size: int = 8,
-    step_time_s: float = 0.02,
     include_weight_reads: bool = True,
 ) -> Iterator[AccessRecord]:
     """Expand served requests into the access stream an MRM sees.
@@ -117,7 +119,7 @@ def synthesize_access_stream(
 
     ``page_bytes`` sets record granularity (the MRM block size).
     """
-    if page_bytes < 1 or batch_size < 1 or step_time_s <= 0:
+    if page_bytes < 1 or batch_size < 1:
         raise ValueError("bad stream parameters")
     weights_pages = max(1, model.weights_bytes // page_bytes)
     now = 0.0
@@ -141,7 +143,7 @@ def synthesize_access_stream(
                 yield from weights_scan(now)
             kv_bytes = model.kv_cache_bytes(request.prompt_tokens)
             yield from _kv_append(request, model, now, 0, kv_bytes, page_bytes)
-            now += step_time_s
+            now += STEP_TIME_S
         # Decode lockstep until the longest output finishes.
         max_output = max(r.output_tokens for r in batch)
         for step in range(max_output):
@@ -173,7 +175,7 @@ def synthesize_access_stream(
                     address=cache_bytes,
                     size=model.kv_bytes_per_token,
                 )
-            now += step_time_s
+            now += STEP_TIME_S
 
 
 def _kv_append(

@@ -71,11 +71,13 @@ def _check_weights_range() -> Tuple[bool, str]:
 
 
 def _check_capacity_majority() -> Tuple[bool, str]:
-    from repro.endurance.requirements import SplitwiseCalibration
+    from repro.endurance.requirements import (
+        MEDIAN_OUTPUT_TOKENS,
+        MEDIAN_PROMPT_TOKENS,
+    )
     from repro.workload.model import LLAMA2_70B
 
-    calib = SplitwiseCalibration()
-    context = calib.median_prompt_tokens + calib.median_output_tokens
+    context = MEDIAN_PROMPT_TOKENS + MEDIAN_OUTPUT_TOKENS
     weights = LLAMA2_70B.weights_bytes
     kv = 16 * LLAMA2_70B.kv_cache_bytes(context)
     act = LLAMA2_70B.activation_bytes(16)
@@ -137,12 +139,14 @@ def _check_retention_tradeoff() -> Tuple[bool, str]:
 def _check_flash_disqualified() -> Tuple[bool, str]:
     from repro.devices.catalog import NAND_SLC
     from repro.endurance.lifetime import device_lifetime_s
-    from repro.endurance.requirements import SplitwiseCalibration
+    from repro.endurance.requirements import (
+        MACHINE_HBM_BYTES,
+        MIXED_TOKENS_PER_S,
+    )
     from repro.workload.model import LLAMA2_70B
 
-    calib = SplitwiseCalibration()
-    rate = calib.mixed_tokens_per_s * LLAMA2_70B.kv_bytes_per_token
-    lifetime = device_lifetime_s(NAND_SLC, calib.machine_hbm_bytes, rate)
+    rate = MIXED_TOKENS_PER_S * LLAMA2_70B.kv_bytes_per_token
+    lifetime = device_lifetime_s(NAND_SLC, MACHINE_HBM_BYTES, rate)
     return lifetime < 5 * YEAR, f"SLC pool lifetime {lifetime / YEAR:.1f} y"
 
 

@@ -19,13 +19,15 @@ from typing import List, Mapping, Optional, Sequence
 def format_table(
     rows: Sequence[Sequence[object]],
     headers: Optional[Sequence[str]] = None,
-    float_format: str = "{:.3g}",
 ) -> str:
-    """Render rows as an aligned ASCII table."""
+    """Render rows as an aligned ASCII table.
+
+    Floats print to 3 significant digits.
+    """
 
     def cell(value: object) -> str:
         if isinstance(value, float):
-            return float_format.format(value)
+            return f"{value:.3g}"
         return str(value)
 
     text_rows = [[cell(v) for v in row] for row in rows]
@@ -48,36 +50,35 @@ def format_table(
     return "\n".join(lines)
 
 
-def log_bar(
-    value: float,
-    lo: float = 1.0,
-    hi: float = 1e17,
-    width: int = 50,
-    char: str = "#",
-) -> str:
-    """A log-scale bar: value 1e3..1e16 maps onto ``width`` columns."""
+#: The value a full-width :func:`log_bar` stands for.
+LOG_BAR_HI = 1e17
+
+
+def log_bar(value: float, lo: float = 1.0, width: int = 50) -> str:
+    """A log-scale bar of up to ``width`` ``#`` characters.
+
+    ``lo`` maps to the empty end and :data:`LOG_BAR_HI` to the full one.
+    """
     if value <= 0:
         return ""
-    if lo <= 0 or hi <= lo:
+    if lo <= 0 or LOG_BAR_HI <= lo:
         raise ValueError("need 0 < lo < hi")
     frac = (math.log10(value) - math.log10(lo)) / (
-        math.log10(hi) - math.log10(lo)
+        math.log10(LOG_BAR_HI) - math.log10(lo)
     )
     frac = min(1.0, max(0.0, frac))
-    return char * max(1, round(frac * width))
+    return "#" * max(1, round(frac * width))
 
 
-def render_figure1(data: Mapping[str, object], width: int = 50) -> str:
+def render_figure1(data: Mapping[str, object]) -> str:
     """Render Figure 1 (requirements vs endurance) as log-scale bars."""
     lines: List[str] = []
     lines.append("Writes per cell over the deployment lifetime (log scale)")
     lines.append("")
     lines.append("Workload requirements:")
     for req in data["requirements"]:
-        bar = log_bar(req.writes_per_cell, width=width)
-        lines.append(
-            f"  {req.name:<28} {bar} {req.writes_per_cell:.2e}"
-        )
+        bar = log_bar(req.writes_per_cell)
+        lines.append(f"  {req.name:<28} {bar} {req.writes_per_cell:.2e}")
     kv_low, kv_high = data["kv_range"]
     lines.append(
         f"  {'KV cache range':<28} "
@@ -88,11 +89,11 @@ def render_figure1(data: Mapping[str, object], width: int = 50) -> str:
     for name, value in sorted(
         data["products"].items(), key=lambda kv: kv[1]
     ):
-        lines.append(f"  {name:<28} {log_bar(value, width=width)} {value:.1e}")
+        lines.append(f"  {name:<28} {log_bar(value)} {value:.1e}")
     lines.append("")
     lines.append("Technology-potential endurance:")
     for name, value in sorted(
         data["potentials"].items(), key=lambda kv: kv[1]
     ):
-        lines.append(f"  {name:<28} {log_bar(value, width=width)} {value:.1e}")
+        lines.append(f"  {name:<28} {log_bar(value)} {value:.1e}")
     return "\n".join(lines)

@@ -19,9 +19,9 @@ from typing import List
 
 from repro.devices.catalog import HBM3E
 from repro.endurance.requirements import kv_cache_requirement
-from repro.inference.accelerator import AcceleratorConfig, B200
-from repro.units import MiB, YEAR
-from repro.workload.model import LLAMA2_70B, ModelConfig
+from repro.inference.accelerator import B200
+from repro.units import MiB
+from repro.workload.model import LLAMA2_70B
 from repro.workload.phases import decode_step_traffic
 
 
@@ -53,30 +53,25 @@ def _verdict(provided: float, needed: float, slack: float = 4.0) -> str:
     return "matched"
 
 
-def hbm_provisioning_table(
-    model: ModelConfig = LLAMA2_70B,
-    accelerator: AcceleratorConfig = B200,
-    batch_size: int = 16,
-    context_tokens: int = 2048,
-    desired_context_tokens: int = 32768,
-    lifetime_s: float = 5 * YEAR,
-) -> List[ProvisioningRow]:
-    """Build the table at a representative decode operating point.
+def hbm_provisioning_table() -> List[ProvisioningRow]:
+    """Build the table: Llama2-70B decoding on a B200.
 
-    ``desired_context_tokens`` captures the paper's "having contexts as
-    large as possible is desirable ... primarily limited by the amount
-    of memory available": capacity demand is sized for the contexts
-    operators *want*, not the clamped ones they get.
+    Traffic is a batch-16 decode step at 2,048-token contexts.  Capacity
+    demand is sized for 32k-token contexts, the paper's "having contexts
+    as large as possible is desirable ... primarily limited by the
+    amount of memory available": the contexts operators *want*, not the
+    clamped ones they get.
     """
-    hbm = accelerator.tier("hbm")
-    traffic = decode_step_traffic(model, context_tokens, batch_size)
+    model, hbm = LLAMA2_70B, B200.tier("hbm")
+    batch_size, desired_context_tokens = 16, 32768
+    traffic = decode_step_traffic(model, 2048, batch_size)
     # Demand rates at full device utilization: scale traffic by the
     # step time the device itself achieves (bandwidth-bound decode).
     step_time = traffic.bytes_read / hbm.read_bandwidth
     read_demand = traffic.bytes_read / step_time  # = read bandwidth, by construction
     write_demand = traffic.bytes_written / step_time
 
-    kv_requirement = kv_cache_requirement(model, lifetime_s=lifetime_s)
+    kv_requirement = kv_cache_requirement(model)
     rows = [
         ProvisioningRow(
             property="read bandwidth",

@@ -7,30 +7,26 @@ each input across a plausible range and reports whether the paper's
 qualitative observations — products insufficient, potentials
 sufficient, HBM overprovisioned — survive.
 
-Used by ``benchmarks/bench_a5_sensitivity.py`` and cited in
+Used by ``benchmarks/bench_a6_offload_sensitivity.py`` and cited in
 EXPERIMENTS.md as the robustness certificate for F1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.devices.catalog import (
     PRODUCT_ENDURANCE,
     TECHNOLOGY_POTENTIAL_ENDURANCE,
 )
 from repro.endurance.requirements import (
-    SplitwiseCalibration,
+    MACHINE_HBM_BYTES,
+    MIXED_TOKENS_PER_S,
     kv_cache_requirement,
 )
 from repro.units import GiB, YEAR
-from repro.workload.model import (
-    GPT_CLASS_500B,
-    LLAMA2_70B,
-    LLAMA2_70B_MHA,
-    ModelConfig,
-)
+from repro.workload.model import GPT_CLASS_500B, LLAMA2_70B, LLAMA2_70B_MHA
 
 
 @dataclass(frozen=True)
@@ -63,18 +59,12 @@ class SensitivityPoint:
         }
 
 
-def sweep_kv_requirement(
-    token_rates: Sequence[float] = (350.0, 700.0, 1400.0, 6000.0, 12000.0),
-    capacities_gib: Sequence[float] = (256.0, 512.0, 1024.0),
-    lifetimes_years: Sequence[float] = (3.0, 5.0, 10.0),
-    models: Sequence[ModelConfig] = (LLAMA2_70B, LLAMA2_70B_MHA, GPT_CLASS_500B),
-) -> List[SensitivityPoint]:
+def sweep_kv_requirement() -> List[SensitivityPoint]:
     """One-at-a-time sweeps around the default calibration."""
-    calibration = SplitwiseCalibration()
-    default_capacity = calibration.machine_hbm_bytes - LLAMA2_70B.weights_bytes
+    default_capacity = MACHINE_HBM_BYTES - LLAMA2_70B.weights_bytes
     points: List[SensitivityPoint] = []
 
-    for rate in token_rates:
+    for rate in (350.0, 700.0, 1400.0, 6000.0, 12000.0):
         requirement = kv_cache_requirement(
             LLAMA2_70B, token_rate_per_s=rate, capacity_bytes=default_capacity
         )
@@ -83,10 +73,10 @@ def sweep_kv_requirement(
                 "token rate (tok/s)", f"{rate:.0f}", requirement.writes_per_cell
             )
         )
-    for capacity in capacities_gib:
+    for capacity in (256.0, 512.0, 1024.0):
         requirement = kv_cache_requirement(
             LLAMA2_70B,
-            token_rate_per_s=calibration.mixed_tokens_per_s,
+            token_rate_per_s=MIXED_TOKENS_PER_S,
             capacity_bytes=int(capacity * GiB),
         )
         points.append(
@@ -94,21 +84,21 @@ def sweep_kv_requirement(
                 "KV pool (GiB)", f"{capacity:.0f}", requirement.writes_per_cell
             )
         )
-    for years in lifetimes_years:
+    for years in (3.0, 5.0, 10.0):
         requirement = kv_cache_requirement(LLAMA2_70B, lifetime_s=years * YEAR)
         points.append(
             SensitivityPoint(
                 "lifetime (years)", f"{years:.0f}", requirement.writes_per_cell
             )
         )
-    for model in models:
+    for model in (LLAMA2_70B, LLAMA2_70B_MHA, GPT_CLASS_500B):
         # Larger models deploy on proportionally larger machines; keep
         # the KV pool comparable by scaling the machine with the model
         # (weights plus the default calibration's KV headroom).
         machine_bytes = model.weights_bytes + default_capacity
         requirement = kv_cache_requirement(
             model,
-            token_rate_per_s=calibration.mixed_tokens_per_s,
+            token_rate_per_s=MIXED_TOKENS_PER_S,
             capacity_bytes=machine_bytes - model.weights_bytes,
         )
         points.append(

@@ -134,7 +134,6 @@ class MRMDevice(MemoryDevice):
         super().__init__(
             profile=REFERENCE,
             capacity_bytes=self.space.capacity_bytes,
-            wear_block_bytes=cfg.block_bytes,
             name=name or f"mrm-{REFERENCE.name}",
         )
         # Damage fraction per physical slot (zone_id, index) in [0, inf).

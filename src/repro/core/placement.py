@@ -7,8 +7,7 @@ vocabulary:
 
 - :class:`DataKind` — weights / KV cache / activations (plus a generic
   kind for other data).
-- :class:`AccessProfile` — read/write rates, sequentiality,
-  predictability.
+- :class:`AccessProfile` — read/write rates.
 - :class:`DataObject` — one placeable object: a kind, a size, a
   *lifetime* (how long this copy must stay readable) and an access
   profile.
@@ -44,23 +43,10 @@ class AccessProfile:
     ----------
     read_bytes_per_s / write_bytes_per_s:
         Sustained bandwidth demands.
-    sequential_reads / sequential_writes:
-        Whether IO is sequential (true for weights and KV cache — the
-        property that lets MRM drop byte addressability).
-    in_place_updates:
-        Whether existing bytes get overwritten (false for weights and KV
-        cache: weights are immutable, KV is append-only).
-    predictable:
-        Whether addresses are known in advance (static virtual-physical
-        mapping, iterative full scans).
     """
 
     read_bytes_per_s: float
     write_bytes_per_s: float
-    sequential_reads: bool = True
-    sequential_writes: bool = True
-    in_place_updates: bool = False
-    predictable: bool = True
 
     def __post_init__(self) -> None:
         if self.read_bytes_per_s < 0 or self.write_bytes_per_s < 0:
@@ -92,20 +78,12 @@ class DataObject:
         activations, one forward pass.
     access:
         The access profile.
-    durable_elsewhere:
-        True if a reference copy exists in storage (weights) — loss here
-        is a re-read, not data loss.
-    recomputable:
-        True for soft state that can be regenerated (KV cache,
-        activations) — loss is recomputation cost, not data loss.
     """
 
     kind: DataKind
     size_bytes: int
     lifetime_s: float
     access: AccessProfile
-    durable_elsewhere: bool = False
-    recomputable: bool = False
     name: str = ""
     object_id: int = field(default_factory=lambda: next(_object_ids))
 
@@ -116,12 +94,6 @@ class DataObject:
             raise ValueError("lifetime must be positive")
         if not self.name:
             self.name = f"{self.kind.value}-{self.object_id}"
-
-    @property
-    def needs_persistence(self) -> bool:
-        """True only if losing this copy loses data (neither durable
-        elsewhere nor recomputable) — rare in inference."""
-        return not (self.durable_elsewhere or self.recomputable)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +120,7 @@ def weights_object(
         access=AccessProfile(
             read_bytes_per_s=read_bytes_per_s,
             write_bytes_per_s=size_bytes / REDEPLOY_INTERVAL_S,
-            sequential_reads=True,
-            sequential_writes=True,
-            in_place_updates=False,
-            predictable=True,
         ),
-        durable_elsewhere=True,
         name=name,
     )
 
@@ -174,12 +141,7 @@ def kv_cache_object(
         access=AccessProfile(
             read_bytes_per_s=read_bytes_per_s,
             write_bytes_per_s=append_bytes_per_s,
-            sequential_reads=True,
-            sequential_writes=True,
-            in_place_updates=False,
-            predictable=True,
         ),
-        recomputable=True,
         name=name,
     )
 
@@ -199,11 +161,6 @@ def activations_object(
         access=AccessProfile(
             read_bytes_per_s=bandwidth_bytes_per_s,
             write_bytes_per_s=bandwidth_bytes_per_s,
-            sequential_reads=False,
-            sequential_writes=False,
-            in_place_updates=True,
-            predictable=False,
         ),
-        recomputable=True,
         name=name,
     )

@@ -10,7 +10,7 @@ endurance, latency, bandwidth, energy/bit, cost) recorded in
 :mod:`~repro.devices.catalog` with the source of each number.  The
 technologies the experiments drive access by access also have a
 behavioural :class:`~repro.devices.base.MemoryDevice` subclass that
-accounts accesses, wear, and energy: DRAM (:mod:`~repro.devices.dram`),
+accounts accesses and energy: DRAM (:mod:`~repro.devices.dram`),
 3D-stacked HBM (:mod:`~repro.devices.hbm`) and NAND Flash
 (:mod:`~repro.devices.flash`).  The MRM device itself lives in
 :mod:`repro.core.mrm`.
@@ -26,6 +26,7 @@ from repro.devices.base import (
     AccessResult,
     CellKind,
     MemoryDevice,
+    MemoryTier,
     TechnologyProfile,
 )
 from repro.devices.catalog import (
@@ -47,6 +48,7 @@ __all__ = [
     "FlashTranslationLayer",
     "HBMStack",
     "MemoryDevice",
+    "MemoryTier",
     "PRODUCT_ENDURANCE",
     "TECHNOLOGY_POTENTIAL_ENDURANCE",
     "TechnologyProfile",

@@ -1,37 +1,37 @@
 """Base classes shared by every memory-technology model.
 
-Two layers:
+Three layers:
 
 1. :class:`TechnologyProfile` — an immutable bundle of per-technology
    constants (retention, endurance, latency, bandwidth, energy, cost).
    The paper's Figure 1 and most of its in-text arithmetic are functions
    of these constants alone.
-2. :class:`MemoryDevice` — a behavioural model of one device instance:
-   it accounts reads/writes/refreshes, integrates energy, and tracks
-   per-block wear so lifetime experiments can detect cell exhaustion.
+2. :class:`MemoryTier` — a pool of one technology with aggregate
+   capacity and bandwidth: an accelerator's co-packaged memory or one
+   level of the cluster hierarchy.
+3. :class:`MemoryDevice` — a behavioural model of one device instance:
+   it accounts reads/writes/refreshes and integrates their energy.
 
-Addresses are plain byte offsets within the device.  Wear is tracked at
-``wear_block_bytes`` granularity (a cell line / page), which is the
-granularity endurance is specified at.
+Addresses are plain byte offsets within the device.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.sim.stats import fold_sum
 from repro.units import (
     BITS_PER_BYTE,
+    Bytes,
     GiB,
     Joules,
     PICOJOULE,
-    Ratio,
     Seconds,
+    Watts,
     YEAR,
 )
 
@@ -161,6 +161,62 @@ class TechnologyProfile:
         return replace(self, **kwargs)
 
 
+@dataclass(frozen=True)
+class MemoryTier:
+    """A pool of one memory technology: capacity, bandwidth, profile.
+
+    The pool is an accelerator's co-packaged stacks or one tier of the
+    cluster hierarchy that placement policies reason about.
+
+    Attributes
+    ----------
+    name:
+        Tier label ("hbm", "mrm", "lpddr", "flash").
+    capacity_bytes / read_bandwidth / write_bandwidth:
+        Aggregate over every stack, package or device in the pool
+        (bytes, bytes/s).
+    profile:
+        The technology: energy, refresh, retention and cost per GiB.
+    """
+
+    name: str
+    capacity_bytes: int
+    read_bandwidth: float
+    write_bandwidth: float
+    profile: TechnologyProfile
+
+    def __post_init__(self) -> None:
+        if self.capacity_bytes <= 0:
+            raise ValueError(f"tier {self.name}: capacity must be positive")
+        if self.read_bandwidth <= 0 or self.write_bandwidth <= 0:
+            raise ValueError(f"tier {self.name}: bandwidth must be positive")
+
+    @property
+    def cost_usd(self) -> float:
+        """Acquisition cost of the pool (capacity * $/GiB)."""
+        return (self.capacity_bytes / GiB) * self.profile.cost_usd_per_gib
+
+    @property
+    def supports_managed_retention(self) -> bool:
+        """True only for MRM tiers (placement policies may only put
+        finite-lifetime data with relaxed integrity there)."""
+        return self.profile.cell is CellKind.MRM
+
+    def read_energy_j(self, size_bytes: Bytes) -> Joules:
+        return size_bytes * self.profile.read_energy_j_per_byte
+
+    def write_energy_j(self, size_bytes: Bytes) -> Joules:
+        return size_bytes * self.profile.write_energy_j_per_byte
+
+    def refresh_power_w(self) -> Watts:
+        """Steady-state refresh power of the whole tier (0 for
+        non-volatile tiers)."""
+        if not self.profile.volatile:
+            return 0.0
+        per_interval = self.capacity_bytes * self.profile.write_energy_j_per_byte
+        return per_interval / self.profile.refresh_interval_s
+
+
 @dataclass
 class AccessResult:
     """Outcome of a single device access."""
@@ -186,21 +242,6 @@ class DeviceCounters:
     read_energy_j: Joules = 0.0
     write_energy_j: Joules = 0.0
     refresh_energy_j: Joules = 0.0
-    static_energy_j: Joules = 0.0
-
-
-class EnduranceExceeded(RuntimeError):
-    """A cell block was written more times than its endurance allows."""
-
-    def __init__(self, device: str, block: int, cycles: float, endurance: float) -> None:
-        super().__init__(
-            f"{device}: block {block} reached {cycles:.3g} writes "
-            f"(endurance {endurance:.3g})"
-        )
-        self.device = device
-        self.block = block
-        self.cycles = cycles
-        self.endurance = endurance
 
 
 class DeviceFault(RuntimeError):
@@ -297,42 +338,20 @@ class MemoryDevice:
         The technology constants.
     capacity_bytes:
         Device capacity.
-    wear_block_bytes:
-        Granularity at which writes wear cells.  Defaults to the profile's
-        access granularity.
-    fail_on_wearout:
-        If True, a write beyond a block's endurance raises
-        :class:`EnduranceExceeded`; if False, it is merely counted
-        (``worn_blocks``) so long simulations can keep running.
     """
 
     def __init__(
         self,
         profile: TechnologyProfile,
         capacity_bytes: int,
-        wear_block_bytes: Optional[int] = None,
-        fail_on_wearout: bool = False,
         name: str = "",
     ) -> None:
         if capacity_bytes <= 0:
             raise ValueError("capacity must be positive")
         self.profile = profile
         self.capacity_bytes = int(capacity_bytes)
-        self.wear_block_bytes = int(wear_block_bytes or profile.access_granularity_bytes)
-        if self.wear_block_bytes <= 0:
-            raise ValueError("wear block size must be positive")
-        self.fail_on_wearout = fail_on_wearout
         self.name = name or profile.name
         self.counters = DeviceCounters()
-        self._wear: Dict[int, int] = {}
-        self._worn_blocks = 0
-
-    # ------------------------------------------------------------------
-    # Geometry helpers
-    # ------------------------------------------------------------------
-    @property
-    def num_wear_blocks(self) -> int:
-        return math.ceil(self.capacity_bytes / self.wear_block_bytes)
 
     def _check_range(self, address: int, size_bytes: int) -> None:
         if address < 0 or size_bytes <= 0:
@@ -342,11 +361,6 @@ class MemoryDevice:
                 f"{self.name}: access [{address}, {address + size_bytes}) "
                 f"exceeds capacity {self.capacity_bytes}"
             )
-
-    def _blocks_spanned(self, address: int, size_bytes: int) -> range:
-        first = address // self.wear_block_bytes
-        last = (address + size_bytes - 1) // self.wear_block_bytes
-        return range(first, last + 1)
 
     # ------------------------------------------------------------------
     # Timing/energy hooks (subclasses may override)
@@ -411,7 +425,7 @@ class MemoryDevice:
         c.read_energy_j = total
 
     def write(self, address: int, size_bytes: int) -> AccessResult:
-        """Account a write; wears every block the range touches."""
+        """Account a write of ``size_bytes`` at ``address``."""
         self._check_range(address, size_bytes)
         latency = self._write_time(size_bytes)
         energy = self._write_energy(size_bytes)
@@ -419,88 +433,7 @@ class MemoryDevice:
         c.writes += 1
         c.bytes_written += size_bytes
         c.write_energy_j += energy
-        self._wear_blocks(address, size_bytes)
         return AccessResult(AccessKind.WRITE, address, size_bytes, latency, energy)
-
-    def _wear_blocks(self, address: int, size_bytes: int) -> None:
-        endurance = self.profile.endurance_cycles
-        for block in self._blocks_spanned(address, size_bytes):
-            cycles = self._wear.get(block, 0) + 1
-            self._wear[block] = cycles
-            if cycles == int(endurance) + 1:
-                self._worn_blocks += 1
-                if self.fail_on_wearout:
-                    raise EnduranceExceeded(self.name, block, cycles, endurance)
-
-    # ------------------------------------------------------------------
-    # Wear inspection
-    # ------------------------------------------------------------------
-    def wear_of(self, block: int) -> int:
-        """Write cycles consumed by a wear block."""
-        return self._wear.get(block, 0)
-
-    @property
-    def worn_blocks(self) -> int:
-        """Blocks written beyond the profile endurance."""
-        return self._worn_blocks
-
-    @property
-    def max_wear(self) -> int:
-        return max(self._wear.values()) if self._wear else 0
-
-    @property
-    def mean_wear(self) -> float:
-        """Average cycles over *all* blocks (untouched blocks count as 0)."""
-        if not self._wear:
-            return 0.0
-        return sum(self._wear.values()) / self.num_wear_blocks
-
-    def wear_imbalance(self) -> float:
-        """max/mean wear ratio — 1.0 is perfectly level, large is skewed."""
-        mean = self.mean_wear
-        if mean == 0:
-            return 1.0
-        return self.max_wear / mean
-
-    def remaining_lifetime_fraction(self) -> Ratio:
-        """Fraction of endurance left on the most-worn block."""
-        return max(0.0, 1.0 - self.max_wear / self.profile.endurance_cycles)
-
-    # ------------------------------------------------------------------
-    # Background costs
-    # ------------------------------------------------------------------
-    def accrue_static_energy(self, duration_s: Seconds) -> Joules:
-        """Charge static (leakage/peripheral) power for ``duration_s``."""
-        if duration_s < 0:
-            raise ValueError("duration must be >= 0")
-        energy = (
-            self.profile.static_power_w_per_gib
-            * (self.capacity_bytes / GiB)
-            * duration_s
-        )
-        self.counters.static_energy_j += energy
-        return energy
-
-    def accrue_refresh_energy(self, duration_s: Seconds, occupancy: Ratio = 1.0) -> Joules:
-        """Charge refresh energy for ``duration_s`` of wall time.
-
-        Volatile devices must rewrite every occupied cell once per
-        refresh interval; the energy is the write energy of the occupied
-        capacity once per interval.  Non-volatile profiles charge zero —
-        this asymmetry is the heart of experiment E3.
-        """
-        if not self.profile.volatile:
-            return 0.0
-        if not 0.0 <= occupancy <= 1.0:
-            raise ValueError(f"occupancy {occupancy} outside [0, 1]")
-        intervals = duration_s / self.profile.refresh_interval_s
-        refreshed_bytes = self.capacity_bytes * occupancy * intervals
-        energy = refreshed_bytes * self.profile.write_energy_j_per_byte
-        c = self.counters
-        c.refreshes += int(intervals)
-        c.bytes_refreshed += int(refreshed_bytes)
-        c.refresh_energy_j += energy
-        return energy
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

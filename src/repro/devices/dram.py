@@ -8,7 +8,7 @@ Section 3 argues this is a retention/lifetime mismatch — retention is too
 
 :class:`DRAMDevice` extends the base accounting with:
 
-- refresh-energy accrual (inherited) plus a *refresh bandwidth tax*: the
+- refresh-energy accrual plus a *refresh bandwidth tax*: the
   fraction of device time spent refreshing instead of serving accesses;
 - temperature-dependent refresh interval doubling/halving;
 - self-refresh (idle) power accounting.

@@ -255,12 +255,7 @@ class FlashDevice(MemoryDevice):
         profile = profile or NAND_SLC
         if profile.erase_block_bytes is None:
             raise ValueError(f"{profile.name} has no erase block size; not Flash")
-        super().__init__(
-            profile,
-            capacity_bytes,
-            wear_block_bytes=profile.erase_block_bytes,
-            name=name,
-        )
+        super().__init__(profile, capacity_bytes, name=name)
         self.page_bytes = profile.access_granularity_bytes
         pages_per_block = profile.erase_block_bytes // self.page_bytes
         num_blocks = max(4, capacity_bytes // profile.erase_block_bytes)

@@ -12,7 +12,6 @@
 
 from repro.endurance.requirements import (
     EnduranceRequirement,
-    SplitwiseCalibration,
     figure1_data,
     kv_cache_requirement,
     weight_update_requirement,
@@ -26,7 +25,6 @@ from repro.endurance.wearleveling import WearLevelingSimulator, WearStreamConfig
 
 __all__ = [
     "EnduranceRequirement",
-    "SplitwiseCalibration",
     "WearLevelingSimulator",
     "WearStreamConfig",
     "device_lifetime_s",

@@ -38,36 +38,25 @@ from repro.units import GiB, HOUR, YEAR
 from repro.workload.model import LLAMA2_70B, ModelConfig
 
 
-@dataclass(frozen=True)
-class SplitwiseCalibration:
-    """Published Llama2-70B serving statistics from Splitwise [37].
-
-    Values are the public paper's reported operating points for one
-    DGX-class machine (8 accelerators, 640 GB HBM):
-
-    - prefill-phase machines sustain thousands of prompt tokens/s;
-    - decode-phase machines sustain hundreds of generated tokens/s;
-    - median prompt ~1020 / median output ~129 tokens (conversation).
-    """
-
-    prefill_tokens_per_s: float = 6000.0
-    decode_tokens_per_s: float = 700.0
-    median_prompt_tokens: int = 1020
-    median_output_tokens: int = 129
-    machine_hbm_bytes: int = 640 * GiB
-
-    @property
-    def mixed_tokens_per_s(self) -> float:
-        """Aggregate KV-vector write rate of a machine serving whole
-        requests: prompts arrive at the rate the machine can prefill
-        them interleaved with decode.  Weighted by the median request's
-        phase token counts."""
-        prompt = self.median_prompt_tokens
-        output = self.median_output_tokens
-        request_time = (
-            prompt / self.prefill_tokens_per_s + output / self.decode_tokens_per_s
-        )
-        return (prompt + output) / request_time
+# Published Llama2-70B serving statistics from Splitwise [37]: the
+# public paper's reported operating points for one DGX-class machine
+# (8 accelerators, 640 GB HBM).
+#: Prompt tokens/s a prefill-phase machine sustains (thousands).
+PREFILL_TOKENS_PER_S = 6000.0
+#: Generated tokens/s a decode-phase machine sustains (hundreds).
+DECODE_TOKENS_PER_S = 700.0
+#: Median prompt and output tokens of the conversation trace.
+MEDIAN_PROMPT_TOKENS = 1020
+MEDIAN_OUTPUT_TOKENS = 129
+#: The machine's HBM.
+MACHINE_HBM_BYTES = 640 * GiB
+#: Aggregate KV-vector write rate of a machine serving whole requests:
+#: prompts arrive at the rate the machine can prefill them interleaved
+#: with decode.  Weighted by the median request's phase token counts.
+MIXED_TOKENS_PER_S = (MEDIAN_PROMPT_TOKENS + MEDIAN_OUTPUT_TOKENS) / (
+    MEDIAN_PROMPT_TOKENS / PREFILL_TOKENS_PER_S
+    + MEDIAN_OUTPUT_TOKENS / DECODE_TOKENS_PER_S
+)
 
 
 @dataclass(frozen=True)
@@ -111,11 +100,10 @@ def kv_cache_requirement(
     rate on a 640 GB machine, writes spread across the machine's KV
     pool (capacity minus the weights replica).
     """
-    calibration = SplitwiseCalibration()
     if token_rate_per_s is None:
-        token_rate_per_s = calibration.mixed_tokens_per_s
+        token_rate_per_s = MIXED_TOKENS_PER_S
     if capacity_bytes is None:
-        capacity_bytes = calibration.machine_hbm_bytes - model.weights_bytes
+        capacity_bytes = MACHINE_HBM_BYTES - model.weights_bytes
     if token_rate_per_s <= 0 or capacity_bytes <= 0 or lifetime_s <= 0:
         raise ValueError("rates, capacity and lifetime must be positive")
     bytes_per_s = token_rate_per_s * model.kv_bytes_per_token
@@ -144,23 +132,22 @@ def figure1_data(lifetime_s: float = 5 * YEAR) -> Dict[str, object]:
       the underlying technologies (writes per cell).
     """
     model = LLAMA2_70B
-    calibration = SplitwiseCalibration()
     requirements = [
         weight_update_requirement(HOUR, lifetime_s, name="weights (hourly)"),
         weight_update_requirement(1.0, lifetime_s, name="weights (every 1s)"),
         kv_cache_requirement(model, lifetime_s=lifetime_s),
     ]
-    capacity = calibration.machine_hbm_bytes - model.weights_bytes
+    capacity = MACHINE_HBM_BYTES - model.weights_bytes
     kv_low = kv_cache_requirement(
         model,
-        token_rate_per_s=calibration.decode_tokens_per_s,
+        token_rate_per_s=DECODE_TOKENS_PER_S,
         capacity_bytes=capacity,
         lifetime_s=lifetime_s,
         name="KV cache (decode-only)",
     )
     kv_high = kv_cache_requirement(
         model,
-        token_rate_per_s=calibration.prefill_tokens_per_s,
+        token_rate_per_s=PREFILL_TOKENS_PER_S,
         capacity_bytes=capacity,
         lifetime_s=lifetime_s,
         name="KV cache (prefill-only)",

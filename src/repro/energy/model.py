@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.tiering.tiers import MemoryTier
+from repro.devices.base import MemoryTier
 from repro.units import Bytes, GiB, Joules, Ratio, Seconds, Watts
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.tiering.tiers import MemoryTier
+from repro.devices.base import MemoryTier
 from repro.units import KWH, YEAR
 
 

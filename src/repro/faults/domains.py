@@ -131,7 +131,6 @@ def cluster_topology(
     num_engines: int,
     engines_per_domain: int = 2,
     banks_per_group: int = 0,
-    name_prefix: str = "engine-",
 ) -> FaultTopology:
     """The standard serving topology: one ``engine`` domain per engine,
     engines grouped round-robin into ``power`` domains, plus optional
@@ -147,7 +146,7 @@ def cluster_topology(
         raise ValueError("engines_per_domain must be >= 1")
     if banks_per_group < 0:
         raise ValueError("banks_per_group must be >= 0")
-    engine_names = [f"{name_prefix}{i}" for i in range(num_engines)]
+    engine_names = [f"engine-{i}" for i in range(num_engines)]
     domains: List[FaultDomain] = [
         FaultDomain(name=name, level="engine", members=(name,))
         for name in engine_names

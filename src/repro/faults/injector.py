@@ -232,7 +232,6 @@ def spawn_kv_faults(
     sim: Simulator,
     engines: Sequence[InferenceEngine],
     schedule: FaultSchedule,
-    log: Optional[FaultLog] = None,
     obs=None,
 ) -> Tuple[Process, FaultLog]:
     """Start the serving-layer fault process; returns ``(process, log)``.
@@ -243,8 +242,7 @@ def spawn_kv_faults(
     Engines are addressed in sorted-name order so the mapping from
     timeline to victim never depends on construction order.
     """
-    if log is None:
-        log = FaultLog(obs=obs)
+    log = FaultLog(obs=obs)
     ordered = sorted(engines, key=lambda e: e.name)
     if not ordered:
         raise ValueError("need at least one engine")
@@ -272,7 +270,6 @@ def spawn_domain_faults(
     sim: Simulator,
     cluster,
     schedule: FaultSchedule,
-    log: Optional[FaultLog] = None,
     obs=None,
 ) -> Tuple[Process, FaultLog]:
     """Deliver a correlated schedule's serving events to a cluster.
@@ -291,8 +288,7 @@ def spawn_domain_faults(
     or ``already-down``) lands in the :class:`FaultLog`, so
     ``log.fingerprint()`` captures schedule *and* effect.
     """
-    if log is None:
-        log = FaultLog(obs=obs)
+    log = FaultLog(obs=obs)
 
     def _process() -> Generator:
         for event in schedule:

@@ -21,7 +21,6 @@ from repro.fleet.autoscaler import (
     apply_memory_config,
     epoch_count,
     epoch_demand_rps,
-    mrm_tier_spec,
     plan_capacity,
     static_plan,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "generate_fleet_traces",
     "generate_tenant_trace",
     "merge_arrivals",
-    "mrm_tier_spec",
     "plan_capacity",
     "run_fleet",
     "static_plan",

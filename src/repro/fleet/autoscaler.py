@@ -37,20 +37,13 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.retention import RetentionModel
-from repro.devices.catalog import RRAM_POTENTIAL
 from repro.fleet.tenant import TenantConfig
-from repro.inference.accelerator import AcceleratorConfig, MemoryTierSpec
-from repro.units import HOUR
+from repro.inference.accelerator import AcceleratorConfig
+from repro.tiering.tiers import copackaged_mrm_tier
 from repro.workload.traces import TraceRecord
 
 #: Memory configurations a tenant allocation may carry.
 MEMORY_CONFIGS = ("hbm", "mrm")
-
-#: Retention point of the fleet's MRM tier: long enough to hold weights
-#: and session KV across serving, short enough to buy the paper's
-#: write-energy/density relaxation (Section 3).
-MRM_RETENTION_S = 6 * HOUR
 
 #: MRM capacity provisioned per replica, as a multiple of the replica's
 #: HBM capacity (MRM's density advantage is the point: Section 2.1's
@@ -58,31 +51,14 @@ MRM_RETENTION_S = 6 * HOUR
 MRM_CAPACITY_MULTIPLE = 4
 
 
-def mrm_tier_spec(hbm: MemoryTierSpec) -> MemoryTierSpec:
-    """The MRM tier the fleet attaches next to an HBM tier.
-
-    Read bandwidth matches HBM (co-packaged target, Section 3); write
-    bandwidth is an eighth — the write performance MRM deliberately
-    forfeits.  The technology point is the paper's potential-RRAM
-    profile relaxed to :data:`MRM_RETENTION_S`.
-    """
-    profile = RetentionModel(RRAM_POTENTIAL).profile_at(MRM_RETENTION_S)
-    return MemoryTierSpec(
-        name="mrm",
-        capacity_bytes=MRM_CAPACITY_MULTIPLE * hbm.capacity_bytes,
-        read_bandwidth=hbm.read_bandwidth,
-        write_bandwidth=hbm.read_bandwidth / 8,
-        profile=profile,
-    )
-
-
 def apply_memory_config(
     accelerator: AcceleratorConfig, memory: str
 ) -> Tuple[AcceleratorConfig, Dict[str, str]]:
     """The (accelerator, placement) pair a memory configuration means.
 
-    ``"hbm"`` leaves the accelerator untouched; ``"mrm"`` attaches the
-    MRM tier and places weights on it (the read-dominated structure the
+    ``"hbm"`` leaves the accelerator untouched; ``"mrm"`` attaches a
+    co-packaged MRM tier of :data:`MRM_CAPACITY_MULTIPLE` times the HBM
+    capacity and places weights on it (the read-dominated structure the
     paper moves first), keeping KV and activations on HBM.
     """
     if memory not in MEMORY_CONFIGS:
@@ -93,8 +69,8 @@ def apply_memory_config(
     if memory == "hbm":
         return accelerator, {}
     hbm = accelerator.tier("hbm")
-    augmented = accelerator.with_tiers((hbm, mrm_tier_spec(hbm)))
-    return augmented, {"weights": "mrm"}
+    mrm = copackaged_mrm_tier(hbm, MRM_CAPACITY_MULTIPLE * hbm.capacity_bytes)
+    return accelerator.with_tiers((hbm, mrm)), {"weights": "mrm"}
 
 
 @dataclass(frozen=True)

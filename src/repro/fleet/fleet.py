@@ -47,7 +47,6 @@ from repro.fleet.arrivals import generate_fleet_traces, merge_arrivals
 from repro.fleet.autoscaler import (
     AutoscalerConfig,
     apply_memory_config,
-    mrm_tier_spec,
     epoch_count,
     epoch_demand_rps,
     plan_capacity,
@@ -305,8 +304,8 @@ def _tenant_mrm_constants(tenant: TenantConfig) -> Tuple[float, float]:
     accelerator = tensor_parallel_group(
         resolve_accelerator(tenant.accelerator), tenant.tp
     )
-    spec = mrm_tier_spec(accelerator.tier("hbm"))
-    return float(spec.capacity_bytes), float(spec.profile.endurance_cycles)
+    mrm = apply_memory_config(accelerator, "mrm")[0].tier("mrm")
+    return float(mrm.capacity_bytes), float(mrm.profile.endurance_cycles)
 
 
 def aggregate_fleet(

@@ -33,7 +33,6 @@ from repro.inference.accelerator import (
     AcceleratorConfig,
     B200,
     H100_80G,
-    MemoryTierSpec,
 )
 from repro.inference.roofline import (
     Boundedness,
@@ -81,7 +80,6 @@ __all__ = [
     "H100_80G",
     "InferenceEngine",
     "KVCacheManager",
-    "MemoryTierSpec",
     "ModelSwapModel",
     "OperatingPoint",
     "SwapCost",

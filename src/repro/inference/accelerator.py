@@ -14,45 +14,12 @@ realistic step times without modeling kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Tuple
 
-from repro.devices.base import TechnologyProfile
+from repro.devices.base import MemoryTier
 from repro.devices.catalog import HBM3E
 from repro.units import GiB
-
-
-@dataclass(frozen=True)
-class MemoryTierSpec:
-    """One memory tier attached to an accelerator.
-
-    Attributes
-    ----------
-    name:
-        Tier label ("hbm", "mrm", "lpddr").
-    capacity_bytes / read_bandwidth / write_bandwidth:
-        Aggregate over all stacks/packages of this tier on the device.
-    profile:
-        The device-technology profile (for energy/refresh accounting).
-    """
-
-    name: str
-    capacity_bytes: int
-    read_bandwidth: float
-    write_bandwidth: float
-    profile: TechnologyProfile
-
-    def __post_init__(self) -> None:
-        if self.capacity_bytes <= 0:
-            raise ValueError(f"tier {self.name}: capacity must be positive")
-        if self.read_bandwidth <= 0 or self.write_bandwidth <= 0:
-            raise ValueError(f"tier {self.name}: bandwidth must be positive")
-
-    def read_energy_j(self, size_bytes: float) -> float:
-        return size_bytes * self.profile.read_energy_j_per_byte
-
-    def write_energy_j(self, size_bytes: float) -> float:
-        return size_bytes * self.profile.write_energy_j_per_byte
 
 
 @dataclass(frozen=True)
@@ -74,7 +41,7 @@ class AcceleratorConfig:
 
     name: str
     peak_flops: float
-    tiers: Tuple[MemoryTierSpec, ...]
+    tiers: Tuple[MemoryTier, ...]
     compute_efficiency: float = 0.5
     bandwidth_efficiency: float = 0.8
     board_power_w: float = 700.0
@@ -92,7 +59,7 @@ class AcceleratorConfig:
         if not 0 < self.bandwidth_efficiency <= 1:
             raise ValueError("bandwidth efficiency must be in (0, 1]")
 
-    def tier(self, name: str) -> MemoryTierSpec:
+    def tier(self, name: str) -> MemoryTier:
         for tier in self.tiers:
             if tier.name == name:
                 return tier
@@ -106,22 +73,14 @@ class AcceleratorConfig:
     def effective_flops(self) -> float:
         return self.peak_flops * self.compute_efficiency
 
-    def with_tiers(self, tiers: Tuple[MemoryTierSpec, ...]) -> "AcceleratorConfig":
+    def with_tiers(self, tiers: Tuple[MemoryTier, ...]) -> "AcceleratorConfig":
         """Copy of this accelerator with a different tier set (the knob
         the tiering experiments turn)."""
-        from dataclasses import replace
-
         return replace(self, tiers=tiers)
 
 
-def _hbm_tier(capacity_bytes: int, bandwidth: float) -> MemoryTierSpec:
-    return MemoryTierSpec(
-        name="hbm",
-        capacity_bytes=capacity_bytes,
-        read_bandwidth=bandwidth,
-        write_bandwidth=bandwidth,
-        profile=HBM3E,
-    )
+def _hbm_tier(capacity_bytes: int, bandwidth: float) -> MemoryTier:
+    return MemoryTier("hbm", capacity_bytes, bandwidth, bandwidth, HBM3E)
 
 
 #: NVIDIA A100 80GB (Splitwise's prefill-era hardware).

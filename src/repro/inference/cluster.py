@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping, Optional
 
-from repro.inference.accelerator import AcceleratorConfig, MemoryTierSpec
+from repro.inference.accelerator import AcceleratorConfig
 from repro.inference.batching import RunningContext
 from repro.inference.engine import (
     InferenceEngine,
@@ -50,12 +50,11 @@ def tensor_parallel_group(
     if group_size < 1:
         raise ValueError("group size must be >= 1")
     tiers = tuple(
-        MemoryTierSpec(
-            name=tier.name,
+        replace(
+            tier,
             capacity_bytes=tier.capacity_bytes * group_size,
             read_bandwidth=tier.read_bandwidth * group_size,
             write_bandwidth=tier.write_bandwidth * group_size,
-            profile=tier.profile,
         )
         for tier in accelerator.tiers
     )

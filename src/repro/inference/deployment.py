@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.tiering.tiers import MemoryTier
+from repro.devices.base import MemoryTier
 from repro.units import YEAR
 from repro.workload.model import ModelConfig
 

@@ -25,12 +25,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+from repro.devices.base import MemoryTier
 from repro.inference.accelerator import AcceleratorConfig
-from repro.inference.roofline import RooflineModel
-from repro.tiering.tiers import MemoryTier
 from repro.units import Ratio, Watts
 from repro.workload.model import ModelConfig
-from repro.workload.phases import decode_step_traffic
+from repro.workload.phases import PhaseTraffic, decode_step_traffic
+
+#: Dynamic compute power scales as ``f**exponent`` under DVFS (voltage
+#: scaling makes this ~2-3; 2.5 is a common fit).
+FREQUENCY_POWER_EXPONENT = 2.5
+#: The decode operating point :func:`best_frequency_under_cap` solves
+#: at: batch 16 at 2,048-token contexts.
+DECODE_BATCH_SIZE = 16
+DECODE_CONTEXT_TOKENS = 2048
 
 
 @dataclass(frozen=True)
@@ -43,20 +50,14 @@ class PowerModel:
         Compute configuration (board power = compute-die budget).
     idle_fraction:
         Fraction of board power drawn at zero utilization.
-    frequency_power_exponent:
-        Dynamic compute power scales as ``f**exponent`` under DVFS
-        (voltage scaling makes this ~2-3; 2.5 is a common fit).
     """
 
     accelerator: AcceleratorConfig
     idle_fraction: Ratio = 0.25
-    frequency_power_exponent: float = 2.5
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.idle_fraction < 1.0:
             raise ValueError("idle fraction must be in [0, 1)")
-        if self.frequency_power_exponent < 1.0:
-            raise ValueError("power exponent must be >= 1")
 
     def compute_power_w(self, utilization: Ratio, frequency: Ratio = 1.0) -> Watts:
         """Compute-die power at a given utilization and DVFS point."""
@@ -70,7 +71,7 @@ class PowerModel:
             board
             * (1.0 - self.idle_fraction)
             * utilization
-            * frequency**self.frequency_power_exponent
+            * frequency**FREQUENCY_POWER_EXPONENT
         )
         return idle + dynamic
 
@@ -107,18 +108,12 @@ class OperatingPoint:
 
 
 def _decode_throughput_at_frequency(
-    accelerator: AcceleratorConfig,
-    model: ModelConfig,
-    context_tokens: int,
-    batch_size: int,
-    frequency: float,
-    tier_name: str,
+    accelerator: AcceleratorConfig, traffic: PhaseTraffic, frequency: float
 ) -> Tuple[float, float]:
-    """(tokens/s, compute utilization) of steady decode at a DVFS point."""
-    roofline = RooflineModel(accelerator)
-    traffic = decode_step_traffic(model, context_tokens, batch_size)
+    """(tokens/s, compute utilization) of steady decode at a DVFS point,
+    all traffic on HBM."""
     compute_time = traffic.flops / (accelerator.effective_flops * frequency)
-    tier = accelerator.tier(tier_name)
+    tier = accelerator.tier("hbm")
     memory_time = (
         traffic.bytes_read
         / (tier.read_bandwidth * accelerator.bandwidth_efficiency)
@@ -127,7 +122,7 @@ def _decode_throughput_at_frequency(
     )
     step = max(compute_time, memory_time)
     utilization = compute_time / step
-    return batch_size / step, utilization
+    return DECODE_BATCH_SIZE / step, utilization
 
 
 def best_frequency_under_cap(
@@ -135,9 +130,6 @@ def best_frequency_under_cap(
     model: ModelConfig,
     tiers: Sequence[MemoryTier],
     cap_w: Watts,
-    context_tokens: int = 2048,
-    batch_size: int = 16,
-    tier_name: str = "hbm",
     frequencies: Optional[Sequence[float]] = None,
 ) -> Optional[OperatingPoint]:
     """Highest-throughput DVFS point whose total power fits the cap.
@@ -150,23 +142,24 @@ def best_frequency_under_cap(
     if cap_w <= 0:
         raise ValueError("cap must be positive")
     accelerator = power_model.accelerator
-    traffic = decode_step_traffic(model, context_tokens, batch_size)
+    traffic = decode_step_traffic(
+        model, DECODE_CONTEXT_TOKENS, DECODE_BATCH_SIZE
+    )
     frequencies = frequencies or [f / 20.0 for f in range(20, 4, -1)]
     best: Optional[OperatingPoint] = None
     for frequency in frequencies:
         tokens_per_s, utilization = _decode_throughput_at_frequency(
-            accelerator, model, context_tokens, batch_size, frequency,
-            tier_name,
+            accelerator, traffic, frequency
         )
-        steps_per_s = tokens_per_s / batch_size
+        steps_per_s = tokens_per_s / DECODE_BATCH_SIZE
         read_rate = traffic.bytes_read * steps_per_s
         write_rate = traffic.bytes_written * steps_per_s
-        # Route all traffic over the named tier; others only refresh.
+        # Route all traffic over HBM; other tiers only refresh.
         read_rates = [
-            read_rate if tier.name == tier_name else 0.0 for tier in tiers
+            read_rate if tier.name == "hbm" else 0.0 for tier in tiers
         ]
         write_rates = [
-            write_rate if tier.name == tier_name else 0.0 for tier in tiers
+            write_rate if tier.name == "hbm" else 0.0 for tier in tiers
         ]
         compute = power_model.compute_power_w(utilization, frequency)
         memory = power_model.memory_power_w(tiers, read_rates, write_rates)

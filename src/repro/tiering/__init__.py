@@ -6,8 +6,9 @@ structures (e.g., activations), and LPDDR as a slower tier.  Fine-grained
 understanding of lifetime and access patterns of the data will be
 required to lay out the data."
 
-- :mod:`~repro.tiering.tiers` — cluster-level tier descriptions and
-  builders (HBM, MRM, LPDDR, Flash).
+- :mod:`~repro.tiering.tiers` — the MRM technology point and the tier
+  builders (HBM, MRM, LPDDR, Flash, and an accelerator's co-packaged
+  MRM).
 - :mod:`~repro.tiering.policy` — placement policies mapping
   :class:`~repro.core.placement.DataObject` to tiers: all-HBM baseline,
   static kind-based, lifetime/access-aware, cost-greedy.
@@ -16,7 +17,8 @@ required to lay out the data."
 """
 
 from repro.tiering.tiers import (
-    MemoryTier,
+    MRM_PROFILE,
+    copackaged_mrm_tier,
     flash_tier,
     hbm_tier,
     lpddr_tier,
@@ -46,12 +48,13 @@ __all__ = [
     "OffloadSimulator",
     "KindBasedPolicy",
     "LifetimeAwarePolicy",
-    "MemoryTier",
+    "MRM_PROFILE",
     "Placement",
     "PlacementError",
     "PlacementPolicy",
     "TierManager",
     "TierManagerStats",
+    "copackaged_mrm_tier",
     "flash_tier",
     "hbm_tier",
     "lpddr_tier",

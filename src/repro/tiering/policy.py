@@ -1,7 +1,7 @@
 """Placement policies: which tier gets which data object.
 
 A policy maps a set of :class:`~repro.core.placement.DataObject` to a
-:class:`Placement` over a set of :class:`~repro.tiering.tiers.MemoryTier`,
+:class:`Placement` over a set of :class:`~repro.devices.base.MemoryTier`,
 subject to capacity.  Implemented policies span the paper's argument:
 
 - :class:`AllHBMPolicy` — today's baseline: everything in HBM.
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.placement import DataKind, DataObject
-from repro.tiering.tiers import MemoryTier
+from repro.devices.base import MemoryTier
 
 
 class PlacementError(RuntimeError):

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.placement import DataObject
+from repro.devices.base import MemoryTier
 from repro.obs import NULL_REGISTRY
-from repro.tiering.tiers import MemoryTier
 
 
 @dataclass

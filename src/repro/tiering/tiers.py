@@ -1,73 +1,27 @@
-"""Cluster-level memory tiers.
+"""Cluster-level memory tiers and the one MRM technology point.
 
-A :class:`MemoryTier` is a pool of one memory technology with aggregate
-capacity and bandwidth — the granularity placement policies reason at.
-Builders construct the tiers the paper's hierarchy sketch names: HBM
-(fast, expensive, refresh-burdened), MRM (dense, read-fast, retention-
-managed), LPDDR (cheap capacity), Flash (cold storage floor).
+A :class:`~repro.devices.base.MemoryTier` is a pool of one memory
+technology with aggregate capacity and bandwidth — the granularity
+placement policies reason at.  Builders construct the tiers the paper's
+hierarchy sketch names: HBM (fast, expensive, refresh-burdened), MRM
+(dense, read-fast, retention-managed), LPDDR (cheap capacity), Flash
+(cold storage floor).
 
-The MRM tier is built *from* a reference SCM technology at a chosen
-retention point via :class:`~repro.core.retention.RetentionModel` — so
-tiering experiments inherit the same physics as the device model.
+:data:`MRM_PROFILE` is the MRM technology point every experiment uses:
+the potential-RRAM cell relaxed to :data:`MRM_TIER_RETENTION_S` via
+:class:`~repro.core.retention.RetentionModel`, so tiering and serving
+experiments inherit the same physics as the device model.  Two builders
+size it: :func:`mrm_tier` (a cluster pool) and
+:func:`copackaged_mrm_tier` (the tier an accelerator carries next to its
+HBM).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from repro.core.retention import RetentionModel
-from repro.devices.base import TechnologyProfile
+from repro.devices.base import MemoryTier
 from repro.devices.catalog import HBM3E, LPDDR5X, NAND_SLC, RRAM_POTENTIAL
-from repro.units import Bytes, GiB, HOUR, Joules, TiB, Watts
-
-
-@dataclass(frozen=True)
-class MemoryTier:
-    """One tier of the cluster memory hierarchy.
-
-    Attributes
-    ----------
-    name / profile:
-        Identity and underlying technology.
-    capacity_bytes:
-        Aggregate pool size.
-    read_bandwidth / write_bandwidth:
-        Aggregate sustained bandwidth (bytes/s).
-    cost_usd:
-        Acquisition cost of the pool (capacity * $/GiB).
-    supports_managed_retention:
-        True only for MRM tiers (placement policies may only put
-        finite-lifetime data with relaxed integrity there).
-    """
-
-    name: str
-    profile: TechnologyProfile
-    capacity_bytes: int
-    read_bandwidth: float
-    write_bandwidth: float
-    cost_usd: float
-    supports_managed_retention: bool = False
-
-    def __post_init__(self) -> None:
-        if self.capacity_bytes <= 0:
-            raise ValueError(f"tier {self.name}: capacity must be positive")
-        if self.read_bandwidth <= 0 or self.write_bandwidth <= 0:
-            raise ValueError(f"tier {self.name}: bandwidth must be positive")
-
-    def read_energy_j(self, size_bytes: Bytes) -> Joules:
-        return size_bytes * self.profile.read_energy_j_per_byte
-
-    def write_energy_j(self, size_bytes: Bytes) -> Joules:
-        return size_bytes * self.profile.write_energy_j_per_byte
-
-    def refresh_power_w(self) -> Watts:
-        """Steady-state refresh power of the whole tier (0 for
-        non-volatile tiers)."""
-        if not self.profile.volatile:
-            return 0.0
-        per_interval = self.capacity_bytes * self.profile.write_energy_j_per_byte
-        return per_interval / self.profile.refresh_interval_s
+from repro.units import GiB, HOUR, TiB
 
 
 def hbm_tier(capacity_bytes: int) -> MemoryTier:
@@ -75,49 +29,60 @@ def hbm_tier(capacity_bytes: int) -> MemoryTier:
     capacity at 24 GiB/stack."""
     stacks = max(1, round(capacity_bytes / (24 * GiB)))
     bandwidth = stacks * HBM3E.read_bandwidth
-    return MemoryTier(
-        name="hbm",
-        profile=HBM3E,
-        capacity_bytes=capacity_bytes,
-        read_bandwidth=bandwidth,
-        write_bandwidth=bandwidth,
-        cost_usd=(capacity_bytes / GiB) * HBM3E.cost_usd_per_gib,
-    )
+    return MemoryTier("hbm", capacity_bytes, bandwidth, bandwidth, HBM3E)
 
 
 #: MRM's assumed $/GiB as a fraction of HBM's.  The paper argues MRM
 #: improves TCO/TB via density (stacking without capacitors, crossbar,
 #: MLC) and simpler manufacturing than HBM.
 MRM_COST_DISCOUNT_VS_HBM = 0.4
-#: The retention an MRM tier's cells are programmed for.
+#: The retention MRM cells are programmed for: long enough to hold
+#: weights and session KV across serving, short enough to buy the
+#: paper's write-energy/density relaxation (Section 3).
 MRM_TIER_RETENTION_S = 6 * HOUR
+
+#: The MRM technology point: RRAM's potential profile relaxed to
+#: :data:`MRM_TIER_RETENTION_S`, priced at
+#: :data:`MRM_COST_DISCOUNT_VS_HBM` of HBM's cost per bit.
+MRM_PROFILE = RetentionModel(RRAM_POTENTIAL).profile_at(
+    MRM_TIER_RETENTION_S, name=f"mrm@{MRM_TIER_RETENTION_S / HOUR:.0f}h"
+).with_overrides(
+    cost_usd_per_gib=HBM3E.cost_usd_per_gib * MRM_COST_DISCOUNT_VS_HBM
+)
 
 
 def mrm_tier(capacity_bytes: int) -> MemoryTier:
-    """An MRM pool derived from RRAM's potential profile at
-    :data:`MRM_TIER_RETENTION_S`, priced at
-    :data:`MRM_COST_DISCOUNT_VS_HBM` of HBM's cost per bit.  Read
-    bandwidth is the derived profile's, scaled to the pool size like HBM
-    stacks.
+    """A cluster MRM pool of :data:`MRM_PROFILE`.
+
+    Bandwidth scales with the pool size, like HBM stacks.
     """
-    retention_s = MRM_TIER_RETENTION_S
-    model = RetentionModel(RRAM_POTENTIAL)
-    profile = model.profile_at(retention_s, name=f"mrm@{retention_s:.0f}s")
     # Pool bandwidth: one MRM "stack-equivalent" per 24 GiB, like HBM.
     # Reads stream from all 12 stacked dies in parallel (the metric MRM
     # optimizes); writes are program-power-limited to ~2 concurrent dies
     # per stack — the write throughput the paper explicitly trades away.
     units = max(1, round(capacity_bytes / (24 * GiB)))
     return MemoryTier(
-        name="mrm",
-        profile=profile,
-        capacity_bytes=capacity_bytes,
-        read_bandwidth=units * profile.read_bandwidth * 12,
-        write_bandwidth=units * profile.write_bandwidth * 2,
-        cost_usd=(capacity_bytes / GiB)
-        * HBM3E.cost_usd_per_gib
-        * MRM_COST_DISCOUNT_VS_HBM,
-        supports_managed_retention=True,
+        "mrm",
+        capacity_bytes,
+        units * MRM_PROFILE.read_bandwidth * 12,
+        units * MRM_PROFILE.write_bandwidth * 2,
+        MRM_PROFILE,
+    )
+
+
+def copackaged_mrm_tier(hbm: MemoryTier, capacity_bytes: int) -> MemoryTier:
+    """The MRM tier an accelerator carries next to its ``hbm`` tier.
+
+    Read bandwidth matches HBM (co-packaged target, Section 3); write
+    bandwidth is an eighth — the write performance MRM deliberately
+    forfeits.
+    """
+    return MemoryTier(
+        "mrm",
+        capacity_bytes,
+        hbm.read_bandwidth,
+        hbm.read_bandwidth / 8,
+        MRM_PROFILE,
     )
 
 
@@ -126,25 +91,19 @@ def lpddr_tier(capacity_bytes: int) -> MemoryTier:
     32 GiB/package."""
     packages = max(1, round(capacity_bytes / (32 * GiB)))
     bandwidth = packages * LPDDR5X.read_bandwidth
-    return MemoryTier(
-        name="lpddr",
-        profile=LPDDR5X,
-        capacity_bytes=capacity_bytes,
-        read_bandwidth=bandwidth,
-        write_bandwidth=bandwidth,
-        cost_usd=(capacity_bytes / GiB) * LPDDR5X.cost_usd_per_gib,
-    )
+    return MemoryTier("lpddr", capacity_bytes, bandwidth, bandwidth, LPDDR5X)
 
 
-def flash_tier(capacity_bytes: int, devices: Optional[int] = None) -> MemoryTier:
-    """An SLC-NAND pool (the cold floor; mostly a foil in experiments)."""
-    if devices is None:
-        devices = max(1, round(capacity_bytes / TiB))
+def flash_tier(capacity_bytes: int) -> MemoryTier:
+    """An SLC-NAND pool (the cold floor; mostly a foil in experiments).
+
+    One device per TiB.
+    """
+    devices = max(1, round(capacity_bytes / TiB))
     return MemoryTier(
-        name="flash",
-        profile=NAND_SLC,
-        capacity_bytes=capacity_bytes,
-        read_bandwidth=devices * NAND_SLC.read_bandwidth,
-        write_bandwidth=devices * NAND_SLC.write_bandwidth,
-        cost_usd=(capacity_bytes / GiB) * NAND_SLC.cost_usd_per_gib,
+        "flash",
+        capacity_bytes,
+        devices * NAND_SLC.read_bandwidth,
+        devices * NAND_SLC.write_bandwidth,
+        NAND_SLC,
     )

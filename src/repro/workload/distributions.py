@@ -58,28 +58,27 @@ class LogNormalDistribution:
 class TokenLengthProfile:
     """Prompt/output token-count distributions for one workload type.
 
-    ``sample(rng, context_limit)`` clamps so prompt+output never exceed
-    the model's context limit, mirroring deployment truncation.
+    ``sample(rng, context_limit)`` draws at least one prompt and one
+    output token, and clamps so prompt+output never exceed the model's
+    context limit, mirroring deployment truncation.
     """
 
     name: str
     prompt: LogNormalDistribution
     output: LogNormalDistribution
-    min_prompt: int = 1
-    min_output: int = 1
 
     def sample(
         self, rng: np.random.Generator, context_limit: Optional[int] = None
     ) -> tuple:
         """Draw ``(prompt_tokens, output_tokens)``."""
-        prompt = max(self.min_prompt, int(round(self.prompt.sample(rng))))
-        output = max(self.min_output, int(round(self.output.sample(rng))))
+        prompt = max(1, int(round(self.prompt.sample(rng))))
+        output = max(1, int(round(self.output.sample(rng))))
         if context_limit is not None:
-            if context_limit < self.min_prompt + self.min_output:
+            if context_limit < 2:
                 raise ValueError(
                     f"context limit {context_limit} below minimum request size"
                 )
-            prompt = min(prompt, context_limit - self.min_output)
+            prompt = min(prompt, context_limit - 1)
             output = min(output, context_limit - prompt)
         return prompt, output
 

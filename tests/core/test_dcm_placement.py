@@ -27,7 +27,6 @@ def make_objects(n=10, lifetime_s=HOUR):
             size_bytes=4 * MiB,
             lifetime_s=lifetime_s,
             access=AccessProfile(read_bytes_per_s=1e9, write_bytes_per_s=1e6),
-            recomputable=True,
         )
         for _ in range(n)
     ]
@@ -48,14 +47,6 @@ class TestDataObject:
         assert profile.read_write_ratio == 1000.0
         assert AccessProfile(1.0, 0.0).read_write_ratio == float("inf")
 
-    def test_needs_persistence(self):
-        obj = make_objects(1)[0]
-        assert not obj.needs_persistence  # recomputable
-        hard = DataObject(
-            DataKind.OTHER, 10, HOUR, AccessProfile(1.0, 1.0)
-        )
-        assert hard.needs_persistence
-
     def test_unique_ids_and_names(self):
         a, b = make_objects(2)
         assert a.object_id != b.object_id
@@ -66,23 +57,18 @@ class TestFactories:
     def test_weights_object(self):
         obj = weights_object(100 * MiB, read_bytes_per_s=1e12)
         assert obj.kind is DataKind.WEIGHTS
-        assert obj.durable_elsewhere
         assert obj.lifetime_s == REDEPLOY_INTERVAL_S == 7 * DAY
-        assert not obj.access.in_place_updates
         assert obj.access.read_write_ratio > 1000
 
     def test_kv_cache_object(self):
         obj = kv_cache_object(30 * MiB, read_bytes_per_s=1e11,
                               append_bytes_per_s=1e7)
         assert obj.kind is DataKind.KV_CACHE
-        assert obj.recomputable
-        assert obj.access.sequential_reads
 
     def test_activations_object(self):
         obj = activations_object(2 * MiB, bandwidth_bytes_per_s=1e12)
         assert obj.kind is DataKind.ACTIVATIONS
         assert obj.lifetime_s < 1.0
-        assert obj.access.in_place_updates
 
 
 class TestPolicies:

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.devices.base import (
-    CellKind,
-    EnduranceExceeded,
-    MemoryDevice,
-    TechnologyProfile,
-)
+from repro.devices.base import CellKind, MemoryDevice, TechnologyProfile
 from repro.units import MILLISECOND, NANOSECOND, pj_per_bit_to_j_per_byte
 
 
@@ -86,75 +81,3 @@ class TestMemoryDeviceAccess:
             dev.write(-1, 10)
         with pytest.raises(ValueError):
             dev.read(0, 0)
-
-
-class TestWearTracking:
-    def test_wear_per_block(self):
-        dev = MemoryDevice(make_profile(), capacity_bytes=1024, wear_block_bytes=64)
-        dev.write(0, 64)
-        dev.write(0, 64)
-        dev.write(64, 64)
-        assert dev.wear_of(0) == 2
-        assert dev.wear_of(1) == 1
-        assert dev.max_wear == 2
-
-    def test_spanning_write_wears_all_blocks(self):
-        dev = MemoryDevice(make_profile(), capacity_bytes=1024, wear_block_bytes=64)
-        dev.write(32, 64)  # spans blocks 0 and 1
-        assert dev.wear_of(0) == 1
-        assert dev.wear_of(1) == 1
-
-    def test_wearout_counted(self):
-        profile = make_profile(endurance_cycles=3.0)
-        dev = MemoryDevice(profile, capacity_bytes=128, wear_block_bytes=64)
-        for _ in range(4):
-            dev.write(0, 64)
-        assert dev.worn_blocks == 1
-
-    def test_wearout_raises_when_fatal(self):
-        profile = make_profile(endurance_cycles=2.0)
-        dev = MemoryDevice(
-            profile, capacity_bytes=128, wear_block_bytes=64, fail_on_wearout=True
-        )
-        dev.write(0, 64)
-        dev.write(0, 64)
-        with pytest.raises(EnduranceExceeded):
-            dev.write(0, 64)
-
-    def test_wear_imbalance(self):
-        dev = MemoryDevice(make_profile(), capacity_bytes=256, wear_block_bytes=64)
-        for _ in range(8):
-            dev.write(0, 64)
-        # 4 blocks, one with 8 writes: mean = 2, max = 8.
-        assert dev.wear_imbalance() == pytest.approx(4.0)
-
-    def test_remaining_lifetime(self):
-        profile = make_profile(endurance_cycles=10.0)
-        dev = MemoryDevice(profile, capacity_bytes=128, wear_block_bytes=64)
-        for _ in range(5):
-            dev.write(0, 64)
-        assert dev.remaining_lifetime_fraction() == pytest.approx(0.5)
-
-
-class TestBackgroundEnergy:
-    def test_nonvolatile_refresh_is_free(self):
-        dev = MemoryDevice(make_profile(), capacity_bytes=1024)
-        assert dev.accrue_refresh_energy(100.0) == 0.0
-
-    def test_volatile_refresh_charges(self):
-        profile = make_profile(refresh_interval_s=0.064)
-        dev = MemoryDevice(profile, capacity_bytes=1024)
-        energy = dev.accrue_refresh_energy(0.064)  # exactly one interval
-        expected = 1024 * profile.write_energy_j_per_byte
-        assert energy == pytest.approx(expected)
-        assert dev.counters.refresh_energy_j == pytest.approx(expected)
-
-    def test_static_energy(self):
-        profile = make_profile(static_power_w_per_gib=1.0)
-        dev = MemoryDevice(profile, capacity_bytes=1024**3)
-        assert dev.accrue_static_energy(10.0) == pytest.approx(10.0)
-
-    def test_negative_duration_rejected(self):
-        dev = MemoryDevice(make_profile(), capacity_bytes=1024)
-        with pytest.raises(ValueError):
-            dev.accrue_static_energy(-1.0)

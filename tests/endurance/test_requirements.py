@@ -3,7 +3,9 @@
 import pytest
 
 from repro.endurance.requirements import (
-    SplitwiseCalibration,
+    DECODE_TOKENS_PER_S,
+    MIXED_TOKENS_PER_S,
+    PREFILL_TOKENS_PER_S,
     check_figure1_shape,
     figure1_data,
     kv_cache_requirement,
@@ -60,12 +62,7 @@ class TestKVRequirement:
 
 class TestCalibration:
     def test_mixed_rate_between_phases(self):
-        calib = SplitwiseCalibration()
-        assert (
-            calib.decode_tokens_per_s
-            < calib.mixed_tokens_per_s
-            < calib.prefill_tokens_per_s
-        )
+        assert DECODE_TOKENS_PER_S < MIXED_TOKENS_PER_S < PREFILL_TOKENS_PER_S
 
 
 class TestFigure1:

@@ -11,7 +11,6 @@ from repro.fleet import (
     epoch_count,
     epoch_demand_rps,
     generate_fleet_traces,
-    mrm_tier_spec,
     plan_capacity,
     static_plan,
 )
@@ -238,7 +237,8 @@ class TestMemoryConfig:
         from repro.inference.accelerator import H100_80G
 
         hbm = H100_80G.tier("hbm")
-        spec = mrm_tier_spec(hbm)
+        accelerator, _placement = apply_memory_config(H100_80G, "mrm")
+        spec = accelerator.tier("mrm")
         assert spec.name == "mrm"
         assert spec.capacity_bytes == 4 * hbm.capacity_bytes
         assert spec.read_bandwidth == hbm.read_bandwidth

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.devices.base import MemoryTier
 from repro.devices.catalog import HBM3E, LPDDR5X
 from repro.inference.accelerator import (
     A100_80G,
     AcceleratorConfig,
     B200,
     H100_80G,
-    MemoryTierSpec,
 )
 from repro.inference.roofline import Boundedness, RooflineModel
 from repro.units import GiB
@@ -27,12 +27,12 @@ class TestAcceleratorConfig:
             B200.tier("mrm")
 
     def test_duplicate_tiers_rejected(self):
-        tier = MemoryTierSpec("hbm", GiB, 1e12, 1e12, HBM3E)
+        tier = MemoryTier("hbm", GiB, 1e12, 1e12, HBM3E)
         with pytest.raises(ValueError, match="duplicate"):
             AcceleratorConfig(name="x", peak_flops=1e15, tiers=(tier, tier))
 
     def test_with_tiers_swaps(self):
-        lpddr = MemoryTierSpec("lpddr", 480 * GiB, 0.5e12, 0.5e12, LPDDR5X)
+        lpddr = MemoryTier("lpddr", 480 * GiB, 0.5e12, 0.5e12, LPDDR5X)
         modified = B200.with_tiers(B200.tiers + (lpddr,))
         assert set(modified.tier_names) == {"hbm", "lpddr"}
         assert sum(t.capacity_bytes for t in modified.tiers) == (192 + 480) * GiB
@@ -70,7 +70,7 @@ class TestRooflineTiming:
         assert mixed.memory_time_s == pytest.approx(2 * reads_only.memory_time_s)
 
     def test_time_steps_equals_time_step_per_lane(self):
-        lpddr = MemoryTierSpec("lpddr", 480 * GiB, 0.5e12, 0.07e12, LPDDR5X)
+        lpddr = MemoryTier("lpddr", 480 * GiB, 0.5e12, 0.07e12, LPDDR5X)
         roofline = RooflineModel(B200.with_tiers(B200.tiers + (lpddr,)))
         rng = np.random.default_rng(5)
         flops = rng.uniform(0.0, 4e15, 64)
@@ -99,7 +99,7 @@ class TestRooflineTiming:
             roofline.time_steps(np.ones(2), {"hbm": np.array([1.0, -1.0])})
 
     def test_tiers_overlap(self):
-        lpddr = MemoryTierSpec("lpddr", 480 * GiB, 0.5e12, 0.5e12, LPDDR5X)
+        lpddr = MemoryTier("lpddr", 480 * GiB, 0.5e12, 0.5e12, LPDDR5X)
         acc = B200.with_tiers(B200.tiers + (lpddr,))
         roofline = RooflineModel(acc)
         # Offloading a sliver to a second tier beats one-tier serialization.

@@ -14,11 +14,10 @@ from repro.core.dcm import (
 )
 from repro.core.mrm import MRMConfig, MRMDevice
 from repro.core.placement import kv_cache_object
-from repro.devices.catalog import HBM3E, RRAM_POTENTIAL
 from repro.devices.dram import DRAMDevice
 from repro.devices.flash import FlashDevice
 from repro.endurance.lifetime import device_lifetime_s
-from repro.endurance.requirements import SplitwiseCalibration
+from repro.endurance.requirements import MACHINE_HBM_BYTES, MIXED_TOKENS_PER_S
 from repro.inference.accelerator import H100_80G
 from repro.inference.cluster import Cluster, tensor_parallel_group
 from repro.sim import Simulator
@@ -77,25 +76,23 @@ class TestFlashInadequacy:
     """E12: SLC Flash burns out under the KV write stream in months."""
 
     def test_flash_lifetime_under_kv_stream(self):
-        calib = SplitwiseCalibration()
-        kv_rate = calib.mixed_tokens_per_s * LLAMA2_70B.kv_bytes_per_token
+        kv_rate = MIXED_TOKENS_PER_S * LLAMA2_70B.kv_bytes_per_token
         from repro.devices.catalog import NAND_SLC
 
         lifetime = device_lifetime_s(
             NAND_SLC,
-            capacity_bytes=calib.machine_hbm_bytes,
+            capacity_bytes=MACHINE_HBM_BYTES,
             write_rate_bytes_per_s=kv_rate,
         )
         assert lifetime < 5 * YEAR  # cannot survive the deployment
 
     def test_mrm_survives_where_flash_does_not(self):
-        calib = SplitwiseCalibration()
-        kv_rate = calib.mixed_tokens_per_s * LLAMA2_70B.kv_bytes_per_token
+        kv_rate = MIXED_TOKENS_PER_S * LLAMA2_70B.kv_bytes_per_token
         mrm = MRMDevice(MRMConfig(capacity_bytes=32 * GiB))
         profile = mrm.retention_model.profile_at(HOUR)
         lifetime = device_lifetime_s(
             profile,
-            capacity_bytes=calib.machine_hbm_bytes,
+            capacity_bytes=MACHINE_HBM_BYTES,
             write_rate_bytes_per_s=kv_rate,
         )
         assert lifetime > 5 * YEAR
@@ -125,8 +122,6 @@ class TestTieredServing:
     bottleneck for decode."""
 
     def make_cluster(self, placement, tiers=None):
-        from repro.inference.accelerator import MemoryTierSpec
-
         sim = Simulator()
         acc = tensor_parallel_group(H100_80G, 4)
         if tiers is not None:
@@ -140,23 +135,14 @@ class TestTieredServing:
         return report
 
     def test_mrm_weights_tier_increases_throughput(self):
-        from repro.core.retention import RetentionModel
-        from repro.inference.accelerator import MemoryTierSpec
+        from repro.tiering.tiers import copackaged_mrm_tier
 
         baseline = self.make_cluster(placement=None)
 
-        mrm_profile = RetentionModel(RRAM_POTENTIAL).profile_at(6 * HOUR)
         hbm = tensor_parallel_group(H100_80G, 4).tier("hbm")
-        mrm_tier_spec = MemoryTierSpec(
-            name="mrm",
-            capacity_bytes=512 * GiB,
-            read_bandwidth=hbm.read_bandwidth,  # co-packaged, same reach
-            write_bandwidth=hbm.read_bandwidth / 8,
-            profile=mrm_profile,
-        )
         hybrid = self.make_cluster(
             placement={"weights": "mrm"},
-            tiers=(hbm, mrm_tier_spec),
+            tiers=(hbm, copackaged_mrm_tier(hbm, 512 * GiB)),
         )
         # Weights move off HBM: decode overlaps weight and KV streams.
         assert (

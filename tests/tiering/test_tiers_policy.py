@@ -16,7 +16,10 @@ from repro.tiering.policy import (
     Placement,
     PlacementError,
 )
+from repro.devices.catalog import HBM3E, LPDDR5X, NAND_SLC
 from repro.tiering.tiers import (
+    MRM_COST_DISCOUNT_VS_HBM,
+    MRM_PROFILE,
     MRM_TIER_RETENTION_S,
     flash_tier,
     hbm_tier,
@@ -76,6 +79,27 @@ class TestTierBuilders:
     def test_validation(self):
         with pytest.raises(ValueError):
             hbm_tier(0)
+
+    def test_one_mrm_point(self):
+        """The cluster pool, the fleet's co-packaged tier and E12 share
+        one MRM profile, and every builder's derived cost equals its
+        capacity times the $/GiB it prices the technology at."""
+        from benchmarks import bench_e12_flash
+        from repro.fleet.autoscaler import apply_memory_config
+        from repro.inference.accelerator import H100_80G
+
+        accelerator, _placement = apply_memory_config(H100_80G, "mrm")
+        assert mrm_tier(512 * GiB).profile is MRM_PROFILE
+        assert accelerator.tier("mrm").profile is MRM_PROFILE
+        assert bench_e12_flash.MRM_PROFILE is MRM_PROFILE
+        assert MRM_PROFILE.name == "mrm@6h"
+        for gib in (1, 7, 24, 192, 320, 512, 768, 832, 1024, 4096):
+            c = gib * GiB
+            hbm_cost = (c / GiB) * HBM3E.cost_usd_per_gib
+            assert hbm_tier(c).cost_usd == hbm_cost
+            assert mrm_tier(c).cost_usd == hbm_cost * MRM_COST_DISCOUNT_VS_HBM
+            assert lpddr_tier(c).cost_usd == (c / GiB) * LPDDR5X.cost_usd_per_gib
+            assert flash_tier(c).cost_usd == (c / GiB) * NAND_SLC.cost_usd_per_gib
 
 
 class TestPlacementAccounting:

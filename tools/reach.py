@@ -144,7 +144,6 @@ KEEP: Dict[Tuple[str, str], str] = {
     ("repro.core.mrm", "MRMDevice.mean_damage"): _TESTED,
     ("repro.core.mrm", "MRMDevice.remaining_lifetime_fraction"): _TESTED,
     ("repro.core.mrm", "MRMDevice.accrue_refresh_energy"): _TESTED,
-    ("repro.core.placement", "DataObject.needs_persistence"): _TESTED,
     ("repro.core.refresh", "RefreshScheduler.pending"): _TESTED,
     ("repro.core.replication", "ReplicaPair.covers_all_subblocks"): _TESTED,
     ("repro.core.replication", "ReplicationManager.dead_slots"): _TESTED,
@@ -165,17 +164,6 @@ KEEP: Dict[Tuple[str, str], str] = {
      "TechnologyProfile.read_energy_pj_per_bit"): _TESTED,
     ("repro.devices.base",
      "TechnologyProfile.write_energy_pj_per_bit"): _TESTED,
-    ("repro.devices.base", "EnduranceExceeded.__init__"): _TESTED,
-    ("repro.devices.base", "MemoryDevice.num_wear_blocks"): _TESTED,
-    ("repro.devices.base", "MemoryDevice.wear_of"): _TESTED,
-    ("repro.devices.base", "MemoryDevice.worn_blocks"): _TESTED,
-    ("repro.devices.base", "MemoryDevice.max_wear"): _TESTED,
-    ("repro.devices.base", "MemoryDevice.mean_wear"): _TESTED,
-    ("repro.devices.base", "MemoryDevice.wear_imbalance"): _TESTED,
-    ("repro.devices.base",
-     "MemoryDevice.remaining_lifetime_fraction"): _TESTED,
-    ("repro.devices.base", "MemoryDevice.accrue_static_energy"): _TESTED,
-    ("repro.devices.base", "MemoryDevice.accrue_refresh_energy"): _TESTED,
     ("repro.devices.catalog", "all_profiles"): _TESTED,
     ("repro.devices.dram", "DRAMDevice.refresh_bandwidth_tax"): _TESTED,
     ("repro.devices.dram", "DRAMDevice.refresh_power_w"): _TESTED,
