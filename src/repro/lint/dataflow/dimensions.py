@@ -35,6 +35,9 @@ WATTS = "watts"
 RATIO = "ratio"
 COUNT = "count"
 
+#: Dimensions that imply float arithmetic (non-associative addition).
+FLOAT_DIMENSIONS: Set[str] = {SECONDS, JOULES, WATTS, RATIO}
+
 #: Base tags for byte quantities.
 BINARY = "binary"
 DECIMAL = "decimal"

@@ -6,7 +6,7 @@ Pipeline per run:
 2. parse each file once and build the repo-wide import graph, from
    which the determinism-critical module set is derived;
 3. run every selected per-file rule over every file;
-4. run the interprocedural dataflow pass (RL012-RL016) over the same
+4. run the interprocedural dataflow pass (RL012, RL013) over the same
    parsed trees, unless no dataflow rule is selected;
 5. drop inline-suppressed findings — every finding left fails the run.
 """
@@ -157,7 +157,7 @@ def lint_paths(
         entries = [
             (pf.display_path, pf.module or "", pf.source, pf.tree) for pf in parsed
         ]
-        for finding in run_dataflow(entries, dataflow_rule_ids, critical):
+        for finding in run_dataflow(entries, dataflow_rule_ids):
             if suppression_index[finding.path].is_suppressed(finding):
                 result.suppressed.append(finding)
             else:

@@ -39,28 +39,57 @@ def module_name_for(path: Path) -> Optional[str]:
     return dotted
 
 
+def _from_module(node: ast.ImportFrom, module: str) -> str:
+    """The absolute module a ``from ... import`` reads, with relative
+    imports resolved against ``module``'s package."""
+    if not node.level:
+        return node.module or ""
+    package_parts = module.split(".")[:-1]
+    prefix = ".".join(package_parts[: len(package_parts) - (node.level - 1)])
+    if node.module:
+        return f"{prefix}.{node.module}" if prefix else node.module
+    return prefix
+
+
 def imported_modules(tree: ast.AST, module: str) -> Set[str]:
     """Absolute dotted names this module imports (relative imports are
     resolved against ``module``'s package)."""
-    package_parts = module.split(".")[:-1]
     found: Set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 found.add(alias.name)
         elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                base = package_parts[: len(package_parts) - (node.level - 1)]
-                prefix = ".".join(base)
-            else:
-                prefix = node.module or ""
-            if node.level and node.module:
-                prefix = f"{prefix}.{node.module}" if prefix else node.module
+            prefix = _from_module(node, module)
             if prefix:
                 found.add(prefix)
                 for alias in node.names:
                     found.add(f"{prefix}.{alias.name}")
     return found
+
+
+def build_aliases(tree: ast.AST, module: str) -> Dict[str, str]:
+    """Local name -> fully-qualified dotted target, from this file's
+    imports: ``from time import sleep`` maps ``sleep`` to
+    ``time.sleep`` and ``import numpy as np`` maps ``np`` to ``numpy``."""
+    aliases: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    aliases[alias.asname] = alias.name
+                else:
+                    # `import a.b` binds `a`; attribute chains keep the path.
+                    head = alias.name.split(".")[0]
+                    aliases.setdefault(head, head)
+        elif isinstance(node, ast.ImportFrom):
+            prefix = _from_module(node, module)
+            if not prefix:
+                continue
+            for alias in node.names:
+                if alias.name != "*":
+                    aliases[alias.asname or alias.name] = f"{prefix}.{alias.name}"
+    return aliases
 
 
 class ImportGraph:

@@ -16,12 +16,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Type
 
 from repro.lint.rules.base import Rule, RuleContext
 from repro.lint.rules.determinism import (
+    SeedProvenanceRule,
     SetIterationRule,
     UnseededRandomRule,
     WallClockRule,
 )
 from repro.lint.rules.exceptions import SwallowedExceptionRule
-from repro.lint.rules.floats import FloatEqualityRule
+from repro.lint.rules.floats import FloatEqualityRule, OrderSensitiveReductionRule
 from repro.lint.rules.obs import ObsDeterminismRule
 from repro.lint.rules.parallelism import AdHocParallelismRule
 from repro.lint.rules.provenance import DeviceProvenanceRule
@@ -42,13 +43,15 @@ RULE_CLASSES: List[Type[Rule]] = [
     AdHocParallelismRule,  # RL009
     SwallowedExceptionRule,  # RL010
     ObsDeterminismRule,  # RL011
-    UnboundedResilienceRule,  # RL020 (RL012-RL016 are interprocedural)
+    SeedProvenanceRule,  # RL014 (RL012 and RL013 are interprocedural)
+    OrderSensitiveReductionRule,  # RL016
+    UnboundedResilienceRule,  # RL020
 ]
 
 
 def all_rule_ids() -> Set[str]:
-    """Every registered id: per-file (RL001-RL011, RL020) and dataflow
-    (RL012-RL016)."""
+    """Every registered id: per-file (RL001-RL011, RL014, RL016, RL020)
+    and dataflow (RL012, RL013)."""
     # Imported lazily: the dataflow modules use rules.base helpers, so a
     # top-level import here would be circular.
     from repro.lint.dataflow.rules import DATAFLOW_RULE_IDS

@@ -16,6 +16,7 @@ from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.lint.findings import Finding
+from repro.lint.imports import build_aliases
 
 
 @dataclass
@@ -44,6 +45,20 @@ class RuleContext:
             for child in ast.iter_child_nodes(node):
                 parents[child] = node
         return parents
+
+    @cached_property
+    def aliases(self) -> Dict[str, str]:
+        """This file's import aliases (:func:`repro.lint.imports.build_aliases`)."""
+        return build_aliases(self.tree, self.module or "")
+
+    def qualified_name(self, node: ast.AST) -> str:
+        """``dotted_name(node)`` with its head resolved through this
+        file's imports: ``perf_counter`` after ``from time import
+        perf_counter`` is ``time.perf_counter``."""
+        name = dotted_name(node)
+        head, dot, rest = name.partition(".")
+        target = self.aliases.get(head)
+        return f"{target}{dot}{rest}" if target else name
 
     def source_line(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):

@@ -1,4 +1,4 @@
-"""Determinism rules (RL003-RL005).
+"""Determinism rules (RL003-RL005, RL014).
 
 The sim kernel documents determinism as a contract ("same schedule
 order in, same execution order out") and every experiment's
@@ -12,18 +12,23 @@ contract without failing a single test:
   — simulated time is the only clock a model may consult;
 - RL005: iterating a ``set`` (hash-order, perturbed by
   ``PYTHONHASHSEED``) where the iteration order can reach an
-  observable result.
+  observable result;
+- RL014: a generator in simulation, workload or fault code that a
+  sweep's root seed does not govern — pinned to a literal seed, or
+  seeded from a parameter that defaults to ``None`` (OS entropy
+  whenever a caller omits it).
 
 RL003/RL004 apply to the whole library — it is a deterministic
 modeling library; code that genuinely needs entropy must take an
 explicit seeded generator.  RL005 applies only to determinism-critical
-modules (see :mod:`repro.lint.imports`).
+modules (see :mod:`repro.lint.imports`), RL014 only to the
+``repro.sim``, ``repro.workload`` and ``repro.faults`` packages.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set
+from typing import Iterator, Optional, Set
 
 from repro.lint.findings import Finding
 from repro.lint.rules.base import Rule, RuleContext, dotted_name
@@ -76,21 +81,7 @@ class UnseededRandomRule(Rule):
         "default_rng() without a seed, or numpy legacy np.random.* globals"
     )
 
-    def __init__(self) -> None:
-        self._random_aliases: Set[str] = set()
-
-    def _scan_imports(self, ctx: RuleContext) -> Set[str]:
-        """Names bound by ``from random import Random [as R]``."""
-        aliases: Set[str] = set()
-        for node in ctx.nodes:
-            if isinstance(node, ast.ImportFrom) and node.module == "random":
-                for alias in node.names:
-                    if alias.name == "Random":
-                        aliases.add(alias.asname or alias.name)
-        return aliases
-
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
-        random_ctor_aliases = self._scan_imports(ctx)
         for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
@@ -98,7 +89,7 @@ class UnseededRandomRule(Rule):
             if not name:
                 continue
             # random.Random() / Random() without a seed argument.
-            if name in ("random.Random", *random_ctor_aliases):
+            if ctx.qualified_name(node.func) == "random.Random":
                 if not _call_has_seed(node):
                     yield self.finding(
                         ctx,
@@ -156,7 +147,7 @@ class WallClockRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             name = dotted_name(node.func)
-            if name in _WALL_CLOCK_CALLS:
+            if _WALL_CLOCK_CALLS & {name, ctx.qualified_name(node.func)}:
                 yield self.finding(
                     ctx,
                     node,
@@ -164,6 +155,113 @@ class WallClockRule(Rule):
                     "simulated time (Simulator.now) or take time as an argument",
                     fix_hint="pass `now`/timestamps in explicitly",
                 )
+
+
+#: Packages whose generators a sweep point's seed must govern (RL014).
+SEED_SCOPE_PACKAGES = ("repro.sim", "repro.workload", "repro.faults")
+
+#: Generator constructors, by the tail of their resolved name (RL014).
+_RNG_CONSTRUCTORS = (
+    "random.default_rng",
+    "random.SeedSequence",
+    "random.RandomState",
+)
+
+#: Nodes a literal seed expression may contain (``7``, ``2**32 - 1``).
+_LITERAL_NODES = (
+    ast.Constant,
+    ast.BinOp,
+    ast.UnaryOp,
+    ast.Tuple,
+    ast.List,
+    ast.operator,
+    ast.unaryop,
+    ast.expr_context,
+)
+
+
+def _seed_argument(call: ast.Call) -> Optional[ast.expr]:
+    """The seed a generator constructor receives, if any."""
+    if call.args:
+        return call.args[0]
+    for kw in call.keywords:
+        if kw.arg in ("seed", "entropy", "x"):
+            return kw.value
+    return None
+
+
+def _none_default_params(func: ast.AST) -> Set[str]:
+    """Parameters of ``func`` whose default is the literal ``None``."""
+    args = func.args  # type: ignore[attr-defined]
+    positional = args.posonlyargs + args.args
+    pairs = [
+        *zip(positional[len(positional) - len(args.defaults):], args.defaults),
+        *zip(args.kwonlyargs, args.kw_defaults),
+    ]
+    return {
+        arg.arg
+        for arg, default in pairs
+        if isinstance(default, ast.Constant) and default.value is None
+    }
+
+
+class SeedProvenanceRule(Rule):
+    """RL014: a generator a sweep's root seed does not govern."""
+
+    rule_id = "RL014"
+    summary = (
+        "RNG in sim/workload/faults code not derived from the caller's "
+        "seed: a literal seed passed to default_rng/SeedSequence/Random, or "
+        "a seed parameter that defaults to None"
+    )
+
+    def check(self, ctx: RuleContext) -> Iterator[Finding]:
+        module = ctx.module or ""
+        if not any(
+            module == pkg or module.startswith(pkg + ".")
+            for pkg in SEED_SCOPE_PACKAGES
+        ):
+            return
+        for node in ctx.nodes:
+            if not isinstance(node, ast.Call):
+                continue
+            name = ctx.qualified_name(node.func)
+            if name != "random.Random" and not name.endswith(_RNG_CONSTRUCTORS):
+                continue
+            problem = self._problem(ctx, node, _seed_argument(node))
+            if problem:
+                yield self.finding(
+                    ctx,
+                    node,
+                    f"{ast.unparse(node)} {problem}",
+                    fix_hint="derive the generator from the caller's seed "
+                    "or SeedSequence, with no None default",
+                )
+
+    @staticmethod
+    def _problem(ctx: RuleContext, call: ast.Call, seed: Optional[ast.expr]) -> str:
+        if seed is None:
+            return ""  # no seed at all is RL003's
+        if isinstance(seed, ast.Constant) and seed.value is None:
+            return "is seeded with None: OS entropy, a different stream every run"
+        if all(isinstance(n, _LITERAL_NODES) for n in ast.walk(seed)):
+            return (
+                "pins a literal seed: every sweep point and every root seed "
+                "draws the same stream"
+            )
+        if not isinstance(seed, ast.Name):
+            return ""
+        current = ctx.parents.get(call)
+        while current is not None and not isinstance(
+            current, (ast.FunctionDef, ast.AsyncFunctionDef)
+        ):
+            current = ctx.parents.get(current)
+        if current is not None and seed.id in _none_default_params(current):
+            return (
+                f"is seeded from `{seed.id}`, which defaults to None: a "
+                "caller that omits it gets an entropy-seeded stream"
+            )
+        return ""
 
 
 def _is_set_expression(node: ast.AST) -> bool:

@@ -4,17 +4,13 @@ The obs contract (``docs/OBSERVABILITY.md``) is that a metrics
 snapshot or trace is a *pure function of (config, seed)* — that is
 what makes golden-snapshot tests and the serial-vs-parallel
 bit-identity check possible.  The contract dies quietly the moment a
-host-identity value leaks into a metric name, label, value, or span
-attribute:
-
-- wall-clock reads (``time.time()``, ``datetime.now()``) stamp every
-  run differently (RL004 already bans these library-wide; RL011
-  re-flags them at obs call sites with the obs-specific diagnosis);
-- ``id()`` / ``hash()`` / ``uuid.*`` / ``os.getpid()`` /
-  ``threading.get_ident()`` vary per process or per run
-  (``PYTHONHASHSEED``), so a label like ``worker=id(engine)`` splits
-  one logical series into a fresh series every run and no two
-  snapshots ever merge or diff clean.
+process-identity value leaks into a metric name, label, value, or span
+attribute: ``id()`` / ``hash()`` / ``uuid.*`` / ``os.getpid()`` /
+``threading.get_ident()`` vary per process or per run
+(``PYTHONHASHSEED``), so a label like ``worker=id(engine)`` splits one
+logical series into a fresh series every run and no two snapshots ever
+merge or diff clean.  Wall-clock reads are RL004's, which flags them
+everywhere, obs positions included.
 
 The rule fires on any call to an obs recording method — name/label
 positions (``counter``/``gauge``/``histogram``/``info``/``begin``/
@@ -33,7 +29,6 @@ from typing import Iterator, List, Set
 
 from repro.lint.findings import Finding
 from repro.lint.rules.base import Rule, RuleContext, dotted_name
-from repro.lint.rules.determinism import _WALL_CLOCK_CALLS
 
 #: Obs methods taking metric/span names and ``**labels`` / ``**attrs``.
 _NAME_METHODS: Set[str] = {
@@ -51,7 +46,7 @@ _VALUE_METHODS: Set[str] = {"add", "set", "observe", "observe_many"}
 
 _OBS_METHODS: Set[str] = _NAME_METHODS | _VALUE_METHODS
 
-#: Per-process / per-run identity sources (beyond the wall clocks).
+#: Per-process / per-run identity sources.
 _IDENTITY_CALLS: Set[str] = {
     "id",
     "hash",
@@ -66,8 +61,6 @@ _IDENTITY_CALLS: Set[str] = {
     "threading.current_thread",
 }
 
-_FORBIDDEN: Set[str] = _WALL_CLOCK_CALLS | _IDENTITY_CALLS
-
 
 def _imports_obs(nodes: List[ast.AST]) -> bool:
     for node in nodes:
@@ -81,13 +74,13 @@ def _imports_obs(nodes: List[ast.AST]) -> bool:
 
 
 class ObsDeterminismRule(Rule):
-    """RL011: host identity or wall clock fed into an obs position."""
+    """RL011: process identity fed into an obs position."""
 
     rule_id = "RL011"
     summary = (
-        "wall-clock or per-process identity (time.time, id, hash, uuid, "
-        "getpid) in a repro.obs metric/trace position; snapshots must be "
-        "pure functions of (config, seed)"
+        "per-process identity (id, hash, uuid, getpid) in a repro.obs "
+        "metric/trace position; snapshots must be pure functions of "
+        "(config, seed)"
     )
 
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
@@ -109,7 +102,7 @@ class ObsDeterminismRule(Rule):
                     if not isinstance(inner, ast.Call):
                         continue
                     bad = dotted_name(inner.func)
-                    if bad in _FORBIDDEN:
+                    if bad in _IDENTITY_CALLS:
                         yield self.finding(
                             ctx,
                             inner,
@@ -117,6 +110,5 @@ class ObsDeterminismRule(Rule):
                             "the snapshot stops being a pure function of "
                             "(config, seed), so goldens, diffs and the "
                             "serial-vs-parallel identity all break",
-                            fix_hint="derive labels/values from config or "
-                            "seed; stamp times from simulated clocks only",
+                            fix_hint="derive labels/values from config or seed",
                         )

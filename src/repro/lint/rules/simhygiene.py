@@ -110,7 +110,7 @@ class SimProcessHygieneRule(Rule):
                 yield from self._check_generator(ctx, node)
             if isinstance(node, ast.Call):
                 name = dotted_name(node.func)
-                if name in BLOCKING_CALLS:
+                if BLOCKING_CALLS & {name, ctx.qualified_name(node.func)}:
                     yield self.finding(
                         ctx,
                         node,

@@ -14,6 +14,10 @@ from repro.fleet import (
     plan_capacity,
     static_plan,
 )
+from repro.fleet.autoscaler import _expected_resident_bytes, _memory_config_for
+from repro.inference.cluster import tensor_parallel_group
+from repro.inference.sweep import resolve_accelerator, resolve_model
+from repro.units import GiB
 
 
 def _tenant(**overrides):
@@ -204,6 +208,37 @@ class TestPlanCapacity:
             tenants, [{"t": 2.0}], 2, AutoscalerConfig()
         )
         assert plan[0]["t"].memory == "mrm"
+
+
+class TestMRMThreshold:
+    """A tenant moves to MRM exactly when its expected resident bytes
+    pass ``mrm_headroom_fraction`` of the replica's HBM capacity."""
+
+    def _memory_at(self, offset_bytes):
+        # 13B weights (24 GiB) plus a 32-deep batch's KV put the default
+        # 0.8 x 80 GiB threshold inside the utilization range.
+        tenant = _tenant(model="llama2-13b", tp=1, max_batch_size=32)
+        model = resolve_model(tenant.model)
+        accelerator = tensor_parallel_group(
+            resolve_accelerator(tenant.accelerator), tenant.tp
+        )
+        config = AutoscalerConfig()
+        hbm_bytes = accelerator.tier("hbm").capacity_bytes
+        target = config.mrm_headroom_fraction * hbm_bytes + offset_bytes
+        weights = _expected_resident_bytes(tenant, 0.0, model, accelerator)
+        full = _expected_resident_bytes(tenant, 1.0, model, accelerator)
+        utilization = (target - weights) / (full - weights)
+        assert 0.0 < utilization < 1.0
+        assert _expected_resident_bytes(
+            tenant, utilization, model, accelerator
+        ) == pytest.approx(target)
+        return _memory_config_for(tenant, utilization, config, model, accelerator)
+
+    def test_one_gib_under_headroom_plans_hbm(self):
+        assert self._memory_at(-GiB) == "hbm"
+
+    def test_one_gib_over_headroom_plans_mrm(self):
+        assert self._memory_at(GiB) == "mrm"
 
 
 class TestStaticPlan:

@@ -1,5 +1,7 @@
-"""Interprocedural dataflow rules RL012-RL016: true positives, true
-negatives, and the regression cases the per-file rules cannot see."""
+"""Interprocedural dataflow rules RL012 and RL013: true positives, true
+negatives, and the regression cases the per-file rules cannot see; and
+RL014/RL016, which ran in the dataflow layer before they became
+per-file rules."""
 
 from __future__ import annotations
 
@@ -7,13 +9,15 @@ import ast
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.lint import lint_paths
 from repro.lint.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
 from repro.lint.dataflow import DATAFLOW_RULE_IDS
-from repro.lint.dataflow.extract import classify_iter, extract_summary
+from repro.lint.dataflow.extract import extract_summary
 from repro.lint.dataflow.linker import Program
-from repro.lint.dataflow.model import ITER_DICT, ITER_SET, ITER_SORTED
-from repro.lint.dataflow.rules import check_program, float_accum_shared
+from repro.lint.dataflow.rules import check_program
+from repro.lint.rules.floats import ITER_DICT, ITER_SET, ITER_SORTED, classify_iter
 
 
 def write(tmp_path: Path, relpath: str, source: str) -> Path:
@@ -29,11 +33,12 @@ def refuse_summaries(monkeypatch) -> None:
     def refuse(*args, **kwargs):
         raise AssertionError("summary built for a per-file-only run")
 
-    monkeypatch.setattr("repro.lint.dataflow.run.extract_summary", refuse)
+    monkeypatch.setattr("repro.lint.dataflow.extract_summary", refuse)
 
 
 def df_findings(tmp_path, rule_id=None):
-    """New findings from a full engine run, filtered to dataflow ids."""
+    """New findings from a full engine run, filtered to ``rule_id``
+    (default: the dataflow ids)."""
     result = lint_paths([tmp_path], repo_root=tmp_path)
     wanted = {rule_id} if rule_id else set(DATAFLOW_RULE_IDS)
     return [f for f in result.new if f.rule_id in wanted]
@@ -232,12 +237,14 @@ RNG_HELPER = """\
 
 class TestRL014SeedProvenance:
     def test_unseeded_through_helper(self, tmp_path):
-        write(tmp_path, "repro/rngutil.py", RNG_HELPER)
+        # The seed=None default is flagged where the helper builds the
+        # generator: any caller that omits the seed gets entropy.
+        write(tmp_path, "repro/sim/rngutil.py", RNG_HELPER)
         write(
             tmp_path,
             "repro/sim/engine.py",
             """\
-            from repro.rngutil import make_rng
+            from repro.sim.rngutil import make_rng
 
             def setup():
                 rng = make_rng()
@@ -246,8 +253,8 @@ class TestRL014SeedProvenance:
         )
         findings = df_findings(tmp_path, "RL014")
         assert len(findings) == 1
-        assert "seed" in findings[0].message
-        assert findings[0].path.endswith("repro/sim/engine.py")
+        assert "defaults to None" in findings[0].message
+        assert findings[0].path.endswith("repro/sim/rngutil.py")
 
     def test_literal_seed_in_sim_code(self, tmp_path):
         write(
@@ -265,6 +272,23 @@ class TestRL014SeedProvenance:
         assert len(findings) == 1
         assert "literal" in findings[0].message
 
+    @pytest.mark.parametrize(
+        "header, call",
+        [
+            ("import numpy as np", "np.random.default_rng(np.random.SeedSequence(99))"),
+            ("from numpy.random import SeedSequence", "SeedSequence(entropy=2**32 - 1)"),
+            ("import random", "random.Random(2024)"),
+            ("import numpy as np", "np.random.default_rng(None)"),
+        ],
+    )
+    def test_other_constructors_flagged(self, tmp_path, header, call):
+        write(
+            tmp_path,
+            "repro/faults/schedule.py",
+            f"{header}\n\ndef schedule(seed):\n    return {call}\n",
+        )
+        assert [f.rule_id for f in df_findings(tmp_path, "RL014")] == ["RL014"]
+
     def test_derived_seed_is_clean(self, tmp_path):
         write(tmp_path, "repro/rngutil.py", RNG_HELPER)
         write(
@@ -280,11 +304,11 @@ class TestRL014SeedProvenance:
                 return direct, via_helper
             """,
         )
-        assert df_findings(tmp_path) == []
+        assert df_findings(tmp_path, "RL014") == []
 
     def test_outside_sim_scope_is_clean(self, tmp_path):
-        # Same unseeded helper call, but nothing under sim/workload/
-        # faults reaches it: analysis code may use ad-hoc streams.
+        # The same helper outside sim/workload/faults: analysis code may
+        # use ad-hoc streams.
         write(tmp_path, "repro/rngutil.py", RNG_HELPER)
         write(
             tmp_path,
@@ -296,165 +320,7 @@ class TestRL014SeedProvenance:
                 return make_rng()
             """,
         )
-        assert df_findings(tmp_path) == []
-
-    def test_regression_per_file_rules_miss_helper_default(self, tmp_path):
-        """``make_rng()`` passes RL003 (an arg exists at the direct
-        construction site) — only provenance tracking catches the
-        seed=None default at the omitting call site."""
-        write(tmp_path, "repro/rngutil.py", RNG_HELPER)
-        write(
-            tmp_path,
-            "repro/sim/engine.py",
-            """\
-            from repro.rngutil import make_rng
-
-            def setup():
-                return make_rng()
-            """,
-        )
-        per_file_only = lint_paths(
-            [tmp_path], repo_root=tmp_path, dataflow_rule_ids=set()
-        )
-        assert per_file_only.new == []
-        with_dataflow = lint_paths([tmp_path], repo_root=tmp_path)
-        assert [f.rule_id for f in with_dataflow.new] == ["RL014"]
-
-
-class TestRL015ProcessPurity:
-    def test_wall_clock_through_helper(self, tmp_path):
-        write(
-            tmp_path,
-            "repro/util.py",
-            """\
-            import time
-
-            def slow_helper():
-                return time.time()
-            """,
-        )
-        write(
-            tmp_path,
-            "repro/sim/procs.py",
-            """\
-            from repro.util import slow_helper
-            from repro.sim.events import Timeout
-
-            def proc(env):
-                slow_helper()
-                yield Timeout(1.0)
-            """,
-        )
-        findings = df_findings(tmp_path, "RL015")
-        assert len(findings) == 1
-        assert "slow_helper" in findings[0].message
-        assert "time.time" in findings[0].message
-
-    def test_wakeat_process_through_helper(self, tmp_path):
-        # A process that only yields WakeAt is still a process.
-        write(
-            tmp_path,
-            "repro/util.py",
-            """\
-            import time
-
-            def slow_helper():
-                return time.time()
-            """,
-        )
-        write(
-            tmp_path,
-            "repro/sim/procs.py",
-            """\
-            from repro.util import slow_helper
-            from repro.sim.process import WakeAt
-
-            def proc(env, t):
-                slow_helper()
-                yield WakeAt(t)
-            """,
-        )
-        findings = df_findings(tmp_path, "RL015")
-        assert len(findings) == 1
-        assert "slow_helper" in findings[0].message
-
-    def test_two_hop_chain_is_reported(self, tmp_path):
-        write(
-            tmp_path,
-            "repro/util.py",
-            """\
-            import time
-
-            def inner():
-                return time.time()
-
-            def outer():
-                return inner()
-            """,
-        )
-        write(
-            tmp_path,
-            "repro/sim/procs.py",
-            """\
-            from repro.util import outer
-            from repro.sim.events import Timeout
-
-            def proc(env):
-                outer()
-                yield Timeout(1.0)
-            """,
-        )
-        findings = df_findings(tmp_path, "RL015")
-        assert len(findings) == 1
-        assert "outer" in findings[0].message and "inner" in findings[0].message
-
-    def test_pure_helper_is_clean(self, tmp_path):
-        write(
-            tmp_path,
-            "repro/util.py",
-            """\
-            def pure_helper(x_s):
-                return x_s * 2
-            """,
-        )
-        write(
-            tmp_path,
-            "repro/sim/procs.py",
-            """\
-            from repro.util import pure_helper
-            from repro.sim.events import Timeout
-
-            def proc(env):
-                pure_helper(1.0)
-                yield Timeout(1.0)
-            """,
-        )
-        assert df_findings(tmp_path) == []
-
-    def test_non_process_caller_is_clean(self, tmp_path):
-        # Only generators yielding sim commands are processes; plain
-        # functions may read the clock (e.g. progress reporting).
-        write(
-            tmp_path,
-            "repro/util.py",
-            """\
-            import time
-
-            def slow_helper():
-                return time.time()
-            """,
-        )
-        write(
-            tmp_path,
-            "repro/sim/report.py",
-            """\
-            from repro.util import slow_helper
-
-            def progress():
-                return slow_helper()
-            """,
-        )
-        assert df_findings(tmp_path, "RL015") == []
+        assert df_findings(tmp_path, "RL014") == []
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +328,7 @@ class TestRL015ProcessPurity:
 # ---------------------------------------------------------------------------
 class TestClassifyIter:
     def cases(self, expr):
-        return classify_iter(ast.parse(expr, mode="eval").body)[0]
+        return classify_iter(ast.parse(expr, mode="eval").body)
 
     def test_items_on_name(self):
         assert self.cases("d.items()") == ITER_DICT
@@ -518,80 +384,6 @@ class TestRL016:
         )
         assert df_findings(tmp_path, "RL016") == []
 
-    def test_interprocedural_accumulation_fires(self, tmp_path):
-        write(
-            tmp_path,
-            "repro/sim/sched.py",
-            """\
-            class Manager:
-                def __init__(self):
-                    self.energy_j = 0.0
-                    self.residents = {}
-
-                def _charge(self, resident):
-                    self.energy_j += resident.cost_j
-
-                def tick(self):
-                    for resident in self.residents.values():
-                        self._charge(resident)
-            """,
-        )
-        findings = df_findings(tmp_path, "RL016")
-        assert len(findings) == 1
-        assert "self._charge" in findings[0].message
-        assert "energy_j" in findings[0].message
-
-    def test_attribute_chain_accumulation_fires(self, tmp_path):
-        # The accumulation sits behind ``self.stats.charge()``: only the
-        # ``self.stats = Stats()`` bind tells the linker which class's
-        # method that is.
-        write(
-            tmp_path,
-            "repro/sim/stats_owner.py",
-            """\
-            class Stats:
-                def __init__(self):
-                    self.energy_j = 0.0
-
-                def charge(self, cost_j):
-                    self.energy_j += cost_j
-
-
-            class Manager:
-                def __init__(self):
-                    self.stats = Stats()
-                    self.residents = {}
-
-                def _settle(self, resident):
-                    self.stats.charge(resident.cost_j)
-
-                def tick(self):
-                    for resident in self.residents.values():
-                        self._settle(resident)
-            """,
-        )
-        findings = df_findings(tmp_path, "RL016")
-        assert len(findings) == 1
-        assert "self._settle" in findings[0].message
-        assert "Stats.charge" in findings[0].message
-
-    def test_float_accum_shared_propagates(self):
-        source = textwrap.dedent(
-            """\
-            class Stats:
-                def charge(self, j):
-                    self.energy_j += j
-
-                def settle(self, j):
-                    self.charge(j)
-            """
-        )
-        shared = float_accum_shared(
-            Program([extract_summary("repro/m.py", "repro.m", source)])
-        )
-        assert "repro.m.Stats.charge" in shared
-        assert shared["repro.m.Stats.settle"][0] == "repro.m.Stats.charge"
-
     def test_scoped_to_determinism_critical_modules(self, tmp_path):
         # Same pattern outside the sim import closure: the engine stays
         # silent until a sim module imports it into the closure.
@@ -624,12 +416,12 @@ class TestRL016:
         assert main(["--list-rules"]) == EXIT_CLEAN
         listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
         assert "RL016" in listed
-        # The retired effects ids are never listed (nor reused).
-        assert listed.isdisjoint({"RL017", "RL018", "RL019"})
+        # Retired ids are never listed (nor reused).
+        assert listed.isdisjoint({"RL015", "RL017", "RL018", "RL019"})
 
     def test_retired_effects_rule_id_exits_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        for rule_id in ("RL099", "RL017", "RL019"):
+        for rule_id in ("RL099", "RL015", "RL017", "RL019"):
             assert main(["--select", rule_id, str(tmp_path)]) == EXIT_USAGE
             assert "error:" in capsys.readouterr().err
 

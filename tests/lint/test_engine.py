@@ -106,7 +106,7 @@ class TestCLI:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == EXIT_CLEAN
         listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
-        assert listed == [f"RL{n:03d}" for n in (*range(1, 17), 20)]
+        assert listed == [f"RL{n:03d}" for n in (*range(1, 15), 16, 20)]
 
     def test_interprocedural_selection_finds_cross_file_mix(
         self, tmp_path, monkeypatch, capsys

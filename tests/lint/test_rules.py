@@ -10,8 +10,10 @@ from typing import List, Optional, Sequence
 import pytest
 
 from repro.lint import lint_paths
+from repro.lint.cli import EXIT_CLEAN, main
 from repro.lint.findings import Finding
 from repro.lint.rules import RULE_CLASSES, get_rule_classes, rule_catalog
+from tests.lint.corpus import CORPUS
 
 
 def run_lint(
@@ -46,6 +48,21 @@ class TestRegistry:
     def test_select_unknown_id_raises(self):
         with pytest.raises(ValueError, match="RL999"):
             get_rule_classes(["RL999"])
+
+    def test_every_rule_has_a_defect_only_it_flags(self, tmp_path, capsys):
+        assert main(["--list-rules"]) == EXIT_CLEAN
+        listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
+        covered = set()
+        for defect in CORPUS:
+            root = tmp_path / defect.corpus_id
+            for relpath, source in defect.files.items():
+                target = root / relpath
+                target.parent.mkdir(parents=True, exist_ok=True)
+                target.write_text(source)
+            fired = {f.rule_id for f in lint_paths([root], repo_root=root).new}
+            assert fired == {defect.rule}, defect.corpus_id
+            covered.add(defect.rule)
+        assert sorted(listed - covered) == []
 
 
 class TestRL001MagicUnitLiteral:
@@ -145,6 +162,29 @@ class TestRL004WallClock:
     def test_simulated_clock_clean(self, tmp_path):
         findings = run_lint(tmp_path, "now = sim.now\n")
         assert "RL004" not in rule_ids(findings)
+
+    def test_aliased_clock_imports_flagged(self, tmp_path):
+        # Each file's own import aliases are resolved before matching.
+        source = """\
+            import time as t
+            from datetime import datetime as dt
+            from time import perf_counter
+
+            def throttle():
+                return perf_counter() - t.monotonic(), dt.now()
+        """
+        findings = run_lint(tmp_path, source, relpath="repro/faults/injector.py")
+        assert rule_ids(findings) == ["RL004", "RL004", "RL004"]
+
+    def test_local_name_like_a_clock_clean(self, tmp_path):
+        # Only imported names resolve: a local `perf_counter` is not time's.
+        source = """\
+            def perf_counter():
+                return 0.0
+
+            x = perf_counter()
+        """
+        assert "RL004" not in rule_ids(run_lint(tmp_path, source))
 
 
 class TestRL005SetIteration:
@@ -264,6 +304,21 @@ class TestRL007SimProcessHygiene:
     def test_blocking_call_flagged(self, tmp_path):
         findings = run_lint(tmp_path, "import time\ntime.sleep(1)\n")
         assert "RL007" in rule_ids(findings)
+
+    def test_aliased_blocking_call_flagged(self, tmp_path):
+        # The import aliases of the file itself are resolved: a helper
+        # that calls `sleep(...)` after `from time import sleep` blocks
+        # just the same.
+        source = """\
+            from time import sleep as pause
+            from subprocess import run
+
+            def throttle(delay_s):
+                pause(delay_s)
+                run(["true"])
+        """
+        findings = run_lint(tmp_path, source, relpath="repro/faults/injector.py")
+        assert rule_ids(findings) == ["RL007", "RL007"]
 
 
 class TestRL008DeviceProvenance:
@@ -475,6 +530,8 @@ class TestRL010SwallowedExceptions:
 
 class TestRL011ObsDeterminism:
     def test_wall_clock_in_label_flagged(self, tmp_path):
+        # A clock read is RL004's everywhere, obs positions included;
+        # RL011 does not flag it a second time.
         source = """\
             import time
 
@@ -484,7 +541,17 @@ class TestRL011ObsDeterminism:
             reg.counter("runs_total", started=time.time()).add()
         """
         findings = run_lint(tmp_path, source)
-        assert "RL011" in rule_ids(findings)
+        assert rule_ids(findings) == ["RL004"]
+
+    def test_hash_in_value_flagged(self, tmp_path):
+        # String hashes differ between processes (PYTHONHASHSEED).
+        source = """\
+            from repro.obs import NULL_REGISTRY
+
+            def record(model, tokens):
+                NULL_REGISTRY.counter("tokens").add(tokens + hash(model.name) % 2)
+        """
+        assert rule_ids(run_lint(tmp_path, source)) == ["RL011"]
 
     def test_id_in_label_flagged(self, tmp_path):
         source = """\

@@ -171,10 +171,14 @@ def _raw(counters=(), gauges=()):
 
 
 class TestMergeKeyOrderInvariance:
-    """merge_snapshots reduces every section in canonical (sorted) key
-    order, so worker snapshots that carry the same keys in different
-    insertion orders — workers observe sweep cells in different orders —
-    merge to bit-identical floats.  Regression tests for the RL016 fix.
+    """Worker snapshots that carry the same keys in different insertion
+    orders merge to bit-identical floats.
+
+    merge_snapshots sums each key over the snapshots in the order it is
+    given them (grid order), so the order keys are visited inside one
+    snapshot never enters a key's sum.  These tests pin that property;
+    they pass with the sorted() key visits removed, so they are not a
+    test of those sorts.
     """
 
     # Values chosen so any accumulation-order slip shows up in the low

@@ -31,6 +31,11 @@ or never called on purpose, each with its reason.  The script exits 1
 when such a function is missing from it, or when an entry of it names a
 function that is gone or that the system now reaches.
 
+The function list and a hash of every source file are taken before the
+first traced run.  If a file under ``src/repro`` changes before the
+last run ends, the traced line numbers no longer match the list, so the
+script names the changed files and exits 2 instead of reporting.
+
 Forked sweep workers are not traced.  Every entry point runs serial
 except one 2-worker fleet run, and the serial path calls the functions
 the workers would.  Tier-1 runs without ``-x``; a child that exits
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import json
 import os
 import runpy
@@ -411,6 +417,18 @@ def defined_functions() -> Dict[Key, Tuple[str, int]]:
     return keys
 
 
+def source_hashes() -> Dict[str, str]:
+    """sha256 of every ``.py`` file under ``src/repro``, by path."""
+    hashes: Dict[str, str] = {}
+    for directory, _dirs, files in os.walk(PACKAGE):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(directory, name)
+                with open(path, "rb") as fh:
+                    hashes[path] = hashlib.sha256(fh.read()).hexdigest()
+    return hashes
+
+
 def _module(path: str) -> str:
     relative = os.path.relpath(path, SRC)[: -len(".py")]
     return relative.replace(os.sep, ".")
@@ -420,6 +438,11 @@ def main(argv: Sequence[str] = None) -> int:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     env = dict(os.environ, PYTHONPATH=SRC, REPRO_PERF_TINY="1")
     env.pop("REPRO_WORKERS", None)
+    hashes = source_hashes()  # first: an edit while parsing still shows
+    functions = {
+        key: info for key, info in defined_functions().items()
+        if not key[0].startswith(LINT)
+    }
     with tempfile.TemporaryDirectory(prefix="reach-") as work:
         print("tier-1:", file=sys.stderr)
         tests = _traced(0, "tier-1", TESTS, work, env)
@@ -433,10 +456,17 @@ def main(argv: Sequence[str] = None) -> int:
         finally:
             with open(BENCH_RECORD, "wb") as fh:
                 fh.write(bench_record)
-    functions = {
-        key: info for key, info in defined_functions().items()
-        if not key[0].startswith(LINT)
-    }
+    now = source_hashes()
+    changed = sorted(
+        path for path in hashes.keys() | now.keys()
+        if hashes.get(path) != now.get(path)
+    )
+    if changed:
+        print("source files changed during the run; not reporting:",
+              file=sys.stderr)
+        for path in changed:
+            print(f"  {os.path.relpath(path, ROOT)}", file=sys.stderr)
+        return 2
     reached = {key for key in functions if key in system}
     tests_only = {key for key in set(functions) - reached if key in tests}
     never = set(functions) - reached - tests_only
