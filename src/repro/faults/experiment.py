@@ -90,7 +90,6 @@ CHAOS_STRIKE_RATES_PER_HOUR_TINY = (0.0, 240.0)
 #: unbounded here so the struck-point comparison isolates crash
 #: recovery; shedding determinism is covered by the unit tests.
 CHAOS_POLICY = ResiliencePolicy(
-    enabled=True,
     deadline_s=10.0,
     max_retries=2,
     retry_backoff_s=0.05,
@@ -393,7 +392,7 @@ def serving_point(point: Dict[str, Any], seed: SeedLike) -> Dict[str, Any]:
     schedule = generate_schedule(
         {FaultKind.KV_LOSS: kv_loss_per_hour / HOUR},
         horizon_s,
-        _seed_sequence(seed),
+        seed,
         device="cluster",
     )
     return {
@@ -499,7 +498,7 @@ def chaos_point(point: Dict[str, Any], seed: SeedLike) -> Dict[str, Any]:
         elif domain.level == "power":
             strike_rates[domain.name] = strike_rate_per_hour / (4 * HOUR)
     schedule = generate_correlated_schedule(
-        topology, strike_rates, horizon_s, _seed_sequence(seed)
+        topology, strike_rates, horizon_s, seed
     )
     return {
         "strike_rate_per_hour": strike_rate_per_hour,

@@ -7,7 +7,9 @@ the determinism contract:
 1. Per-kind Poisson processes are drawn in the fixed
    :data:`~repro.faults.events.KIND_ORDER` (never set order), each as a
    cumulative sum of exponential gaps, from a single
-   ``np.random.Generator`` seeded by the caller's ``SeedSequence``.
+   ``np.random.Generator`` seeded by the caller's int or ``SeedSequence``
+   (``default_rng`` draws the same stream from ``n`` as from
+   ``SeedSequence(n)``).
 2. The per-kind streams are merged by ``(time, kind order, draw
    index)`` and numbered with a global ``seq`` — ties at the same
    instant break the same way on every run.
@@ -70,6 +72,28 @@ class FaultSchedule:
         return timeline_fingerprint(self.events)
 
 
+def _poisson_strikes(
+    rng: np.random.Generator, rate: float, duration_s: float
+) -> List[Tuple[float, float]]:
+    """One Poisson stream's ``(time, magnitude)`` strikes in
+    ``[0, duration_s)``: the exponential gaps first, in batches of the
+    expected count plus slack (topped up in the vanishingly rare case
+    the gap sum falls short of the horizon), then one uniform magnitude
+    per strike."""
+    times: List[float] = []
+    t = 0.0
+    batch = max(8, int(rate * duration_s * 1.5) + 8)
+    while t < duration_s:
+        gaps = rng.exponential(1.0 / rate, size=batch)
+        for gap in gaps:
+            t += float(gap)
+            if t >= duration_s:
+                break
+            times.append(t)
+    magnitudes = rng.random(size=len(times))
+    return list(zip(times, magnitudes.tolist()))
+
+
 def generate_schedule(
     rates: KindRates,
     duration_s: float,
@@ -92,10 +116,7 @@ def generate_schedule(
     """
     if math.isnan(duration_s) or duration_s < 0:
         raise ValueError("duration must be >= 0")
-    if isinstance(seed, np.random.SeedSequence):
-        rng = np.random.default_rng(seed)
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     # (time, kind_index, draw_index, magnitude) tuples, merged after all
     # kinds are drawn so the draw order never depends on the rates.
     drawn: List[Tuple[float, int, int, float]] = []
@@ -107,23 +128,10 @@ def generate_schedule(
             raise ValueError(f"negative rate for {kind.value}")
         if rate == 0 or duration_s == 0:
             continue
-        # Expected count + slack; top up in the (vanishingly rare) case
-        # the gap sum falls short of the horizon.
-        times: List[float] = []
-        t = 0.0
-        batch = max(8, int(rate * duration_s * 1.5) + 8)
-        while t < duration_s:
-            gaps = rng.exponential(1.0 / rate, size=batch)
-            for gap in gaps:
-                t += float(gap)
-                if t >= duration_s:
-                    break
-                times.append(t)
-        magnitudes = rng.random(size=len(times))
         for draw_index, (time_s, magnitude) in enumerate(
-            zip(times, magnitudes)
+            _poisson_strikes(rng, rate, duration_s)
         ):
-            drawn.append((time_s, kind_index, draw_index, float(magnitude)))
+            drawn.append((time_s, kind_index, draw_index, magnitude))
     drawn.sort(key=lambda item: (item[0], item[1], item[2]))
     events = tuple(
         FaultEvent(
@@ -169,10 +177,7 @@ def generate_correlated_schedule(
     rates = validate_domain_rates(topology, strike_rates)
     if math.isnan(duration_s) or duration_s <= 0:
         raise ValueError("horizon must be > 0 for a correlated schedule")
-    if isinstance(seed, np.random.SeedSequence):
-        rng = np.random.default_rng(seed)
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     # (time, domain_index, draw_index, member_slot, kind, device,
     # magnitude): member_slot -1 is the domain marker, 0.. the members.
     drawn: List[Tuple[float, int, int, int, FaultKind, str, float]] = []
@@ -180,22 +185,10 @@ def generate_correlated_schedule(
         rate = rates.get(domain.name, 0.0)
         if rate == 0:
             continue
-        times: List[float] = []
-        t = 0.0
-        batch = max(8, int(rate * duration_s * 1.5) + 8)
-        while t < duration_s:
-            gaps = rng.exponential(1.0 / rate, size=batch)
-            for gap in gaps:
-                t += float(gap)
-                if t >= duration_s:
-                    break
-                times.append(t)
-        magnitudes = rng.random(size=len(times))
         member_kind = domain.member_kind()
-        for draw_index, (time_s, magnitude) in enumerate(
-            zip(times, magnitudes)
+        for draw_index, (time_s, strike_mag) in enumerate(
+            _poisson_strikes(rng, rate, duration_s)
         ):
-            strike_mag = float(magnitude)
             if domain.level == "power":
                 drawn.append((
                     time_s, domain_index, draw_index, -1,

@@ -184,7 +184,7 @@ class Cluster:
             for i in range(num_engines)
         ]
         self.dispatcher: Optional[ResilientDispatcher] = None
-        if resilience is not None and resilience.enabled:
+        if resilience is not None:
             self.dispatcher = ResilientDispatcher(
                 sim, self, resilience, obs=obs
             )

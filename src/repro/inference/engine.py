@@ -582,20 +582,15 @@ class InferenceEngine:
             if batch:
                 yield from self._run_decode_leap(batch)
                 continue
-            # Nothing runnable: pending requests exist but don't fit.
-            if self.scheduler.running:
-                # In-flight prefill contexts will finish via their yields.
-                yield Timeout(1e-3)
-            else:
-                if self._draining and self.scheduler.pending_count == 0:
-                    return
-                # Pending-but-unadmittable with nothing running means the
-                # pool is too small for the request: fail loudly rather
-                # than spin forever.
-                raise RuntimeError(
-                    f"{self.name}: {self.scheduler.pending_count} pending "
-                    f"requests cannot ever be admitted (KV pool too small)"
-                )
+            # Nothing admitted and nothing decodes, so nothing runs (a
+            # prefill completes inline, and crash, cancel and KV loss
+            # each take their context out of the running set): a pending
+            # request is too big for the empty pool.  Fail loudly rather
+            # than spin forever.
+            raise RuntimeError(
+                f"{self.name}: {self.scheduler.pending_count} pending "
+                f"requests cannot ever be admitted (KV pool too small)"
+            )
 
     # ------------------------------------------------------------------
     # Phases

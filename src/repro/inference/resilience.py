@@ -55,9 +55,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ResiliencePolicy:
     """The graceful-degradation knobs, validated at construction.
 
-    ``enabled=False`` is the no-mitigation baseline arm: the cluster
-    routes around dead engines (that much is plain IP routing) but
-    nothing is retried, hedged, shed or recovered.
+    A cluster given no policy (``resilience=None``) is the
+    no-mitigation baseline arm: it routes around dead engines (that
+    much is plain IP routing) but nothing is retried, hedged, shed or
+    recovered.
 
     Attributes
     ----------
@@ -77,7 +78,6 @@ class ResiliencePolicy:
         Outage length of a crashed engine before it serves again.
     """
 
-    enabled: bool = True
     deadline_s: float = 30.0
     max_retries: int = 2
     retry_backoff_s: float = 0.05
@@ -162,8 +162,8 @@ class _Tracker:
 class ResilientDispatcher:
     """Routes requests through the cluster under a resilience policy.
 
-    One instance per cluster; wired by ``Cluster.__init__`` when a
-    policy with ``enabled=True`` is given.  The cluster's engines call
+    One instance per cluster; wired by ``Cluster.__init__`` when it is
+    given a policy.  The cluster's engines call
     back through ``engine.request_listener`` on every terminal request
     event, and ``Cluster.handle_engine_crash`` forwards displaced
     requests here.

@@ -43,7 +43,7 @@ from repro.obs.snapshot import (
     relabel_snapshot,
     write_snapshot,
 )
-from repro.obs.tracing import NULL_TRACER, NullTracer, Span, Tracer
+from repro.obs.tracing import Span, Tracer
 from repro.obs.export import (
     prometheus_text,
     write_prometheus,
@@ -54,8 +54,6 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
-    "NullTracer",
-    "NULL_TRACER",
     "Span",
     "Tracer",
     "SNAPSHOT_SCHEMA",

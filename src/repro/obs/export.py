@@ -14,7 +14,7 @@ import tempfile
 from typing import Dict, Iterable, Optional, Union
 
 from repro.obs.registry import MetricsRegistry, NullRegistry, parse_metric_name
-from repro.obs.tracing import NullTracer, Span, Tracer
+from repro.obs.tracing import Span, Tracer
 
 _Registryish = Union[MetricsRegistry, NullRegistry, Dict[str, object]]
 
@@ -111,7 +111,7 @@ def write_prometheus(path: str, source: _Registryish) -> str:
 
 def write_trace_jsonl(
     path: str,
-    tracer: Union[Tracer, NullTracer, Iterable[Span]],
+    tracer: Union[Tracer, Iterable[Span]],
     meta: Optional[Dict[str, object]] = None,
 ) -> str:
     """Write spans as JSON lines (one record per span, sorted keys).

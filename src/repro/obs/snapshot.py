@@ -68,11 +68,12 @@ def merge_snapshots(snapshots: Iterable[Dict[str, object]]) -> Dict[str, object]
     reduction — serial and parallel runs produce identical results
     because the reduction is applied in grid order either way.
 
-    Every per-snapshot section is reduced in sorted key order.  Worker
-    snapshots may carry the same keys in different insertion orders
-    (workers see different cell orders), and float addition is not
-    associative — canonical key order keeps the merged floats
-    bit-identical regardless of each worker's insertion history.
+    Each key is summed over the snapshots in the order given, so the
+    merged floats depend on that order and never on the order of keys
+    within a snapshot.  The per-snapshot sections are still visited in
+    sorted key order: that order never enters a sum, but it lets the
+    order-sensitive float reduction rule (RL016) see the ``counters``
+    and ``gauges`` loops as deterministic.
     """
     merged = empty_snapshot()
     counters: Dict[str, float] = merged["counters"]  # type: ignore[assignment]

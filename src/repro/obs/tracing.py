@@ -39,16 +39,6 @@ class Span:
     end_s: Optional[float] = None
     attrs: Dict[str, object] = field(default_factory=dict)
 
-    @property
-    def open(self) -> bool:
-        return self.end_s is None
-
-    @property
-    def duration_s(self) -> Optional[float]:
-        if self.end_s is None:
-            return None
-        return self.end_s - self.start_s
-
     def to_record(self) -> Dict[str, object]:
         """The JSON-lines export row (plain dict, sorted at dump time)."""
         return {
@@ -93,8 +83,6 @@ class Tracer:
         attached.
     """
 
-    enabled = True
-
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self._clock = clock or (lambda: 0.0)
         self.spans: List[Span] = []
@@ -103,10 +91,6 @@ class Tracer:
 
     def set_clock(self, clock: Callable[[], float]) -> None:
         self._clock = clock
-
-    @property
-    def now(self) -> float:
-        return self._clock()
 
     # ------------------------------------------------------------------
     # Recording
@@ -143,65 +127,3 @@ class Tracer:
     def instant(self, name: str, **attrs: object) -> Span:
         """Zero-length span (a point event on the timeline)."""
         return self.end(self.begin(name, **attrs))
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def finish(self) -> List[Span]:
-        """Close any spans still open (at the current time); return all."""
-        for span in self.spans:
-            self.end(span)
-        return self.spans
-
-    def __len__(self) -> int:
-        return len(self.spans)
-
-
-class _NullScope:
-    __slots__ = ()
-    span = None
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-_NULL_SCOPE = _NullScope()
-
-
-class NullTracer:
-    """The disabled tracer: records nothing, costs one call."""
-
-    enabled = False
-    spans: List[Span] = []
-
-    def set_clock(self, clock: Callable[[], float]) -> None:
-        pass
-
-    @property
-    def now(self) -> float:
-        return 0.0
-
-    def begin(self, name: str, **attrs: object) -> None:
-        return None
-
-    def end(self, span: object) -> None:
-        return None
-
-    def span(self, name: str, **attrs: object) -> _NullScope:
-        return _NULL_SCOPE
-
-    def instant(self, name: str, **attrs: object) -> None:
-        return None
-
-    def finish(self) -> List[Span]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-
-#: The shared disabled tracer.
-NULL_TRACER = NullTracer()

@@ -9,16 +9,16 @@ for reproducible simulations).
 
 The queue is a two-level batched structure rather than a binary heap: a
 time-sorted live level popped O(1) from its tail, fed by a push-order
-pending buffer that migrates in batches via ``numpy.argsort`` +
-``numpy.searchsorted``.  That keeps the per-push cost at two list
-appends, lets the kernel pop whole same-timestamp cohorts as slices, and
-turns the steady-state "short timeout against a backlog of far-future
-events" pattern into an O(1) tail extend instead of an O(log n) sift.
+pending buffer that migrates in batches via a stable ``sorted`` and one
+``bisect_left``.  That keeps the per-push cost at two list appends, lets
+the kernel pop whole same-timestamp cohorts as slices, and turns the
+steady-state "short timeout against a backlog of far-future events"
+pattern into an O(1) tail extend instead of an O(log n) sift.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from bisect import bisect_left
 from typing import Any, Callable, List, Optional, Tuple
 
 # Opcode tags for closure-free kernel wakeups.  A queue payload is either
@@ -129,15 +129,19 @@ class EventQueue:
     *pending* level ``(_pend_t, _pend_p)`` in push order (O(1) appends,
     no comparisons).  Pending migrates to live lazily, in batches, and
     only when an entry could precede the live head: the batch is
-    stable-sorted (``numpy.argsort``, skipped when already in time
-    order) and the strictly-earlier-than-head prefix — located with one
-    ``searchsorted`` — is reversed onto the live tail.  Entries at or
+    stable-sorted (``sorted`` over push indices keyed on time) and the
+    strictly-earlier-than-head prefix — located with one
+    ``bisect_left`` — is reversed onto the live tail.  Entries at or
     after the head stay buffered; they cannot pop yet, and equal-time
     pendings were pushed later so they belong after every live tie
     anyway.  The live level therefore only ever *extends with entries
     earlier than its head*: there is no rebuild path, and each entry is
-    appended, sorted, migrated and popped (or discarded) at most once —
-    amortised O(log batch) per event with all batch work in C.
+    appended, migrated and popped (or discarded) once.  An entry left
+    buffered is sorted again with the next batch, as one already-sorted
+    Timsort run.  Most merges move one or two entries (see
+    ``docs/PERFORMANCE.md``), so the merge is plain list work with no
+    per-call array setup, and Timsort keeps a burst of same-instant
+    pushes linear.
 
     Sequence order is implicit: the pending lists record push order, the
     stable sort preserves it, and a merge never reorders live entries,
@@ -302,35 +306,22 @@ class EventQueue:
         Called only when ``_pend_min`` beats the live head (or the live
         level is empty).  The pending batch is stable-sorted by time —
         push order breaks ties, so no sequence numbers are needed — and
-        the strictly-earlier-than-head prefix moves onto the live tail
-        (reversed: live storage is descending).  The rest stays
-        buffered, already sorted, preserving push order relative to
-        future pushes appended after it.
+        the strictly-earlier-than-head prefix, located with
+        ``bisect_left``, moves onto the live tail (reversed: live storage
+        is descending).  An equal-time pending entry was pushed after
+        every live tie, so it stays buffered until that run drains.  The
+        rest stays buffered, already sorted, preserving push order
+        relative to future pushes appended after it.
         """
-        pend_t = np.asarray(self._pend_t, dtype=np.float64)
-        k = pend_t.size
-        # fromiter keeps tuples as scalar elements (np.asarray would
-        # explode same-length tuples into a 2-D array).
-        pend_p = np.fromiter(self._pend_p, dtype=object, count=k)
-        if k > 1 and bool(np.any(pend_t[1:] < pend_t[:-1])):
-            order = np.argsort(pend_t, kind="stable")
-            pend_t = pend_t[order]
-            pend_p = pend_p[order]
+        pend_t, pend_p = self._pend_t, self._pend_p
+        if len(pend_t) > 1:
+            order = sorted(range(len(pend_t)), key=pend_t.__getitem__)
+            pend_t = [pend_t[i] for i in order]
+            pend_p = [pend_p[i] for i in order]
         lt = self._lt
-        if lt:
-            # Strictly-less split: an equal-time pending entry belongs
-            # after every live tie (it was pushed later) so it stays
-            # buffered until the live run at that timestamp drains.
-            m = int(pend_t.searchsorted(lt[-1], side="left"))
-        else:
-            m = k
-        lt.extend(pend_t[m - 1 :: -1].tolist())
-        self._lp.extend(pend_p[m - 1 :: -1].tolist())
-        if m == k:
-            self._pend_t = []
-            self._pend_p = []
-            self._pend_min = _INF
-        else:
-            self._pend_t = pend_t[m:].tolist()
-            self._pend_p = pend_p[m:].tolist()
-            self._pend_min = self._pend_t[0]
+        m = bisect_left(pend_t, lt[-1]) if lt else len(pend_t)
+        lt.extend(reversed(pend_t[:m]))
+        self._lp.extend(reversed(pend_p[:m]))
+        self._pend_t = pend_t[m:]
+        self._pend_p = pend_p[m:]
+        self._pend_min = pend_t[m] if m < len(pend_t) else _INF

@@ -74,9 +74,9 @@ class Simulator:
         self._obs_events = obs.counter("sim.events_total") if live else None
         self._obs_spawns = obs.counter("sim.processes_spawned_total") if live else None
         self._obs_eps = obs.gauge("sim.events_per_sec") if live else None
-        self._tracer = tracer if tracer is not None and tracer.enabled else None
-        if self._tracer is not None:
-            self._tracer.set_clock(self._clock)
+        self._tracer = tracer
+        if tracer is not None:
+            tracer.set_clock(self._clock)
 
     def _clock(self) -> float:
         return self._now

@@ -25,13 +25,7 @@ from typing import Any, Generator, Optional
 from repro.sim.events import Event, OP_STEP, OP_THROW
 
 
-class Command:
-    """Base class for objects a process may yield to the kernel."""
-
-    __slots__ = ()
-
-
-class Timeout(Command):
+class Timeout:
     """Suspend the yielding process for ``delay`` simulated time units."""
 
     __slots__ = ("delay", "value")
@@ -46,7 +40,7 @@ class Timeout(Command):
         return f"Timeout({self.delay})"
 
 
-class WakeAt(Command):
+class WakeAt:
     """Suspend the yielding process until absolute simulated ``time``.
 
     Unlike ``Timeout(time - now)``, the wakeup lands on exactly
@@ -65,7 +59,7 @@ class WakeAt(Command):
         return f"WakeAt({self.time})"
 
 
-class Wait(Command):
+class Wait:
     """Suspend until ``event`` fires; its value is sent into the process."""
 
     __slots__ = ("event",)
@@ -231,23 +225,18 @@ class Process:
         sim = self.sim
         self._wait_generation += 1
         generation = self._wait_generation
-        # Exact-class checks first: commands are almost always the
-        # concrete classes, and `is` skips the isinstance machinery on
-        # the hot path.  The isinstance fallbacks keep subclasses legal.
+        # Commands match by exact class: nothing subclasses them.  A
+        # Timeout never gets here: _step queues it inline.
         cls = command.__class__
-        if cls is Timeout or isinstance(command, Timeout):
-            sim._queue.push_wakeup(
-                sim._now + command.delay, (OP_STEP, self, generation, command.value)
-            )
-        elif cls is WakeAt or isinstance(command, WakeAt):
+        if cls is WakeAt:
             payload = (OP_STEP, self, generation, command.value)
             sim._push_at(command.time, payload)
             self._wake_entry = (command.time, payload)
-        elif cls is Wait or isinstance(command, Wait):
+        elif cls is Wait:
             command.event._add_waiter(self, generation)
-        elif cls is Process or isinstance(command, Process):
+        elif cls is Process:
             command.done._add_waiter(self, generation)
-        elif isinstance(command, Event):
+        elif cls is Event:
             command._add_waiter(self, generation)
         else:
             raise TypeError(

@@ -138,6 +138,18 @@ class TestCorrelatedSchedule:
             != self._schedule(seed=12).fingerprint()
         )
 
+    def test_int_seed_matches_seed_sequence(self):
+        """An int seed draws its SeedSequence's timeline, and another
+        int draws another."""
+
+        def fingerprint(seed):
+            return generate_correlated_schedule(
+                small_topology(), self.RATES, 60.0, seed
+            ).fingerprint()
+
+        assert fingerprint(7) == fingerprint(np.random.SeedSequence(7))
+        assert fingerprint(7) != fingerprint(8)
+
     def test_power_strike_expands_to_members(self):
         schedule = self._schedule()
         power = [

@@ -95,7 +95,7 @@ class TestHappyPath:
 
     def test_disabled_policy_has_no_dispatcher(self):
         sim = Simulator()
-        cluster = make_cluster(sim, ResiliencePolicy(enabled=False))
+        cluster = make_cluster(sim, None)
         assert cluster.dispatcher is None
 
 

@@ -1,6 +1,6 @@
 """Kernel instrumentation: event counters and simulated-time spans."""
 
-from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, Tracer
 from repro.sim import Simulator, Timeout
 
 
@@ -54,10 +54,3 @@ class TestKernelTracing:
             ]
 
         assert run() == run()
-
-    def test_null_tracer_is_ignored(self):
-        sim = Simulator(tracer=NULL_TRACER)
-        assert sim._tracer is None
-        sim.spawn(ticker(sim, 1, 1.0), name="a")
-        sim.run()
-        assert len(NULL_TRACER) == 0

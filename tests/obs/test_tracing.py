@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import NULL_TRACER, Span, Tracer
+from repro.obs import Span, Tracer
 
 
 class FakeClock:
@@ -51,7 +51,6 @@ class TestTracer:
         clock.t = 5.0
         tracer.end(span)
         assert span.end_s == 1.0
-        assert span.duration_s == 1.0
 
     def test_end_before_start_raises(self):
         clock = FakeClock()
@@ -66,24 +65,15 @@ class TestTracer:
         clock = FakeClock()
         clock.t = 2.0
         span = Tracer(clock).instant("tick", kind="poll")
-        assert span.duration_s == 0.0
+        assert span.start_s == span.end_s == 2.0
         assert span.attrs == {"kind": "poll"}
 
     def test_set_clock_and_now(self):
         tracer = Tracer()
-        assert tracer.now == 0.0
+        assert tracer.begin("before").start_s == 0.0
         tracer.set_clock(lambda: 7.5)
-        assert tracer.now == 7.5
-
-    def test_finish_closes_open_spans(self):
-        clock = FakeClock()
-        tracer = Tracer(clock)
-        span = tracer.begin("s")
-        clock.t = 4.0
-        spans = tracer.finish()
-        assert span in spans
-        assert span.open is False
-        assert len(tracer) == 1
+        assert tracer.begin("after").start_s == 7.5
+        assert [span.name for span in tracer.spans] == ["before", "after"]
 
     def test_to_record_shape(self):
         record = Span(span_id=3, name="x", start_s=1.0).to_record()
@@ -96,16 +86,3 @@ class TestTracer:
             "attrs": {},
         }
 
-
-class TestNullTracer:
-    def test_everything_is_a_noop(self):
-        assert NULL_TRACER.enabled is False
-        assert NULL_TRACER.begin("s") is None
-        assert NULL_TRACER.end(None) is None
-        assert NULL_TRACER.instant("s") is None
-        with NULL_TRACER.span("s") as span:
-            assert span is None
-        NULL_TRACER.set_clock(lambda: 9.0)
-        assert NULL_TRACER.now == 0.0
-        assert NULL_TRACER.finish() == []
-        assert len(NULL_TRACER) == 0

@@ -206,21 +206,6 @@ KEEP: Dict[Tuple[str, str], str] = {
     ("repro.obs.registry", "NullRegistry.__len__"): _TESTED,
     ("repro.obs.registry", "NullRegistry.names"): _TESTED,
     ("repro.obs.registry", "NullRegistry.snapshot"): _TESTED,
-    ("repro.obs.tracing", "Span.open"): _TESTED,
-    ("repro.obs.tracing", "Span.duration_s"): _TESTED,
-    ("repro.obs.tracing", "Tracer.now"): _TESTED,
-    ("repro.obs.tracing", "Tracer.finish"): _TESTED,
-    ("repro.obs.tracing", "Tracer.__len__"): _TESTED,
-    ("repro.obs.tracing", "_NullScope.__enter__"): _TESTED,
-    ("repro.obs.tracing", "_NullScope.__exit__"): _TESTED,
-    ("repro.obs.tracing", "NullTracer.set_clock"): _TESTED,
-    ("repro.obs.tracing", "NullTracer.now"): _TESTED,
-    ("repro.obs.tracing", "NullTracer.begin"): _TESTED,
-    ("repro.obs.tracing", "NullTracer.end"): _TESTED,
-    ("repro.obs.tracing", "NullTracer.span"): _TESTED,
-    ("repro.obs.tracing", "NullTracer.instant"): _TESTED,
-    ("repro.obs.tracing", "NullTracer.finish"): _TESTED,
-    ("repro.obs.tracing", "NullTracer.__len__"): _TESTED,
     ("repro.tiering.policy", "Placement.tier_of"): _TESTED,
     ("repro.tiering.scheduler", "TierManager.used_bytes"): _TESTED,
     ("repro.tiering.scheduler", "TierManager.remove"): _TESTED,
